@@ -7,6 +7,7 @@ default so ``{"scenario": "stationary_state"}`` is a complete config.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -170,7 +171,7 @@ def parse_config_dict(doc: dict) -> ScenarioConfig:
         pressure.setdefault("peak", 100.0)
         pressure.setdefault("center", [0.5, 0.5])
         pressure.setdefault("radius", 0.4)
-        if pressure["radius"] <= 0:
+        if not pressure["radius"] > 0:
             raise ConfigError("pressure.radius must be positive")
     if pressure["kind"] == "constant" and "value" not in pressure:
         raise ConfigError("constant pressure needs a value")
@@ -212,34 +213,41 @@ def parse_config_dict(doc: dict) -> ScenarioConfig:
 
 
 def _validate(cfg: ScenarioConfig):
+    # range checks are written so that NaN fails them
     if cfg.n < 2:
         raise ConfigError(f"n must be at least 2, got {cfg.n}")
-    if cfg.tau <= 0.0:
+    if not cfg.tau > 0.0:
         raise ConfigError("tau must be positive")
-    if cfg.final_time < cfg.tau:
-        raise ConfigError("final_time must be at least tau")
-    if not (0.0 <= cfg.sweep_min < cfg.sweep_max):
-        raise ConfigError("sweep bounds must satisfy 0 <= min < max")
+    if not cfg.tau <= cfg.final_time < math.inf:
+        raise ConfigError("final_time must be finite and at least tau")
+    if not (0.0 <= cfg.sweep_min < cfg.sweep_max < math.inf):
+        raise ConfigError("sweep bounds must satisfy 0 <= min < max < inf")
     if cfg.sweep_samples < 2:
         raise ConfigError("sweep needs at least 2 samples")
-    if cfg.sweep_bisect_tol <= 0.0:
+    if not cfg.sweep_bisect_tol > 0.0:
         raise ConfigError("sweep bisect_tol must be positive")
     if cfg.disruption_ramp not in ("min", "max"):
         raise ConfigError("disruption_ramp must be 'min' or 'max'")
-    if cfg.disruption_radius <= 0.0:
+    if not cfg.disruption_radius > 0.0:
         raise ConfigError("disruption_radius must be positive")
-    if any(t <= 0 for t in cfg.theta_ladder):
+    if not all(t > 0 for t in cfg.theta_ladder):
         raise ConfigError("theta_ladder entries must be positive")
-    if len(cfg.fit_window) != 2 or cfg.fit_window[0] >= cfg.fit_window[1]:
+    if len(cfg.fit_window) != 2 or not cfg.fit_window[0] < cfg.fit_window[1]:
         raise ConfigError("fit_window must be (first, last) with first < last")
     if cfg.workers < 1:
         raise ConfigError("workers must be at least 1")
-    if cfg.stop_tol <= 0.0:
+    if not cfg.output_dir:
+        raise ConfigError("output_dir must not be empty")
+    if not cfg.stop_tol > 0.0:
         raise ConfigError("stop_tol must be positive")
-    if cfg.rel_tolerance <= 0.0:
+    if not cfg.rel_tolerance > 0.0:
         raise ConfigError("rel_tolerance must be positive")
     if cfg.max_iterations is not None and cfg.max_iterations < 1:
         raise ConfigError("max_iterations must be at least 1")
+
+
+def _reject_constant(name: str):
+    raise ConfigError(f"non-finite number {name} in config")
 
 
 def parse_config(path) -> ScenarioConfig:
@@ -248,7 +256,7 @@ def parse_config(path) -> ScenarioConfig:
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
     try:
-        doc = json.loads(p.read_text())
+        doc = json.loads(p.read_text(), parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON in {p}: {exc}") from exc
     return parse_config_dict(doc)

@@ -64,10 +64,11 @@ def cg_solve(
 ) -> np.ndarray:
     """Solve ``A x = b`` for symmetric positive (semi)definite ``A``.
 
-    Stops when ``||A x - b|| <= rel_tolerance * ||b||``.  ``x0`` warm-starts
-    the iteration (time steppers pass the previous field).  If a list is
-    given as ``residual_history`` the per-iteration residual norms are
-    appended to it.
+    Stops when ``||A x - b|| <= rel_tolerance * ||b||``, and raises
+    :class:`LinearSolveError` if ``||b||`` or the final residual is not
+    finite.  ``x0`` warm-starts the iteration (time steppers pass the
+    previous field).  If a list is given as ``residual_history`` the
+    per-iteration residual norms are appended to it.
     """
     b = np.asarray(b, dtype=float)
     nb = np.linalg.norm(b)
@@ -109,6 +110,14 @@ def cg_solve(
         if residual_history is not None:
             residual_history.append(np.sqrt(rs))
         it += 1
+    # a NaN or Inf in b or x0 makes every comparison above false
+    if not (np.isfinite(nb) and np.isfinite(rs)):
+        raise LinearSolveError(
+            f"cg_solve: non-finite right-hand side or residual "
+            f"(|b| = {nb:.3e}, residual {np.sqrt(rs):.3e})",
+            x,
+            float(np.sqrt(rs)),
+        )
     return x
 
 

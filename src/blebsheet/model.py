@@ -10,7 +10,7 @@ assembled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -46,13 +46,16 @@ class ModelParams:
     h_bar: float = 0.0
 
     def __post_init__(self):
-        if self.kappa <= 0.0:
+        # written so that NaN fails every check
+        if not all(np.isfinite(getattr(self, f.name)) for f in fields(self)):
+            raise ValueError("parameters must be finite")
+        if not self.kappa > 0.0:
             raise ValueError("bending rigidity kappa must be positive")
-        if self.theta <= 0.0:
+        if not self.theta > 0.0:
             raise ValueError("ripping scale theta must be positive")
-        if self.k < 0.0 or self.eta_a < 0.0 or self.eta_i < 0.0 or self.xi < 0.0:
+        if not min(self.k, self.eta_a, self.eta_i, self.xi) >= 0.0:
             raise ValueError("k, eta_a, eta_i, xi must be nonnegative")
-        if self.h_star <= 0.0:
+        if not self.h_star > 0.0:
             raise ValueError("critical height h_star must be positive")
         if self.h_bar == 0.0 and self.lam != 0.0:
             raise ValueError("lam must vanish with zero spontaneous curvature")

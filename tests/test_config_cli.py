@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from blebsheet.cli import main, run_sweep, sweep_point
@@ -134,6 +135,41 @@ def test_cli_determinism_byte_identical(tmp_path):
     assert sa == sb
 
 
+@pytest.mark.parametrize("field", ['"tau": NaN', '"params": {"theta": NaN}',
+                                   '"final_time": Infinity', '"pressure": {"kind": "constant", "value": -Infinity}'])
+def test_cli_nonfinite_config_exit_2(tmp_path, capsys, field):
+    path = tmp_path / "config.json"
+    path.write_text('{"scenario": "stationary_state", "n": 8, %s}' % field)
+    assert main(["run", "--config", str(path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [
+    {"tau": float("nan")},
+    {"final_time": float("inf")},
+    {"sweep": {"max": float("inf")}},
+    {"sweep": {"bisect_tol": float("nan")}},
+    {"params": {"theta": float("nan")}},
+    {"params": {"c": float("nan")}},
+    {"pressure": {"kind": "pulse", "radius": float("nan")}},
+])
+def test_nonfinite_field_rejected(doc):
+    with pytest.raises(ConfigError):
+        parse_config_dict({"scenario": "stationary_state", **doc})
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--n", "0"), ("--tau", "0"), ("--workers", "0"), ("--tau", "nan"), ("--out", ""),
+])
+def test_cli_override_reaches_validation(tmp_path, capsys, flag, value):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, {"scenario": "stationary_state", "n": 8,
+                                   "output_dir": str(out)})
+    assert main(["run", "--config", str(path), flag, value]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_overrides(tmp_path):
     out = tmp_path / "o"
     path = write_config(tmp_path, {"scenario": "stationary_state", "final_time": 5e-6,
@@ -206,12 +242,81 @@ def test_sweep_worker_neutrality(tmp_path):
     doc = {
         "scenario": "pressure_sweep",
         "n": 6,
-        "sweep": {"min": 0.0, "max": 100.0, "samples": 4, "bisect_tol": 5.0},
+        "sweep": {"min": 0.0, "max": 500.0, "samples": 4, "bisect_tol": 5.0},
     }
     rows1, crit1 = run_sweep(parse_config_dict({**doc, "workers": 1}))
     rows2, crit2 = run_sweep(parse_config_dict({**doc, "workers": 2}))
+    # the range crosses h_star, so the pool runs the supercritical samples
+    assert sum(v > 0.5 for _, v in rows1) >= 2
     assert rows1 == rows2
     assert crit1 == crit2
+
+
+def _plain_sweep(cfg):
+    """Reference sweep that runs every sample and bisection point in full."""
+    peaks = [float(p) for p in np.linspace(cfg.sweep_min, cfg.sweep_max, cfg.sweep_samples)]
+    rows = [(p, sweep_point(p, cfg)) for p in peaks]
+    h_star = cfg.params.h_star
+    crossed = [v > h_star for _, v in rows]
+    if not any(crossed):
+        return rows, None
+    if crossed[0]:
+        return rows, peaks[0]
+    i = crossed.index(True)
+    lo, hi = peaks[i - 1], peaks[i]
+    while hi - lo > cfg.sweep_bisect_tol:
+        mid = 0.5 * (lo + hi)
+        if sweep_point(mid, cfg) > h_star:
+            hi = mid
+        else:
+            lo = mid
+    return rows, 0.5 * (lo + hi)
+
+
+def _count_steps(monkeypatch):
+    import blebsheet.cli as cli
+
+    calls = []
+    original = cli.step
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "step", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_sweep_superposition_matches_full_runs(monkeypatch, n):
+    cfg = parse_config_dict({"scenario": "pressure_sweep", "n": n})
+    plain_rows, plain_critical = _plain_sweep(cfg)
+    steps = _count_steps(monkeypatch)
+    rows, critical = run_sweep(cfg)
+    assert [p for p, _ in rows] == [p for p, _ in plain_rows]
+    for (_, v), (_, ref) in zip(rows, plain_rows):
+        assert v == pytest.approx(ref, rel=1e-9, abs=0.0)
+    assert critical is not None
+    assert abs(critical - plain_critical) <= cfg.sweep_bisect_tol
+    # the 1 Pa run and every crossing sample run in full, the rest do not
+    crossing = sum(v > cfg.params.h_star for _, v in rows)
+    assert 10 * (1 + crossing) <= len(steps) < 10 * cfg.sweep_samples
+
+
+def test_sweep_without_linear_range_runs_every_point():
+    # at this h_star the 1 Pa response rips from step 4, so its heights are no
+    # unit response; the 0.25 Pa sample stays below h_star but must still run
+    cfg = parse_config_dict({
+        "scenario": "pressure_sweep",
+        "n": 8,
+        "params": {"h_star": 1e-3},
+        "sweep": {"min": 0.0, "max": 1.0, "samples": 5, "bisect_tol": 0.05},
+    })
+    assert sweep_point(1.0, cfg) > cfg.params.h_star
+    rows, critical = run_sweep(cfg)
+    plain_rows, plain_critical = _plain_sweep(cfg)
+    assert rows == plain_rows
+    assert critical == plain_critical
 
 
 def test_cli_solver_failure_exit_1(tmp_path, capsys):

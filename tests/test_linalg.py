@@ -91,6 +91,13 @@ def test_cg_nonconvergence_carries_residual():
     assert err.value.iterate.shape == b.shape
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_cg_nonfinite_rhs_raises(bad):
+    b = np.array([1.0, bad, 2.0, 3.0])
+    with pytest.raises(LinearSolveError, match="non-finite"):
+        cg_solve(spm(np.eye(4)), b)
+
+
 def test_solve_options_validation():
     with pytest.raises(ValueError):
         SolveOptions(armijo_c1=1.5)
