@@ -9,7 +9,14 @@ finite-difference verifier for sphere shape-derivative formulas.
 __version__ = "0.1.0"
 
 from .grid import Grid, SparseMatrix, assemble_laplacian, build_grid, integrate
-from .linalg import LinearSolveError, NewtonError, SolveOptions, cg_solve, newton_armijo
+from .linalg import (
+    LinearSolveError,
+    NewtonError,
+    SolveOptions,
+    SweepLimitError,
+    cg_solve,
+    newton_armijo,
+)
 from .model import (
     MICROGRAM,
     PASCAL,
@@ -45,6 +52,7 @@ __all__ = [
     "integrate",
     "SolveOptions",
     "LinearSolveError",
+    "SweepLimitError",
     "NewtonError",
     "cg_solve",
     "newton_armijo",

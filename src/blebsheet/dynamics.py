@@ -32,7 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .grid import Grid, SparseMatrix, assemble_laplacian, integrate
-from .linalg import SolveOptions, cg_solve, newton_armijo
+from .linalg import SolveOptions, SweepLimitError, cg_solve, newton_armijo
 from .model import MICROGRAM, PASCAL, ModelParams, PressureField, ripping_rate
 
 
@@ -122,10 +122,19 @@ class Operators:
     ``A`` is the interior Dirichlet negative Laplacian, ``A2`` its square
     (13-point stencil), ``AN`` the all-node Neumann operator and ``LN`` its
     weighted symmetric form used in the density solves.
+
+    ``sine`` is the orthonormal DST-I matrix ``S`` of one grid line
+    (symmetric, ``S @ S = I``) and ``eig`` the eigenvalues of ``A`` on the
+    interior nodes laid out as an ``(n-1, n-1)`` array: with ``R`` a
+    field reshaped that way, ``A`` acts as ``S ((S R S) * eig) S``.
     """
 
     def __init__(self, grid: Grid):
         self.grid = grid
+        k = np.arange(1, grid.n)
+        self.sine = np.sqrt(2.0 / grid.n) * np.sin(np.pi * np.outer(k, k) / grid.n)
+        line = (2.0 * np.sin(0.5 * np.pi * k / grid.n) / grid.spacing) ** 2
+        self.eig = line[:, None] + line[None, :]
         self.A = assemble_laplacian(grid, "dirichlet0")
         self.A2 = SparseMatrix.from_scipy(self.A.scipy @ self.A.scipy, symmetric=True)
         self.AN = assemble_laplacian(grid, "neumann0")
@@ -155,6 +164,26 @@ class Operators:
         )
         return SparseMatrix.from_scipy(mat, symmetric=True)
 
+    def height_preconditioner(self, params: ModelParams, rho_a: np.ndarray,
+                              shift: float):
+        """Exact inverse of the constant-coefficient height operator.
+
+        Returns ``r -> M r`` with ``M = (shift + mean(spring) + kappa A^2 +
+        gamma A)^-1`` and ``spring = xi * rho_a`` on the
+        interior, applied by two sine transforms.  It inverts a height
+        matrix exactly when the spring is uniform, so preconditioned CG
+        needs only as many iterations as the spring's variation demands.
+        """
+        spring = params.xi * MICROGRAM * float(np.mean(self.grid.restrict(rho_a)))
+        inv = 1.0 / (shift + spring + self.eig * (params.kappa * self.eig + params.gamma))
+        S = self.sine
+        m = self.grid.n - 1
+
+        def apply(r: np.ndarray) -> np.ndarray:
+            return (S @ ((S @ r.reshape(m, m) @ S) * inv) @ S).ravel()
+
+        return apply
+
     def density_matrix(self, eta: float, diag_extra: np.ndarray) -> SparseMatrix:
         """Weighted form ``W diag(extra) + eta L`` (symmetric positive definite)."""
         mat = self.W @ sp.diags(diag_extra) + eta * self.LN
@@ -176,7 +205,9 @@ def _solve_densities(
     Solves the inactive density first, then the active one.  Under implicit
     ripping the equations couple through the flux on the unknown active
     density; block Gauss-Seidel converges with contraction about ``k * tau``
-    per sweep so a handful of sweeps reaches solver accuracy.
+    per sweep so a handful of sweeps reaches solver accuracy; after 80
+    sweeps it raises :class:`SweepLimitError` with the last iterate
+    ``[rho_a | rho_i]`` and the last increment of ``rho_a``.
     """
     w = ops.grid.weights
     # mass conservation inherits the residual of these solves; run them tight
@@ -206,9 +237,20 @@ def _solve_densities(
         rho_i_new = cg_solve(
             B_i, w * (rho_i / tau + rate * rho_a_new), dopts, x0=rho_i_new
         )
-        if np.max(np.abs(rho_a_new - rho_a_prev)) <= 1e-13 * scale:
+        increment = float(np.max(np.abs(rho_a_new - rho_a_prev)))
+        if increment <= 1e-13 * scale:
             return rho_a_new, rho_i_new
-    raise RuntimeError("implicit ripping coupling did not converge in 80 sweeps")
+    residual = np.concatenate([
+        B_a @ rho_a_new - w * (rho_a / tau + params.k * rho_i_new),
+        B_i @ rho_i_new - w * (rho_i / tau + rate * rho_a_new),
+    ])
+    raise SweepLimitError(
+        f"implicit ripping coupling did not converge in 80 sweeps "
+        f"(last increment {increment:.3e})",
+        np.concatenate([rho_a_new, rho_i_new]),
+        float(np.linalg.norm(residual)),
+        increment,
+    )
 
 
 def step(
@@ -282,6 +324,7 @@ class FullyImplicitJacobian:
         # subgradient of the positive part: zero at the kink
         rate_prime = np.where(h_full > params.h_star, 1.0 / params.theta, 0.0)
         self.d_rate_rho = rate_prime * rho_a  # full grid
+        self.rho_a = rho_a
         self.J_hh = sp.csr_matrix(
             params.c * ops.I_int
             + tau * (
@@ -379,7 +422,11 @@ def _block_triangular_solve(J: FullyImplicitJacobian, rhs: np.ndarray,
 
     With no active ripping the system is block upper triangular and one
     sweep is exact; otherwise the sweep contraction is about ``k * tau``.
-    The density blocks are solved in weighted form to stay symmetric.
+    After 60 sweeps it raises :class:`SweepLimitError` with the last sweep
+    and its increment.  The density blocks are solved in weighted form to
+    stay symmetric; the height block, ``tau`` times a height matrix, is
+    preconditioned by the sine-transform inverse of its constant-coefficient
+    part (CG does not see the factor ``tau``).
     """
     ops = J.ops
     grid = ops.grid
@@ -391,6 +438,7 @@ def _block_triangular_solve(J: FullyImplicitJacobian, rhs: np.ndarray,
     Wa = SparseMatrix.from_scipy(ops.W @ J.J_aa, symmetric=True)
     Wi = SparseMatrix.from_scipy(ops.W @ J.J_ii, symmetric=True)
     Bh = SparseMatrix.from_scipy(J.J_hh, symmetric=True)
+    Mh = ops.height_preconditioner(J.params, J.rho_a, J.params.c / J.tau + J.params.lam)
 
     dh = np.zeros(J.n_int)
     da = np.zeros(J.n_all)
@@ -404,12 +452,19 @@ def _block_triangular_solve(J: FullyImplicitJacobian, rhs: np.ndarray,
         rhs_a = b_a + J.k_tau * di
         rhs_a[J.interior] -= J.diag_ah * dh
         da = cg_solve(Wa, w * rhs_a, dopts, x0=da)
-        dh = cg_solve(Bh, b_h - J.diag_ha * da[J.interior], dopts, x0=dh)
+        dh = cg_solve(Bh, b_h - J.diag_ha * da[J.interior], dopts, x0=dh, precond=Mh)
         cur = np.concatenate([dh, da, di])
-        if np.max(np.abs(cur - prev)) <= 1e-13 * scale and _sweep > 0:
+        increment = float(np.max(np.abs(cur - prev)))
+        if increment <= 1e-13 * scale and _sweep > 0:
             return cur
         prev = cur
-    return prev
+    raise SweepLimitError(
+        f"block Gauss-Seidel did not converge in 60 sweeps "
+        f"(last increment {increment:.3e})",
+        cur,
+        float(np.linalg.norm(J @ cur - rhs)),
+        increment,
+    )
 
 
 def _step_fully_implicit(
@@ -430,6 +485,15 @@ def _step_fully_implicit(
     def jacobian(z):
         return FullyImplicitJacobian(ops, params, tau, z[:ni], z[ni : ni + na])
 
+    def linear_solve(J, rhs):
+        try:
+            return _block_triangular_solve(J, rhs, opts)
+        except SweepLimitError as exc:
+            # where ripping switches on the sweeps can need 100-150 passes;
+            # Newton only needs a descent direction, and newton_armijo
+            # checks the slope along this one and line-searches it
+            return exc.iterate
+
     # semi-implicit predictor: O(tau)-accurate start keeps Newton on the
     # right side of the ripping switch even at sharpness 1e-8
     rate = ripping_rate(state.h, params)
@@ -443,11 +507,12 @@ def _step_fully_implicit(
         + PASCAL * grid.restrict(pressure.values),
         opts,
         x0=grid.restrict(state.h),
+        precond=ops.height_preconditioner(params, rho_a_pred, params.c / tau + params.lam),
     )
     z0 = np.concatenate([h_pred, rho_a_pred, rho_i_pred])
     z = newton_armijo(
         residual, jacobian, z0, opts,
-        linear_solve=lambda J, rhs: _block_triangular_solve(J, rhs, opts),
+        linear_solve=linear_solve,
     )
     h_int = z[:ni]
     return State(

@@ -124,10 +124,13 @@ def formula_value(kind: str, variant: str, radius: float, mode: int) -> float:
     """Closed-form second derivative for the sphere specializations.
 
     Uses ``int P_l^2 dA = 4 pi R^2 / (2l+1)``, the Laplace-Beltrami
-    eigenvalue ``l(l+1)/R^2``, and ``|W|^2 = 2/R^2``, ``H^2 = 4/R^2``.
-    ``MainText`` differs from ``AppendixGeneral`` only for the area, where
-    the printed coefficient is ``7/R^2`` instead of the appendix's
-    ``H^2 - |W|^2 = 2/R^2``.
+    eigenvalue ``L/R^2`` with ``L = l(l+1)``, and ``|W|^2 = 2/R^2``,
+    ``H^2 = 4/R^2``.  For the area, ``MainText`` prints the coefficient
+    ``7/R^2`` where the appendix has ``H^2 - |W|^2 = 2/R^2``.  For the
+    Willmore energy, ``AppendixGeneral`` is
+    ``2 (int (lap h)^2 - (2/R^2) int |grad h|^2) = 2 L (L-2) / R^4 int h^2``,
+    which vanishes for scaling (l = 0) and translation (l = 1), and
+    ``MainText`` is the printed ``int (lap h)^2 + (3/2R^2) int |grad h|^2``.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown functional kind {kind!r}")
@@ -145,7 +148,10 @@ def formula_value(kind: str, variant: str, radius: float, mode: int) -> float:
         return int_grad2 + coeff * int_h2
     if kind == "MeanCurvInt":
         return (2.0 / R) * int_grad2
-    int_lap2 = (l * (l + 1) / R**2) ** 2 * int_h2
+    L = l * (l + 1)
+    if variant == "AppendixGeneral":
+        return 2.0 * (L * (L - 2)) / R**4 * int_h2
+    int_lap2 = (L / R**2) ** 2 * int_h2
     return int_lap2 + 1.5 / R**2 * int_grad2
 
 
@@ -156,9 +162,10 @@ def verification_report(
 ) -> list[dict]:
     """FD-versus-formula table over the standard (R, l) grid.
 
-    Area and MeanCurvInt rows compare against the appendix forms; the
-    Willmore rows record the comparison against the main-text coefficient
-    without asserting it (the oracle is the authority there).
+    Every functional is compared against its appendix form; the area and
+    Willmore rows also record the comparison against the main-text
+    coefficient, which is reported, not asserted (the oracle is the
+    authority there).
 
     ``rel_err = |fd - formula| / max(|formula|, |fd|, s)`` with the floor
     ``s = |F(0)| / R^2``, where ``F(0)`` is the functional on the round
@@ -178,6 +185,7 @@ def verification_report(
                 ("Area", "AppendixGeneral"),
                 ("Area", "MainText"),
                 ("MeanCurvInt", "AppendixGeneral"),
+                ("WillmoreInt", "AppendixGeneral"),
                 ("WillmoreInt", "MainText"),
             ):
                 fd, stability = second_derivative_fd(kind, R, l, delta_steps)

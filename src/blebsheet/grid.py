@@ -188,26 +188,24 @@ def assemble_laplacian(grid: Grid, bc: str) -> SparseMatrix:
 
 
 def _dirichlet_matrix(grid: Grid) -> SparseMatrix:
-    n = grid.n
-    m = n + 1
+    m = grid.n + 1
     h2 = grid.spacing ** 2
     full_to_int = -np.ones(grid.num_nodes, dtype=np.int64)
     full_to_int[grid.interior_indices] = np.arange(grid.num_interior)
 
-    rows, cols, vals = [], [], []
-    for full in grid.interior_indices:
-        k = full_to_int[full]
-        rows.append(k)
-        cols.append(k)
-        vals.append(4.0 / h2)
-        for nb in (full - m, full + m, full - 1, full + 1):
-            knb = full_to_int[nb]
-            if knb >= 0:
-                rows.append(k)
-                cols.append(knb)
-                vals.append(-1.0 / h2)
+    # one row of slots per interior node: the diagonal, then the neighbours
+    # at -m, +m, -1, +1; boundary neighbours are dropped
+    full = grid.interior_indices
+    k = full_to_int[full]
+    nbs = full_to_int[full[:, None] + np.array([-m, m, -1, 1])]
+    cols = np.column_stack([k, nbs])
+    vals = np.empty(cols.shape)
+    vals[:, 0] = 4.0 / h2
+    vals[:, 1:] = -1.0 / h2
+    keep = cols >= 0
+    rows = np.broadcast_to(k[:, None], cols.shape)
     N = grid.num_interior
-    mat = sp.csr_matrix((vals, (rows, cols)), shape=(N, N))
+    mat = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(N, N))
     return SparseMatrix.from_scipy(mat, symmetric=True)
 
 
@@ -215,24 +213,21 @@ def _neumann_matrix(grid: Grid) -> SparseMatrix:
     n = grid.n
     m = n + 1
 
-    rows, cols, vals = [], [], []
+    # per node, the edge to +x then the edge to +y, each as four entries
+    # (a,a), (b,b), (a,b), (b,a) with symmetric conductance (face length /
+    # node distance); rows are divided by node weights afterwards
+    a = np.arange(m * m)
+    i, j = np.divmod(a, m)
+    b = np.stack([a + m, a + 1], axis=1)
+    conduct = np.stack([np.where((0 < j) & (j < n), 1.0, 0.5),
+                        np.where((0 < i) & (i < n), 1.0, 0.5)], axis=1)
+    exists = np.stack([i < n, j < n], axis=1)
+    aa = np.broadcast_to(a[:, None], b.shape)
+    rows = np.stack([aa, b, aa, b], axis=2)[exists]
+    cols = np.stack([aa, b, b, aa], axis=2)[exists]
+    vals = (conduct[:, :, None] * np.array([1.0, 1.0, -1.0, -1.0]))[exists]
 
-    def add_edge(a: int, b: int, conduct: float):
-        # symmetric conductance (face length / node distance); rows are
-        # divided by node weights afterwards
-        rows.extend((a, b, a, b))
-        cols.extend((a, b, b, a))
-        vals.extend((conduct, conduct, -conduct, -conduct))
-
-    for i in range(m):
-        for j in range(m):
-            a = i * m + j
-            if i < n:
-                add_edge(a, a + m, 1.0 if 0 < j < n else 0.5)
-            if j < n:
-                add_edge(a, a + 1, 1.0 if 0 < i < n else 0.5)
-
-    L = sp.csr_matrix((vals, (rows, cols)), shape=(m * m, m * m))
+    L = sp.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(m * m, m * m))
     A = sp.diags(1.0 / grid.weights) @ L
     return SparseMatrix.from_scipy(A, symmetric=False)
 

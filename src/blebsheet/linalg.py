@@ -38,12 +38,24 @@ class SolveOptions:
 
 
 class LinearSolveError(RuntimeError):
-    """CG failed to reach the requested tolerance."""
+    """A linear solve failed to reach the requested tolerance."""
 
     def __init__(self, message: str, iterate: np.ndarray, residual_norm: float):
         super().__init__(message)
         self.iterate = iterate
         self.residual_norm = residual_norm
+
+
+class SweepLimitError(LinearSolveError):
+    """A block Gauss-Seidel loop reached its sweep cap.
+
+    ``increment`` is the sup norm of the change made by the last sweep.
+    """
+
+    def __init__(self, message: str, iterate: np.ndarray, residual_norm: float,
+                 increment: float):
+        super().__init__(message, iterate, residual_norm)
+        self.increment = increment
 
 
 class NewtonError(RuntimeError):
@@ -61,6 +73,7 @@ def cg_solve(
     opts: SolveOptions = SolveOptions(),
     x0: Optional[np.ndarray] = None,
     residual_history: Optional[list] = None,
+    precond: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> np.ndarray:
     """Solve ``A x = b`` for symmetric positive (semi)definite ``A``.
 
@@ -69,6 +82,11 @@ def cg_solve(
     finite.  ``x0`` warm-starts the iteration (time steppers pass the
     previous field).  If a list is given as ``residual_history`` the
     per-iteration residual norms are appended to it.
+
+    ``precond(r)`` applies a symmetric positive definite approximation of
+    ``A^-1`` (preconditioned CG).  The stop test and the history stay on
+    the unpreconditioned residual ``r``, so they mean the same with and
+    without it; with ``precond=None`` the iteration is plain CG.
     """
     b = np.asarray(b, dtype=float)
     nb = np.linalg.norm(b)
@@ -77,8 +95,10 @@ def cg_solve(
 
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
     r = b - A @ x
-    p = r.copy()
+    z = r if precond is None else precond(r)
+    p = z.copy()
     rs = float(r @ r)
+    rz = rs if precond is None else float(r @ z)
     tol = opts.rel_tolerance * nb
     max_it = opts.max_iterations if opts.max_iterations is not None else 10 * b.size
 
@@ -101,12 +121,17 @@ def cg_solve(
                 x,
                 float(np.sqrt(rs)),
             )
-        alpha = rs / pAp
+        alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
-        rs_new = float(r @ r)
-        p = r + (rs_new / rs) * p
-        rs = rs_new
+        rs = float(r @ r)
+        if precond is None:
+            z, rz_new = r, rs
+        else:
+            z = precond(r)
+            rz_new = float(r @ z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
         if residual_history is not None:
             residual_history.append(np.sqrt(rs))
         it += 1

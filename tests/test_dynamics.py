@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from blebsheet.config import parse_config_dict
 from blebsheet.dynamics import (
@@ -9,12 +10,14 @@ from blebsheet.dynamics import (
     Scheme,
     State,
     StepError,
+    _block_triangular_solve,
     _fully_implicit_residual,
+    _solve_densities,
     simulate,
     step,
 )
 from blebsheet.grid import build_grid, integrate
-from blebsheet.linalg import SolveOptions, cg_solve
+from blebsheet.linalg import LinearSolveError, SolveOptions, SweepLimitError, cg_solve
 from blebsheet.model import (
     MICROGRAM,
     PASCAL,
@@ -325,3 +328,97 @@ def test_simulate_records_snapshots_and_fit():
     assert len(diag.step) == 40
     assert diag.decay_rate is not None and diag.decay_rate < 0.0
     assert diag.decay_fit_r2 > 0.9
+
+
+def height_system(n, kind, rho_a):
+    """A height matrix and its sine-transform preconditioner.
+
+    ``stationary`` is the Picard height matrix (no ``c/tau``); ``J_hh`` the
+    height block of the fully implicit Jacobian at ``tau = 1e-6``.
+    """
+    grid = build_grid(n)
+    ops = Operators(grid)
+    params = ModelParams()
+    if kind == "stationary":
+        mat = ops.stationary_height_matrix(params, rho_a).scipy
+        return mat, ops.height_preconditioner(params, rho_a, params.lam)
+    tau = 1e-6
+    h_int = np.linspace(0.0, 1.0, grid.num_interior)
+    mat = FullyImplicitJacobian(ops, params, tau, h_int, rho_a).J_hh
+    # J_hh is tau times a height matrix; CG is blind to that factor
+    return mat, ops.height_preconditioner(params, rho_a, params.c / tau + params.lam)
+
+
+@pytest.mark.parametrize("kind", ["stationary", "J_hh"])
+@pytest.mark.parametrize("n", [8, 16])
+def test_preconditioned_cg_matches_direct_solve(n, kind):
+    rng = np.random.default_rng(n)
+    rho_a = rng.uniform(0.2, 2.0, (n + 1) ** 2)
+    mat, precond = height_system(n, kind, rho_a)
+    b = rng.standard_normal(mat.shape[0])
+    direct = spla.spsolve(mat.tocsc(), b)
+    opts = SolveOptions(rel_tolerance=1e-13)
+    plain = cg_solve(mat, b, opts)
+    history = []
+    pcg = cg_solve(mat, b, opts, residual_history=history, precond=precond)
+    scale = np.linalg.norm(direct)
+    assert np.linalg.norm(pcg - direct) <= 1e-9 * scale
+    assert np.linalg.norm(pcg - plain) <= 1e-9 * scale
+    # the stop test is on the unpreconditioned residual
+    assert np.linalg.norm(b - mat @ pcg) <= 1.01e-13 * np.linalg.norm(b)
+    assert history[-1] <= 1e-13 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("kind", ["stationary", "J_hh"])
+def test_preconditioned_cg_exact_for_uniform_spring(kind):
+    n = 16
+    mat, precond = height_system(n, kind, np.full((n + 1) ** 2, 1.3))
+    b = np.random.default_rng(3).standard_normal(mat.shape[0])
+    history = []
+    cg_solve(mat, b, residual_history=history, precond=precond)
+    assert len(history) - 1 <= 2
+
+
+@pytest.mark.parametrize("kind", ["stationary", "J_hh"])
+def test_height_preconditioner_symmetric_positive(kind):
+    n = 8
+    rng = np.random.default_rng(5)
+    _, precond = height_system(n, kind, rng.uniform(0.0, 3.0, (n + 1) ** 2))
+    for _ in range(20):
+        x, y = rng.standard_normal((2, (n - 1) ** 2))
+        Mx, My = precond(x), precond(y)
+        assert abs(x @ My - Mx @ y) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(My)
+        assert x @ Mx > 0.0
+
+
+def test_density_gauss_seidel_cap_raises():
+    # k tau and rate tau of 1e6 make the sweep contraction about 1 - 2e-6
+    grid = build_grid(4)
+    ops = Operators(grid)
+    rng = np.random.default_rng(0)
+    rho_a = rng.uniform(1.0, 2.0, grid.num_nodes)
+    rho_i = rng.uniform(0.0, 1.0, grid.num_nodes)
+    rate = np.full(grid.num_nodes, 1e6)
+    with pytest.raises(SweepLimitError, match="80 sweeps") as err:
+        _solve_densities(ops, ModelParams(k=1e6), 1.0, rate, rho_a, rho_i, True,
+                         SolveOptions())
+    assert isinstance(err.value, LinearSolveError)
+    assert err.value.iterate.shape == (2 * grid.num_nodes,)
+    assert err.value.increment > 1e-13 * 2.0
+    assert err.value.residual_norm > 0.0
+
+
+def test_block_gauss_seidel_cap_raises():
+    grid = build_grid(4)
+    ops = Operators(grid)
+    rng = np.random.default_rng(0)
+    rho_a = rng.uniform(1.0, 2.0, grid.num_nodes)
+    h_int = np.full(grid.num_interior, 1.0)  # above h_star: ripping everywhere
+    J = FullyImplicitJacobian(ops, ModelParams(k=1e6, theta=1e-6), 1.0, h_int, rho_a)
+    rhs = rng.standard_normal(grid.num_interior + 2 * grid.num_nodes)
+    with pytest.raises(SweepLimitError, match="60 sweeps") as err:
+        _block_triangular_solve(J, rhs, SolveOptions())
+    assert err.value.iterate.shape == rhs.shape
+    assert err.value.increment > 1e-13 * np.abs(rhs).max()
+    assert err.value.residual_norm == pytest.approx(
+        np.linalg.norm(J @ err.value.iterate - rhs))

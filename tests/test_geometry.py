@@ -68,7 +68,7 @@ def test_fd_willmore_invariance_modes():
 
 @pytest.mark.parametrize("R", [1.0, 2.0])
 @pytest.mark.parametrize("l", [0, 1, 2, 3])
-@pytest.mark.parametrize("kind", ["Area", "MeanCurvInt"])
+@pytest.mark.parametrize("kind", ["Area", "MeanCurvInt", "WillmoreInt"])
 def test_fd_matches_appendix_formulas(kind, R, l):
     fd, stability = second_derivative_fd(kind, R, l)
     formula = formula_value(kind, "AppendixGeneral", R, l)
@@ -111,6 +111,11 @@ def test_report_rows():
     ]
     assert {r["l"] for r in mean_rows} == {0, 2}
     assert all(r["rel_err"] <= 1e-3 for r in mean_rows)
+    will_rows = [
+        r for r in rows if r["kind"] == "WillmoreInt" and r["variant"] == "AppendixGeneral"
+    ]
+    assert {r["l"] for r in will_rows} == {0, 2}
+    assert all(r["rel_err"] <= 1e-3 for r in will_rows)
     # the floor must not mask the wrong main-text area coefficient
     main_area = [r for r in rows if r["kind"] == "Area" and r["variant"] == "MainText"]
     assert main_area and all(r["rel_err"] > 0.2 for r in main_area)

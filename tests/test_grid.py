@@ -138,3 +138,63 @@ def test_embed_restrict_roundtrip():
     full = g.embed(v)
     assert np.array_equal(g.restrict(full), v)
     assert np.all(full[g.boundary_mask] == 0.0)
+
+
+def _dirichlet_reference(grid):
+    """The node-by-node loop the vectorized assembly replaced."""
+    n = grid.n
+    m = n + 1
+    h2 = grid.spacing ** 2
+    full_to_int = -np.ones(grid.num_nodes, dtype=np.int64)
+    full_to_int[grid.interior_indices] = np.arange(grid.num_interior)
+    rows, cols, vals = [], [], []
+    for full in grid.interior_indices:
+        k = full_to_int[full]
+        rows.append(k)
+        cols.append(k)
+        vals.append(4.0 / h2)
+        for nb in (full - m, full + m, full - 1, full + 1):
+            knb = full_to_int[nb]
+            if knb >= 0:
+                rows.append(k)
+                cols.append(knb)
+                vals.append(-1.0 / h2)
+    N = grid.num_interior
+    mat = sp.csr_matrix((vals, (rows, cols)), shape=(N, N))
+    return SparseMatrix.from_scipy(mat, symmetric=True)
+
+
+def _neumann_reference(grid):
+    """The node-by-node loop the vectorized assembly replaced."""
+    n = grid.n
+    m = n + 1
+    rows, cols, vals = [], [], []
+
+    def add_edge(a, b, conduct):
+        rows.extend((a, b, a, b))
+        cols.extend((a, b, b, a))
+        vals.extend((conduct, conduct, -conduct, -conduct))
+
+    for i in range(m):
+        for j in range(m):
+            a = i * m + j
+            if i < n:
+                add_edge(a, a + m, 1.0 if 0 < j < n else 0.5)
+            if j < n:
+                add_edge(a, a + 1, 1.0 if 0 < i < n else 0.5)
+    L = sp.csr_matrix((vals, (rows, cols)), shape=(m * m, m * m))
+    A = sp.diags(1.0 / grid.weights) @ L
+    return SparseMatrix.from_scipy(A, symmetric=False)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("bc, reference", [("dirichlet0", _dirichlet_reference),
+                                           ("neumann0", _neumann_reference)])
+def test_assembly_matches_loop_reference(bc, reference, n):
+    g = build_grid(n)
+    got = assemble_laplacian(g, bc)
+    want = reference(g)
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)

@@ -94,8 +94,9 @@ def test_cg_nonconvergence_carries_residual():
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_cg_nonfinite_rhs_raises(bad):
     b = np.array([1.0, bad, 2.0, 3.0])
-    with pytest.raises(LinearSolveError, match="non-finite"):
-        cg_solve(spm(np.eye(4)), b)
+    for precond in (None, lambda r: 0.5 * r):
+        with pytest.raises(LinearSolveError, match="non-finite"):
+            cg_solve(spm(np.eye(4)), b, precond=precond)
 
 
 def test_solve_options_validation():

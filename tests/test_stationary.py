@@ -124,3 +124,26 @@ def test_fixed_point_validation():
         stationary_by_marching(
             parse_config_dict({"scenario": "stationary_state", "n": 8}), stop_tol=0.0
         )
+
+
+def test_picard_height_solves_take_few_iterations(monkeypatch):
+    # the sine-transform preconditioner leaves only the spring's variation
+    # to CG; plain CG needs about 850 iterations per solve here
+    import blebsheet.stationary as st
+    from blebsheet.linalg import cg_solve
+
+    grid = build_grid(64)
+    iterations = []
+
+    def counted(A, b, *args, **kwargs):
+        history = []
+        x = cg_solve(A, b, *args, residual_history=history, **kwargs)
+        if b.size == grid.num_interior:
+            iterations.append(len(history) - 1)
+        return x
+
+    monkeypatch.setattr(st, "cg_solve", counted)
+    pressure = pressure_pulse(grid, peak=410.0, center=(0.5, 0.5), radius=0.4)
+    result = stationary_fixed_point(ModelParams(), pressure, m0=1.0, grid=grid)
+    assert len(iterations) == result.iterations
+    assert max(iterations) <= 20
