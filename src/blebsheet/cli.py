@@ -1,7 +1,10 @@
 """Command line runner: single scenarios, pressure sweeps, geometry checks.
 
 Exit codes: 0 success (including a sweep that finds no critical pressure in
-range), 1 solver failure, 2 configuration error.
+range), 1 solver failure, 2 configuration error.  Only the package's solver
+errors map to 1; any other exception propagates.  A ``run`` that fails at a
+time step still writes its diagnostics up to that step and a manifest with
+``"status": "failed"`` and the failing step.
 """
 
 from __future__ import annotations
@@ -9,7 +12,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -59,7 +61,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (LinearSolveError, NewtonError, StepError, StationaryError, RuntimeError) as exc:
+    except (LinearSolveError, NewtonError, StepError, StationaryError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 1
 
@@ -89,8 +91,20 @@ def _cmd_run(config: ScenarioConfig) -> int:
         return _cmd_geometry(_outdir(config))
 
     start = time.perf_counter()
-    final_state, diagnostics, snapshots = simulate(config)
     out = _outdir(config)
+    try:
+        final_state, diagnostics, snapshots = simulate(config)
+    except StepError as exc:
+        # keep what the run got to: the diagnostics up to the failing step
+        write_diagnostics(out / "diagnostics.csv", exc.diagnostics)
+        write_manifest(
+            out / "manifest.json",
+            config,
+            time.perf_counter() - start,
+            extra={"failed_step": exc.step_index, "error": str(exc)},
+            status="failed",
+        )
+        raise
     write_diagnostics(out / "diagnostics.csv", diagnostics)
     grid = build_grid(config.n)
     snapshot_files = []
@@ -172,6 +186,8 @@ def run_sweep(config: ScenarioConfig):
                                            config.sweep_samples)]
     full = [p for p in peaks if not superposed(p)]
     if config.workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             ran = dict(zip(full, pool.map(_sweep_point_star,
                                           [(p, config.to_dict()) for p in full])))

@@ -5,7 +5,9 @@ the membrane height.  The fourth-order operator is handled through the
 splitting variable ``w = -lap h``: the height solve eliminates ``w``
 algebraically (the negative Laplacian applied twice) and recovers it
 afterwards, so a single symmetric positive definite system is solved per
-step.
+step.  That height operator is applied matrix-free, and its conjugate
+gradient solve is preconditioned by the sine-transform inverse of its
+constant-coefficient part.
 
 Scheme variants
 ---------------
@@ -25,6 +27,7 @@ total linker mass exact up to the linear-solver tolerance.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -32,7 +35,14 @@ import numpy as np
 import scipy.sparse as sp
 
 from .grid import Grid, SparseMatrix, assemble_laplacian, integrate
-from .linalg import SolveOptions, SweepLimitError, cg_solve, newton_armijo
+from .linalg import (
+    LinearSolveError,
+    NewtonError,
+    SolveOptions,
+    SweepLimitError,
+    cg_solve,
+    newton_armijo,
+)
 from .model import MICROGRAM, PASCAL, ModelParams, PressureField, ripping_rate
 
 
@@ -116,12 +126,38 @@ class StepError(RuntimeError):
         self.step_index = step_index
 
 
+class HeightOperator:
+    """Matrix-free height operator on the interior nodes.
+
+    Applies ``x -> diag * x + A (kappa A x + gamma x)``, that is
+    ``diag * x + kappa A^2 x + gamma A x``, with two products with the
+    5-point ``A`` and nothing assembled.  ``diag`` is ``shift + xi * rho_a``.
+    Symmetric positive definite, so ``cg_solve`` takes it as it is.
+    """
+
+    def __init__(self, A: sp.csr_matrix, diag: np.ndarray, kappa: float, gamma: float):
+        self.A = A
+        self.diag = diag
+        self.kappa = kappa
+        self.gamma = gamma
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        Ax = self.A @ x
+        return self.diag * x + self.A @ (self.kappa * Ax + self.gamma * x)
+
+
 class Operators:
     """Grid-bound discrete operators shared by all steps of one run.
 
-    ``A`` is the interior Dirichlet negative Laplacian, ``A2`` its square
-    (13-point stencil), ``AN`` the all-node Neumann operator and ``LN`` its
-    weighted symmetric form used in the density solves.
+    ``A`` is the interior Dirichlet negative Laplacian and ``LN`` the
+    weighted symmetric form of the all-node Neumann operator, used in the
+    density solves.  Every height solve applies the height operator
+    matrix-free (:meth:`height_operator`).  The operators the semi-implicit
+    step does not read are built on first use, since each one kept adds to
+    a run's peak memory: ``AN`` (the Neumann operator itself), ``A2`` (the
+    assembled square of ``A``, a 13-point stencil, read only by the fully
+    implicit Jacobian and residual and the ``energy`` Hessian), the weight
+    matrix ``W`` and the identities ``I_int`` and ``I_all``.
 
     ``sine`` is the orthonormal DST-I matrix ``S`` of one grid line
     (symmetric, ``S @ S = I``) and ``eig`` the eigenvalues of ``A`` on the
@@ -136,33 +172,43 @@ class Operators:
         line = (2.0 * np.sin(0.5 * np.pi * k / grid.n) / grid.spacing) ** 2
         self.eig = line[:, None] + line[None, :]
         self.A = assemble_laplacian(grid, "dirichlet0")
-        self.A2 = SparseMatrix.from_scipy(self.A.scipy @ self.A.scipy, symmetric=True)
-        self.AN = assemble_laplacian(grid, "neumann0")
-        self.W = sp.diags(grid.weights).tocsr()
-        self.LN = sp.csr_matrix(self.W @ self.AN.scipy)
-        self.I_int = sp.identity(grid.num_interior, format="csr")
-        self.I_all = sp.identity(grid.num_nodes, format="csr")
-
-    def height_matrix(self, params: ModelParams, tau: float, rho_a: np.ndarray) -> SparseMatrix:
-        """(c/tau) I + kappa A^2 + gamma A + lam I + xi diag(rho_a) on the interior."""
-        spring = params.xi * MICROGRAM * self.grid.restrict(rho_a)
-        mat = (
-            (params.c / tau + params.lam) * self.I_int
-            + params.kappa * self.A2.scipy
-            + params.gamma * self.A.scipy
-            + sp.diags(spring)
+        self.LN = sp.csr_matrix(
+            sp.diags(grid.weights) @ assemble_laplacian(grid, "neumann0").scipy
         )
-        return SparseMatrix.from_scipy(mat, symmetric=True)
 
-    def stationary_height_matrix(self, params: ModelParams, rho_a: np.ndarray) -> SparseMatrix:
+    @functools.cached_property
+    def A2(self) -> SparseMatrix:
+        return SparseMatrix.from_scipy(self.A.scipy @ self.A.scipy, symmetric=True)
+
+    @functools.cached_property
+    def AN(self) -> SparseMatrix:
+        return assemble_laplacian(self.grid, "neumann0")
+
+    @functools.cached_property
+    def W(self) -> sp.csr_matrix:
+        return sp.diags(self.grid.weights).tocsr()
+
+    @functools.cached_property
+    def I_int(self) -> sp.csr_matrix:
+        return sp.identity(self.grid.num_interior, format="csr")
+
+    @functools.cached_property
+    def I_all(self) -> sp.csr_matrix:
+        return sp.identity(self.grid.num_nodes, format="csr")
+
+    def height_operator(self, params: ModelParams, shift: float,
+                        rho_a: np.ndarray) -> HeightOperator:
+        """``shift I + kappa A^2 + gamma A + xi diag(rho_a)`` on the interior, matrix-free."""
         spring = params.xi * MICROGRAM * self.grid.restrict(rho_a)
-        mat = (
-            params.lam * self.I_int
-            + params.kappa * self.A2.scipy
-            + params.gamma * self.A.scipy
-            + sp.diags(spring)
-        )
-        return SparseMatrix.from_scipy(mat, symmetric=True)
+        return HeightOperator(self.A.scipy, shift + spring, params.kappa, params.gamma)
+
+    def height_matrix(self, params: ModelParams, tau: float, rho_a: np.ndarray) -> HeightOperator:
+        """Height operator of a time step: shift ``c/tau + lam``."""
+        return self.height_operator(params, params.c / tau + params.lam, rho_a)
+
+    def stationary_height_matrix(self, params: ModelParams, rho_a: np.ndarray) -> HeightOperator:
+        """Height operator of a Picard iteration: shift ``lam``."""
+        return self.height_operator(params, params.lam, rho_a)
 
     def height_preconditioner(self, params: ModelParams, rho_a: np.ndarray,
                               shift: float):
@@ -186,7 +232,7 @@ class Operators:
 
     def density_matrix(self, eta: float, diag_extra: np.ndarray) -> SparseMatrix:
         """Weighted form ``W diag(extra) + eta L`` (symmetric positive definite)."""
-        mat = self.W @ sp.diags(diag_extra) + eta * self.LN
+        mat = sp.diags(self.grid.weights * diag_extra) + eta * self.LN
         return SparseMatrix.from_scipy(mat, symmetric=True)
 
 
@@ -284,8 +330,11 @@ def step(
         B_h = ops.height_matrix(params, tau, rho_a_new)
         h_int = grid.restrict(state.h)
         rhs = (params.c / tau) * h_int + PASCAL * grid.restrict(pressure.values)
-        h_new_int = cg_solve(B_h, rhs, opts, x0=h_int)
-    except RuntimeError as exc:
+        h_new_int = cg_solve(
+            B_h, rhs, opts, x0=h_int,
+            precond=ops.height_preconditioner(params, rho_a_new, params.c / tau + params.lam),
+        )
+    except (LinearSolveError, NewtonError) as exc:
         raise StepError(str(exc), state.step_index) from exc
 
     h_new = grid.embed(h_new_int)

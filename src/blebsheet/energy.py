@@ -27,7 +27,7 @@ import scipy.sparse as sp
 
 from .dynamics import Operators
 from .grid import Grid, SparseMatrix
-from .linalg import SolveOptions, cg_solve
+from .linalg import NewtonError, SolveOptions, cg_solve
 from .model import PASCAL, ModelParams, PressureField, g_theta, g_theta_prime
 
 
@@ -167,7 +167,9 @@ def minimize_J(
     ``theta = 0`` runs the semismooth variant: the Heaviside factor is frozen
     per iteration using the previous iterate's active set (``h < h_star``).
     Convergence is declared when the discrete gradient of the energy drops
-    below ``newton_grad_tol`` in the sup norm.
+    below ``newton_grad_tol`` in the sup norm.  At the iteration cap, or
+    when the line search fails, it raises :class:`NewtonError` with the last
+    iterate (on the full grid) and its gradient sup norm.
     """
     if theta < 0.0:
         raise ValueError("theta must be nonnegative")
@@ -194,10 +196,12 @@ def minimize_J(
         if sup_grad <= opts.newton_grad_tol:
             break
         if iterations == opts.newton_max_iter:
-            raise RuntimeError(
+            raise NewtonError(
                 f"minimize_J: no convergence in {opts.newton_max_iter} Newton "
                 f"iterations (gradient sup {sup_grad:.3e}); the requested "
-                f"tolerance may sit below the grid's roundoff floor"
+                f"tolerance may sit below the grid's roundoff floor",
+                grid.embed(h_int),
+                sup_grad,
             )
         H = _hessian(theta, rho0, params, grid, ops, h_int, mask)
         direction = cg_solve(H, -grad, opts)
@@ -222,7 +226,8 @@ def minimize_J(
                 break
             alpha *= opts.backtrack_factor
             if alpha < 1e-14:
-                raise RuntimeError("minimize_J: line search failed")
+                raise NewtonError("minimize_J: line search failed",
+                                  grid.embed(h_int), sup_grad)
         h_int = trial
         energy = energy_trial
         if energy_history is not None:

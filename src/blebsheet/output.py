@@ -24,10 +24,11 @@ def fmt(x) -> str:
 
 
 def write_csv(path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write the header and rows line by line, without building the file in memory."""
+    with open(path, "w") as f:
+        f.write(",".join(header) + "\n")
+        for row in rows:
+            f.write(",".join(fmt(v) for v in row) + "\n")
 
 
 def write_diagnostics(path, diag: Diagnostics) -> None:
@@ -49,10 +50,13 @@ def write_snapshot(path, grid: Grid, state: State) -> None:
     write_csv(path, header, rows)
 
 
-def write_manifest(path, config, wall_time: float, extra: dict | None = None) -> None:
+def write_manifest(path, config, wall_time: float, extra: dict | None = None,
+                   status: str = "ok") -> None:
+    """Config echo, version, wall time and ``status`` (``"ok"`` or ``"failed"``)."""
     doc = {
         "config": config.to_dict(),
         "library_version": _version(),
+        "status": status,
         "wall_time_seconds": wall_time,
     }
     if extra:

@@ -109,6 +109,7 @@ def test_cli_run_writes_outputs(tmp_path):
     assert (out / "snapshot_step20.csv").exists()
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["library_version"]
+    assert manifest["status"] == "ok"
     assert manifest["config"]["scenario"] == "stationary_state"
     echoed = parse_config_dict(manifest["config"])
     assert echoed.n == 8
@@ -319,17 +320,63 @@ def test_sweep_without_linear_range_runs_every_point():
     assert critical == plain_critical
 
 
+# two CG iterations solve every step until ripping switches on at step 4,
+# and are too few after that
+STARVED_RUN = {
+    "scenario": "stationary_state",
+    "n": 8,
+    "final_time": 1e-5,
+    "max_iterations": 2,
+    "pressure": {"kind": "pulse", "peak": 400.0, "center": [0.5, 0.5], "radius": 0.4},
+}
+
+
 def test_cli_solver_failure_exit_1(tmp_path, capsys):
     out = tmp_path / "fail"
-    path = write_config(tmp_path, {
-        "scenario": "stationary_state",
-        "n": 8,
-        "final_time": 5e-6,
-        "max_iterations": 2,
-        "output_dir": str(out),
-    })
+    path = write_config(tmp_path, {**STARVED_RUN, "output_dir": str(out)})
     assert main(["run", "--config", str(path)]) == 1
     assert "solver failure" in capsys.readouterr().err
+
+
+def test_cli_failed_run_keeps_partial_output(tmp_path, capsys):
+    out = tmp_path / "fail"
+    path = write_config(tmp_path, {**STARVED_RUN, "output_dir": str(out)})
+    assert main(["run", "--config", str(path)]) == 1
+    assert "step 4" in capsys.readouterr().err
+    diag = (out / "diagnostics.csv").read_text().splitlines()
+    assert diag[0].startswith("step,t,max_h,")
+    assert [row.split(",")[0] for row in diag[1:]] == ["1", "2", "3", "4"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["failed_step"] == 4
+    assert "step 4" in manifest["error"]
+    assert parse_config_dict(manifest["config"]).max_iterations == 2
+
+
+def test_cli_bare_runtime_error_propagates(tmp_path, monkeypatch):
+    # only the solver errors mean exit 1; anything else is a bug to surface
+    import blebsheet.cli as cli
+
+    def broken(config):
+        raise RuntimeError("not a solver failure")
+
+    monkeypatch.setattr(cli, "simulate", broken)
+    path = write_config(tmp_path, {"scenario": "stationary_state", "n": 8,
+                                   "output_dir": str(tmp_path / "out")})
+    with pytest.raises(RuntimeError, match="not a solver failure"):
+        main(["run", "--config", str(path)])
+
+
+def test_write_csv_streams_the_joined_bytes(tmp_path):
+    from blebsheet.output import fmt, write_csv
+
+    header = ["step", "name", "value"]
+    rows = [(1, "a", 0.1), (np.int64(2), "b", np.float64(-1e-300)), (3, "c", 1.0 / 3.0)]
+    for body in (rows, []):
+        path = tmp_path / f"rows{len(body)}.csv"
+        write_csv(path, header, iter(body))
+        lines = [",".join(header)] + [",".join(fmt(v) for v in row) for row in body]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_stationary_result_serializes_like_snapshots(tmp_path):

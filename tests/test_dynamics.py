@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from blebsheet.config import parse_config_dict
@@ -248,14 +249,20 @@ def test_fully_implicit_jacobian_matches_finite_differences():
 
 
 def test_step_failure_carries_step_index():
+    # with a uniform spring and no ripping the preconditioned height solve
+    # is exact in one iteration; after four steps of a 400 Pa pulse the
+    # ripping switches on and a budget of two iterations is too small
     grid = build_grid(8)
     params = ModelParams()
-    pressure = pressure_pulse(grid, peak=100.0)
+    pressure = pressure_pulse(grid, peak=400.0)
+    ops = Operators(grid)
     state = fresh_state(grid)
+    for _ in range(4):
+        state = step(state, 1e-6, params, pressure, grid, Scheme.IMPLICIT_RIPPING, ops=ops)
     state.step_index = 7
     with pytest.raises(StepError) as err:
         step(state, 1e-6, params, pressure, grid, Scheme.IMPLICIT_RIPPING,
-             SolveOptions(max_iterations=2))
+             SolveOptions(max_iterations=2), ops=ops)
     assert err.value.step_index == 7
     assert "step 7" in str(err.value)
 
@@ -303,10 +310,12 @@ def test_explicit_ripping_supercritical_loses_positivity():
 
 
 def test_step_failure_flushes_partial_diagnostics():
-    # a tiny iteration budget starves the height solve on the first step
+    # a tiny iteration budget starves the solves once ripping switches on
+    # (step 4 at this peak); before that, one iteration solves each step
     cfg = parse_config_dict({
         "scenario": "stationary_state", "n": 8, "final_time": 1e-5,
         "max_iterations": 2,
+        "pressure": {"kind": "pulse", "peak": 400.0, "center": [0.5, 0.5], "radius": 0.4},
     })
     with pytest.raises(StepError) as err:
         simulate(cfg)
@@ -330,6 +339,16 @@ def test_simulate_records_snapshots_and_fit():
     assert diag.decay_fit_r2 > 0.9
 
 
+def assembled_height_matrix(ops, params, shift, rho_a):
+    """``shift I + kappa A@A + gamma A + diag(spring)``, assembled from ``ops.A``."""
+    A = ops.A.scipy
+    spring = params.xi * MICROGRAM * ops.grid.restrict(rho_a)
+    return sp.csr_matrix(
+        shift * sp.identity(A.shape[0]) + params.kappa * (A @ A) + params.gamma * A
+        + sp.diags(spring)
+    )
+
+
 def height_system(n, kind, rho_a):
     """A height matrix and its sine-transform preconditioner.
 
@@ -340,7 +359,7 @@ def height_system(n, kind, rho_a):
     ops = Operators(grid)
     params = ModelParams()
     if kind == "stationary":
-        mat = ops.stationary_height_matrix(params, rho_a).scipy
+        mat = assembled_height_matrix(ops, params, params.lam, rho_a)
         return mat, ops.height_preconditioner(params, rho_a, params.lam)
     tau = 1e-6
     h_int = np.linspace(0.0, 1.0, grid.num_interior)
@@ -389,6 +408,84 @@ def test_height_preconditioner_symmetric_positive(kind):
         Mx, My = precond(x), precond(y)
         assert abs(x @ My - Mx @ y) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(My)
         assert x @ Mx > 0.0
+
+
+@pytest.mark.parametrize("kind", ["step", "stationary"])
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_height_operator_matches_assembled_matrix(n, kind):
+    rng = np.random.default_rng(100 + n)
+    grid = build_grid(n)
+    ops = Operators(grid)
+    params = ModelParams()
+    rho_a = rng.uniform(0.2, 2.0, grid.num_nodes)
+    if kind == "step":
+        tau = 1e-6
+        B = ops.height_matrix(params, tau, rho_a)
+        shift = params.c / tau + params.lam
+    else:
+        B = ops.stationary_height_matrix(params, rho_a)
+        shift = params.lam
+    mat = assembled_height_matrix(ops, params, shift, rho_a)
+    for _ in range(5):
+        x = rng.standard_normal(grid.num_interior)
+        expected = mat @ x
+        assert np.linalg.norm(B @ x - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_height_operator_symmetric():
+    n = 16
+    rng = np.random.default_rng(7)
+    grid = build_grid(n)
+    ops = Operators(grid)
+    B = ops.height_operator(ModelParams(), 3.0, rng.uniform(0.0, 3.0, grid.num_nodes))
+    for _ in range(20):
+        x, y = rng.standard_normal((2, grid.num_interior))
+        By = B @ y
+        assert abs(x @ By - (B @ x) @ y) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(By)
+
+
+def _pulse_run(n, n_steps, peak=400.0):
+    grid = build_grid(n)
+    ops = Operators(grid)
+    params = ModelParams()
+    pressure = pressure_pulse(grid, peak=peak, center=(0.5, 0.5), radius=0.4)
+    state = fresh_state(grid)
+    for _ in range(n_steps):
+        state = step(state, 1e-6, params, pressure, grid, Scheme.IMPLICIT_RIPPING, ops=ops)
+    return state
+
+
+def test_preconditioned_step_matches_plain_cg(monkeypatch):
+    # ripping starts within these steps, so the spring is no longer uniform
+    pcg = _pulse_run(16, 8)
+    assert pcg.h.max() > ModelParams().h_star
+    assert np.ptp(pcg.rho_a) > 1e-3
+    monkeypatch.setattr(Operators, "height_preconditioner", lambda *args: None)
+    plain = _pulse_run(16, 8)
+    for name in ("h", "w", "rho_a", "rho_i"):
+        a, b = getattr(pcg, name), getattr(plain, name)
+        assert np.max(np.abs(a - b)) <= 1e-9 * np.max(np.abs(b))
+
+
+def test_step_height_solves_take_few_iterations(monkeypatch):
+    # plain CG needs about 620 iterations per height solve here
+    import blebsheet.dynamics as dyn
+
+    n = 64
+    iterations = []
+
+    def counted(A, b, *args, **kwargs):
+        history = []
+        x = cg_solve(A, b, *args, residual_history=history, **kwargs)
+        if b.size == (n - 1) ** 2:
+            iterations.append(len(history) - 1)
+        return x
+
+    monkeypatch.setattr(dyn, "cg_solve", counted)
+    state = _pulse_run(n, 10, peak=410.0)
+    assert state.h.max() > ModelParams().h_star
+    assert len(iterations) == 10
+    assert max(iterations) <= 20
 
 
 def test_density_gauss_seidel_cap_raises():

@@ -11,6 +11,7 @@ from blebsheet.energy import (
     minimize_J,
 )
 from blebsheet.grid import build_grid
+from blebsheet.linalg import NewtonError, SolveOptions
 from blebsheet.model import (
     PASCAL,
     ModelParams,
@@ -246,3 +247,13 @@ def test_eval_rejects_bad_theta():
         eval_J_theta(zero, 0.0, 1.0, PARAMS, p, grid)
     with pytest.raises(ValueError):
         minimize_J(-1.0, 1.0, PARAMS, p, grid)
+
+
+def test_minimize_J_cap_raises_newton_error():
+    grid = build_grid(8)
+    p = pressure_pulse(grid, peak=50.0)
+    opts = SolveOptions(newton_max_iter=1, newton_grad_tol=1e-30)
+    with pytest.raises(NewtonError, match="no convergence in 1 Newton") as err:
+        minimize_J(1e-3, 1.0, PARAMS, p, grid, opts=opts)
+    assert err.value.iterate.shape == (grid.num_nodes,)
+    assert err.value.residual_norm > 1e-30

@@ -1,0 +1,109 @@
+"""The names the benchmark runner (``perfbench/run.py``) wraps keep existing.
+
+The runner patches these functions and methods by name, reads some of their
+arguments by name, and marks time steps and Picard iterations by their
+calls.  A rename or a changed call pattern would make the benchmark measure
+the wrong thing, or nothing, without any other test noticing.
+"""
+
+import inspect
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from blebsheet import cli, config, dynamics, grid, linalg, model, output, stationary
+from blebsheet.model import ModelParams, pressure_pulse
+
+# (owner, name) the runner wraps or calls -> argument names it reads from the call
+WRAPPED = {
+    (cli, "main"): (),
+    (cli, "run_sweep"): (),
+    (cli, "sweep_point"): (),
+    (config, "parse_config"): (),
+    (config, "parse_config_dict"): (),
+    (dynamics, "step"): ("state", "params", "grid"),
+    (dynamics, "simulate"): (),
+    (dynamics, "_solve_densities"): ("implicit_ripping", "rate"),
+    (dynamics, "build_pressure"): (),
+    (grid, "build_grid"): (),
+    (grid, "assemble_laplacian"): (),
+    (linalg, "cg_solve"): ("A", "b", "residual_history"),
+    (model, "ripping_rate"): (),
+    (model, "pressure_pulse"): (),
+    (stationary, "stationary_fixed_point"): (),
+    (stationary, "_residuals"): (),
+    (stationary, "weighted_density_residual"): (),
+    (output, "write_csv"): ("path",),
+    (output, "write_manifest"): ("path",),
+    (dynamics.Operators, "__init__"): (),
+    (dynamics.Operators, "height_matrix"): (),
+    (dynamics.Operators, "stationary_height_matrix"): (),
+    (dynamics.Operators, "density_matrix"): (),
+    (dynamics.Diagnostics, "record"): (),
+    (grid.SparseMatrix, "from_scipy"): (),
+}
+
+
+def test_wrapped_names_exist():
+    for (owner, name), args in WRAPPED.items():
+        fn = getattr(owner, name)
+        assert callable(fn), name
+        params = inspect.signature(fn).parameters
+        for arg in args:
+            assert arg in params, f"{name} lost its argument {arg!r}"
+
+
+def _counting(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_stationary_height_matrix_marks_each_picard_iteration(monkeypatch):
+    # the runner times a Picard iteration from one stationary_height_matrix
+    # call to the next, and the last one up to the _residuals call
+    heights = _counting(monkeypatch, dynamics.Operators, "stationary_height_matrix")
+    residuals = _counting(monkeypatch, stationary, "_residuals")
+    g = grid.build_grid(8)
+    result = stationary.stationary_fixed_point(
+        ModelParams(), pressure_pulse(g, peak=50.0), 1.0, g
+    )
+    assert result.iterations > 1
+    assert len(heights) == result.iterations
+    assert len(residuals) == 1
+
+
+def test_step_builds_one_height_operator(monkeypatch):
+    heights = _counting(monkeypatch, dynamics.Operators, "height_matrix")
+    g = grid.build_grid(8)
+    state = dynamics.State(
+        h=np.zeros(g.num_nodes), w=np.zeros(g.num_nodes),
+        rho_a=np.ones(g.num_nodes), rho_i=np.zeros(g.num_nodes),
+    )
+    pressure = pressure_pulse(g, peak=50.0)
+    for k in range(3):
+        state = dynamics.step(state, 1e-6, ModelParams(), pressure, g)
+        assert len(heights) == k + 1
+
+
+def test_import_leaves_heavy_modules_unloaded():
+    # set-up time and memory count every module the import pulls in; the
+    # worker pool is imported only when a sweep uses more than one worker
+    src = str(Path(dynamics.__file__).resolve().parent.parent)
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import blebsheet.cli; "
+        "print(' '.join(m for m in sys.modules if m.startswith(("
+        "'scipy.sparse.linalg', 'scipy.fft', 'multiprocessing', "
+        "'concurrent.futures.process'))))"
+    )
+    done = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.split() == []
