@@ -142,6 +142,16 @@ def _check_keys(section: dict, allowed: set, where: str):
 
 
 def parse_config_dict(doc: dict) -> ScenarioConfig:
+    """Validated config from a JSON-shaped document; raises only ConfigError."""
+    try:
+        return _parse_config_dict(doc)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:  # int("abc"), None > 0, ...
+        raise ConfigError(f"invalid config value: {exc}") from exc
+
+
+def _parse_config_dict(doc: dict) -> ScenarioConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
     _check_keys(doc, _TOP_KEYS, "config")
@@ -158,10 +168,7 @@ def parse_config_dict(doc: dict) -> ScenarioConfig:
     if not isinstance(params_doc, dict):
         raise ConfigError("params must be an object")
     _check_keys(params_doc, _PARAM_KEYS, "params")
-    try:
-        params = ModelParams(**params_doc)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid params: {exc}") from exc
+    params = ModelParams(**params_doc)
 
     pressure = dict(doc.get("pressure", _DEFAULT_PRESSURE[scenario]))
     _check_keys(pressure, _PRESSURE_KEYS, "pressure")

@@ -18,7 +18,8 @@ Scheme variants
 ``FullyImplicit``     ripping rate evaluated at ``h^{k+1}``; the coupled
                       nonlinear residual is solved by Newton with Armijo
                       control, with block-triangular solves for the Newton
-                      systems.
+                      systems; a step whose Newton solve fails is retried
+                      as two half steps.
 
 The density solves are performed in weighted (weak) form, which keeps the
 total linker mass exact up to the linear-solver tolerance.
@@ -127,12 +128,14 @@ class StepError(RuntimeError):
 
 
 class HeightOperator:
-    """Matrix-free height operator on the interior nodes.
+    """Matrix-free membrane operator on the interior nodes.
 
     Applies ``x -> diag * x + A (kappa A x + gamma x)``, that is
     ``diag * x + kappa A^2 x + gamma A x``, with two products with the
-    5-point ``A`` and nothing assembled.  ``diag`` is ``shift + xi * rho_a``.
-    Symmetric positive definite, so ``cg_solve`` takes it as it is.
+    5-point ``A`` and nothing assembled.  Every solve and residual of the
+    package that holds the membrane operator applies it through this class,
+    with its own ``diag`` (``shift`` plus a spring).  Symmetric positive
+    definite for a positive ``diag``, so ``cg_solve`` takes it as it is.
     """
 
     def __init__(self, A: sp.csr_matrix, diag: np.ndarray, kappa: float, gamma: float):
@@ -151,13 +154,12 @@ class Operators:
 
     ``A`` is the interior Dirichlet negative Laplacian and ``LN`` the
     weighted symmetric form of the all-node Neumann operator, used in the
-    density solves.  Every height solve applies the height operator
-    matrix-free (:meth:`height_operator`).  The operators the semi-implicit
-    step does not read are built on first use, since each one kept adds to
-    a run's peak memory: ``AN`` (the Neumann operator itself), ``A2`` (the
-    assembled square of ``A``, a 13-point stencil, read only by the fully
-    implicit Jacobian and residual and the ``energy`` Hessian), the weight
-    matrix ``W`` and the identities ``I_int`` and ``I_all``.
+    density solves.  The membrane operator is never assembled: every height
+    solve and membrane residual applies it matrix-free
+    (:meth:`height_operator`).  ``AN``, the Neumann operator itself, is
+    read only by the fully implicit scheme and the stationary residuals, so
+    it is built on first use (each operator kept adds to a run's peak
+    memory).
 
     ``sine`` is the orthonormal DST-I matrix ``S`` of one grid line
     (symmetric, ``S @ S = I``) and ``eig`` the eigenvalues of ``A`` on the
@@ -177,24 +179,8 @@ class Operators:
         )
 
     @functools.cached_property
-    def A2(self) -> SparseMatrix:
-        return SparseMatrix.from_scipy(self.A.scipy @ self.A.scipy, symmetric=True)
-
-    @functools.cached_property
     def AN(self) -> SparseMatrix:
         return assemble_laplacian(self.grid, "neumann0")
-
-    @functools.cached_property
-    def W(self) -> sp.csr_matrix:
-        return sp.diags(self.grid.weights).tocsr()
-
-    @functools.cached_property
-    def I_int(self) -> sp.csr_matrix:
-        return sp.identity(self.grid.num_interior, format="csr")
-
-    @functools.cached_property
-    def I_all(self) -> sp.csr_matrix:
-        return sp.identity(self.grid.num_nodes, format="csr")
 
     def height_operator(self, params: ModelParams, shift: float,
                         rho_a: np.ndarray) -> HeightOperator:
@@ -357,7 +343,9 @@ class FullyImplicitJacobian:
     """Block Jacobian of the tau-scaled fully implicit residual.
 
     Unknown layout: ``[h interior | rho_a | rho_i]``.  Supports ``J @ v`` for
-    the Armijo slope and exposes the blocks for the structured linear solve.
+    the Armijo slope and exposes the pieces of the structured linear solve;
+    the height block is ``tau * height``, the time step's height operator.
+    Only :meth:`toarray`, the dense test oracle, assembles anything.
     """
 
     def __init__(self, ops: Operators, params: ModelParams, tau: float,
@@ -372,25 +360,10 @@ class FullyImplicitJacobian:
         self.rate = ripping_rate(h_full, params)
         # subgradient of the positive part: zero at the kink
         rate_prime = np.where(h_full > params.h_star, 1.0 / params.theta, 0.0)
-        self.d_rate_rho = rate_prime * rho_a  # full grid
         self.rho_a = rho_a
-        self.J_hh = sp.csr_matrix(
-            params.c * ops.I_int
-            + tau * (
-                params.kappa * ops.A2.scipy
-                + params.gamma * ops.A.scipy
-                + params.lam * ops.I_int
-                + sp.diags(params.xi * MICROGRAM * grid.restrict(rho_a))
-            )
-        )
+        self.height = ops.height_matrix(params, tau, rho_a)
         self.diag_ha = tau * params.xi * MICROGRAM * h_int  # interior h times rho_a|int
-        self.J_aa = sp.csr_matrix(
-            ops.I_all + tau * (params.eta_a * ops.AN.scipy + sp.diags(self.rate))
-        )
-        self.J_ii = sp.csr_matrix(
-            (1.0 + tau * params.k) * ops.I_all + tau * params.eta_i * ops.AN.scipy
-        )
-        self.diag_ah = tau * grid.restrict(self.d_rate_rho)  # dF_a/dh on interior cols
+        self.diag_ah = tau * grid.restrict(rate_prime * rho_a)  # dF_a/dh on interior cols
         self.k_tau = tau * params.k
         self.diag_ia_rate = tau * self.rate
         self.interior = grid.interior_indices
@@ -401,29 +374,32 @@ class FullyImplicitJacobian:
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         dh, da, di = self.split(v)
-        da_int = da[self.interior]
-        out_h = self.J_hh @ dh + self.diag_ha * da_int
-        out_a = self.J_aa @ da - self.k_tau * di
+        p, tau, AN = self.params, self.tau, self.ops.AN
+        out_h = tau * (self.height @ dh) + self.diag_ha * da[self.interior]
+        out_a = da + tau * (p.eta_a * (AN @ da)) + self.diag_ia_rate * da - self.k_tau * di
         out_a[self.interior] += self.diag_ah * dh
-        out_i = self.J_ii @ di - self.diag_ia_rate * da
+        out_i = (1.0 + self.k_tau) * di + tau * (p.eta_i * (AN @ di)) - self.diag_ia_rate * da
         out_i[self.interior] -= self.diag_ah * dh
         return np.concatenate([out_h, out_a, out_i])
 
     def toarray(self) -> np.ndarray:
         ni, na = self.n_int, self.n_all
+        p, tau = self.params, self.tau
+        A = self.ops.A.toarray()
+        AN = self.ops.AN.toarray()
         J = np.zeros((ni + 2 * na, ni + 2 * na))
-        J[:ni, :ni] = self.J_hh.toarray()
+        J[:ni, :ni] = tau * (np.diag(self.height.diag) + p.kappa * (A @ A) + p.gamma * A)
         ha = np.zeros((ni, na))
         ha[np.arange(ni), self.interior] = self.diag_ha
         J[:ni, ni : ni + na] = ha
-        J[ni : ni + na, ni : ni + na] = self.J_aa.toarray()
+        J[ni : ni + na, ni : ni + na] = np.eye(na) + tau * (p.eta_a * AN + np.diag(self.rate))
         ah = np.zeros((na, ni))
         ah[self.interior, np.arange(ni)] = self.diag_ah
         J[ni : ni + na, :ni] = ah
         J[ni : ni + na, ni + na :] = -self.k_tau * np.eye(na)
         J[ni + na :, :ni] = -ah
         J[ni + na :, ni : ni + na] = -np.diag(self.diag_ia_rate)
-        J[ni + na :, ni + na :] = self.J_ii.toarray()
+        J[ni + na :, ni + na :] = (1.0 + self.k_tau) * np.eye(na) + tau * p.eta_i * AN
         return J
 
 
@@ -446,15 +422,9 @@ def _fully_implicit_residual(
     rate = ripping_rate(h_full, params)
     flux = rate * rho_a
 
-    F_h = (
-        params.c * (h_int - grid.restrict(state.h))
-        + tau * (
-            params.kappa * (ops.A2 @ h_int)
-            + params.gamma * (ops.A @ h_int)
-            + params.lam * h_int
-            + params.xi * MICROGRAM * grid.restrict(rho_a) * h_int
-            - PASCAL * grid.restrict(pressure.values)
-        )
+    membrane = ops.height_operator(params, params.lam, rho_a)
+    F_h = params.c * (h_int - grid.restrict(state.h)) + tau * (
+        membrane @ h_int - PASCAL * grid.restrict(pressure.values)
     )
     F_a = (rho_a - state.rho_a) + tau * (
         params.eta_a * (ops.AN @ rho_a) - params.k * rho_i + flux
@@ -472,22 +442,22 @@ def _block_triangular_solve(J: FullyImplicitJacobian, rhs: np.ndarray,
     With no active ripping the system is block upper triangular and one
     sweep is exact; otherwise the sweep contraction is about ``k * tau``.
     After 60 sweeps it raises :class:`SweepLimitError` with the last sweep
-    and its increment.  The density blocks are solved in weighted form to
-    stay symmetric; the height block, ``tau`` times a height matrix, is
+    and its increment.  Each diagonal block is ``tau`` times a time-step
+    operator, so the blocks are solved with those operators and the
+    right-hand sides divided by ``tau`` (CG does not see the factor): the
+    density blocks in weighted form, to stay symmetric, and the height block
     preconditioned by the sine-transform inverse of its constant-coefficient
-    part (CG does not see the factor ``tau``).
+    part.
     """
-    ops = J.ops
-    grid = ops.grid
-    w = grid.weights
+    ops, p, tau = J.ops, J.params, J.tau
+    w = ops.grid.weights
     b_h, b_a, b_i = J.split(rhs)
 
     dopts = SolveOptions(rel_tolerance=min(opts.rel_tolerance, 1e-12),
                          max_iterations=opts.max_iterations)
-    Wa = SparseMatrix.from_scipy(ops.W @ J.J_aa, symmetric=True)
-    Wi = SparseMatrix.from_scipy(ops.W @ J.J_ii, symmetric=True)
-    Bh = SparseMatrix.from_scipy(J.J_hh, symmetric=True)
-    Mh = ops.height_preconditioner(J.params, J.rho_a, J.params.c / J.tau + J.params.lam)
+    Ba = ops.density_matrix(p.eta_a, 1.0 / tau + J.rate)
+    Bi = ops.density_matrix(p.eta_i, np.full(w.size, 1.0 / tau + p.k))
+    Mh = ops.height_preconditioner(p, J.rho_a, p.c / tau + p.lam)
 
     dh = np.zeros(J.n_int)
     da = np.zeros(J.n_all)
@@ -497,11 +467,12 @@ def _block_triangular_solve(J: FullyImplicitJacobian, rhs: np.ndarray,
     for _sweep in range(60):
         rhs_i = b_i + J.diag_ia_rate * da
         rhs_i[J.interior] += J.diag_ah * dh
-        di = cg_solve(Wi, w * rhs_i, dopts, x0=di)
+        di = cg_solve(Bi, w * rhs_i / tau, dopts, x0=di)
         rhs_a = b_a + J.k_tau * di
         rhs_a[J.interior] -= J.diag_ah * dh
-        da = cg_solve(Wa, w * rhs_a, dopts, x0=da)
-        dh = cg_solve(Bh, b_h - J.diag_ha * da[J.interior], dopts, x0=dh, precond=Mh)
+        da = cg_solve(Ba, w * rhs_a / tau, dopts, x0=da)
+        dh = cg_solve(J.height, (b_h - J.diag_ha * da[J.interior]) / tau, dopts,
+                      x0=dh, precond=Mh)
         cur = np.concatenate([dh, da, di])
         increment = float(np.max(np.abs(cur - prev)))
         if increment <= 1e-13 * scale and _sweep > 0:
@@ -516,6 +487,11 @@ def _block_triangular_solve(J: FullyImplicitJacobian, rhs: np.ndarray,
     )
 
 
+# a fully implicit step whose Newton solve fails is split in two, at most
+# this many times (down to tau / 16)
+_MAX_HALVINGS = 4
+
+
 def _step_fully_implicit(
     state: State,
     tau: float,
@@ -524,6 +500,7 @@ def _step_fully_implicit(
     grid: Grid,
     opts: SolveOptions,
     ops: Operators,
+    depth: int = 0,
 ) -> State:
     ni = grid.num_interior
     na = grid.num_nodes
@@ -559,10 +536,17 @@ def _step_fully_implicit(
         precond=ops.height_preconditioner(params, rho_a_pred, params.c / tau + params.lam),
     )
     z0 = np.concatenate([h_pred, rho_a_pred, rho_i_pred])
-    z = newton_armijo(
-        residual, jacobian, z0, opts,
-        linear_solve=linear_solve,
-    )
+    try:
+        z = newton_armijo(residual, jacobian, z0, opts, linear_solve=linear_solve)
+    except NewtonError:
+        # near the ripping switch the system can lose its solution at this
+        # tau; two half steps still count as one step of tau
+        if depth == _MAX_HALVINGS:
+            raise
+        mid = _step_fully_implicit(state, tau / 2, params, pressure, grid, opts, ops, depth + 1)
+        end = _step_fully_implicit(mid, tau / 2, params, pressure, grid, opts, ops, depth + 1)
+        end.t, end.step_index = state.t + tau, state.step_index + 1
+        return end
     h_int = z[:ni]
     return State(
         h=grid.embed(h_int),

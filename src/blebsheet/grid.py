@@ -36,7 +36,8 @@ def _columns_strictly_increasing(indptr, indices) -> bool:
 
 @dataclass(frozen=True)
 class SparseMatrix:
-    """Compressed sparse row matrix used for all discrete operators.
+    """Compressed sparse row matrix of the assembled operators: the two
+    Laplacians and the density matrices.
 
     Thin, immutable wrapper around the CSR triplet arrays.  ``symmetric``
     asserts entrywise symmetry and marks the matrix as safe for conjugate
@@ -86,12 +87,7 @@ class SparseMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
 
-    def __matmul__(self, other):
-        if isinstance(other, SparseMatrix):
-            return SparseMatrix.from_scipy(self._csr @ other._csr)
-        return self._csr @ other
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return self._csr @ x
 
     def toarray(self) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Conjugate-gradient solves and a damped Newton method.
 
-Both solvers are written against the operator protocol of
-:class:`~blebsheet.grid.SparseMatrix` (anything supporting ``A @ x`` works).
+Both solvers take any operator that supports ``A @ x``: an assembled
+:class:`~blebsheet.grid.SparseMatrix`, a matrix-free height operator, or a
+Newton Jacobian.
 Failures raise instead of returning silently wrong vectors, and the raised
 errors carry the last iterate so callers can inspect partial progress.
 """

@@ -3,9 +3,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blebsheet.cli import main, run_sweep, sweep_point
 from blebsheet.config import (
+    _PARAM_KEYS,
+    _PRESSURE_KEYS,
+    _SWEEP_KEYS,
+    _TOP_KEYS,
+    SCENARIOS,
     ConfigError,
     ScenarioConfig,
     parse_config,
@@ -157,6 +164,68 @@ def test_cli_nonfinite_config_exit_2(tmp_path, capsys, field):
 def test_nonfinite_field_rejected(doc):
     with pytest.raises(ConfigError):
         parse_config_dict({"scenario": "stationary_state", **doc})
+
+
+@pytest.mark.parametrize("doc", [
+    {"n": "abc"},
+    {"scenario": "gamma_limit", "theta_ladder": [None]},
+    {"theta_ladder": 3},
+    {"pressure": [1, 2]},
+    {"pressure": {"kind": "pulse", "radius": "wide"}},
+    {"sweep": None},
+    {"fit_window": [1, "x"]},
+    {"disruption_center": 0.5},
+    {"max_iterations": "many"},
+    {"tau": 10**400},
+])
+def test_malformed_value_raises_config_error(doc):
+    with pytest.raises(ConfigError):
+        parse_config_dict({"scenario": "stationary_state", **doc})
+
+
+def test_cli_malformed_value_exit_2(tmp_path, capsys):
+    path = write_config(tmp_path, {"scenario": "stationary_state", "n": "abc",
+                                   "output_dir": str(tmp_path / "out")})
+    assert main(["run", "--config", str(path)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _section(keys):
+    return _json | st.dictionaries(st.sampled_from(sorted(keys)), _json, max_size=4)
+
+
+_pressure = _section(_PRESSURE_KEYS) | st.fixed_dictionaries(
+    {"kind": st.sampled_from(["pulse", "constant", "custom"])},
+    optional={key: _json for key in sorted(_PRESSURE_KEYS - {"kind"})},
+)
+_documents = st.fixed_dictionaries(
+    {"scenario": st.sampled_from(SCENARIOS) | _json},
+    optional={
+        "params": _section(_PARAM_KEYS),
+        "pressure": _pressure,
+        "sweep": _section(_SWEEP_KEYS),
+        **{key: _json for key in sorted(_TOP_KEYS - {"scenario", "params", "pressure", "sweep"})},
+    },
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_documents)
+def test_any_document_gives_config_or_config_error(doc):
+    try:
+        cfg = parse_config_dict(doc)
+    except ConfigError:
+        return
+    assert isinstance(cfg, ScenarioConfig)
 
 
 @pytest.mark.parametrize("flag, value", [

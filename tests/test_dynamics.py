@@ -248,6 +248,100 @@ def test_fully_implicit_jacobian_matches_finite_differences():
     assert np.allclose(Jobj @ v, J @ v, rtol=1e-12, atol=1e-12)
 
 
+def test_fully_implicit_residual_matches_assembled_reference():
+    from blebsheet.model import ripping_rate
+
+    rng = np.random.default_rng(13)
+    grid = build_grid(8)
+    ops = Operators(grid)
+    params = ModelParams()
+    tau = 1e-6
+    pressure = pressure_pulse(grid, peak=400.0)
+    state = State(
+        h=grid.embed(rng.uniform(0.0, 1.0, grid.num_interior)),
+        w=np.zeros(grid.num_nodes),
+        rho_a=rng.uniform(0.1, 2.0, grid.num_nodes),
+        rho_i=rng.uniform(0.0, 1.0, grid.num_nodes),
+    )
+    h = rng.uniform(0.0, 1.2, grid.num_interior)
+    rho_a = rng.uniform(0.1, 2.0, grid.num_nodes)
+    rho_i = rng.uniform(0.0, 1.0, grid.num_nodes)
+    F = _fully_implicit_residual(np.concatenate([h, rho_a, rho_i]), ops, params, tau,
+                                 state, pressure)
+
+    A = ops.A.scipy
+    AN = ops.AN.scipy
+    flux = ripping_rate(grid.embed(h), params) * rho_a
+    ref_h = params.c * (h - grid.restrict(state.h)) + tau * (
+        params.kappa * ((A @ A) @ h) + params.gamma * (A @ h) + params.lam * h
+        + params.xi * MICROGRAM * grid.restrict(rho_a) * h
+        - PASCAL * grid.restrict(pressure.values)
+    )
+    ref_a = rho_a - state.rho_a + tau * (params.eta_a * (AN @ rho_a) - params.k * rho_i + flux)
+    ref_i = rho_i - state.rho_i + tau * (params.eta_i * (AN @ rho_i) + params.k * rho_i - flux)
+    ni, na = grid.num_interior, grid.num_nodes
+    for got, ref in ((F[:ni], ref_h), (F[ni : ni + na], ref_a), (F[ni + na :], ref_i)):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_fully_implicit_sweep_takes_supercritical_peaks():
+    # at n = 8 the 350 and 450 Pa runs lose their Newton solution at full
+    # tau (the steps from index 6 and 9) and finish only through step halving
+    from blebsheet.cli import sweep_point
+
+    cfg = parse_config_dict({"scenario": "pressure_sweep", "n": 8, "scheme": "FullyImplicit"})
+    values = [sweep_point(peak, cfg) for peak in (300.0, 350.0, 400.0, 450.0, 500.0)]
+    assert values[0] > cfg.params.h_star
+    assert all(v1 < v2 for v1, v2 in zip(values, values[1:]))
+
+
+def test_halved_fully_implicit_step_counts_as_one(monkeypatch):
+    import blebsheet.dynamics as dyn
+
+    solves = []
+    newton_armijo = dyn.newton_armijo
+
+    def counted(*args, **kwargs):
+        solves.append(None)
+        return newton_armijo(*args, **kwargs)
+
+    monkeypatch.setattr(dyn, "newton_armijo", counted)
+    grid = build_grid(8)
+    ops = Operators(grid)
+    pressure = pressure_pulse(grid, peak=350.0)
+    tau = 1e-6
+    state = fresh_state(grid)
+    for k in range(7):
+        prev = state
+        state = step(state, tau, ModelParams(), pressure, grid, Scheme.FULLY_IMPLICIT, ops=ops)
+        assert state.step_index == k + 1
+        assert state.t == prev.t + tau
+    # the step from index 6 fails at tau and is taken as two halves
+    assert len(solves) == 7 + 2
+
+
+def test_fully_implicit_halving_stops_at_fixed_depth(monkeypatch):
+    import blebsheet.dynamics as dyn
+    from blebsheet.linalg import NewtonError
+
+    solves = []
+
+    def stalled(residual, jacobian, x0, *args, **kwargs):
+        solves.append(None)
+        raise NewtonError("stalled", x0, 1.0)
+
+    monkeypatch.setattr(dyn, "newton_armijo", stalled)
+    grid = build_grid(4)
+    state = fresh_state(grid)
+    state.step_index = 7
+    with pytest.raises(StepError) as info:
+        step(state, 1e-6, ModelParams(), pressure_pulse(grid, peak=400.0), grid,
+             Scheme.FULLY_IMPLICIT)
+    assert info.value.step_index == 7
+    # the first half of every level fails in turn, down to the last level
+    assert len(solves) == dyn._MAX_HALVINGS + 1
+
+
 def test_step_failure_carries_step_index():
     # with a uniform spring and no ripping the preconditioned height solve
     # is exact in one iteration; after four steps of a 400 Pa pulse the
@@ -362,10 +456,18 @@ def height_system(n, kind, rho_a):
         mat = assembled_height_matrix(ops, params, params.lam, rho_a)
         return mat, ops.height_preconditioner(params, rho_a, params.lam)
     tau = 1e-6
+    shift = params.c / tau + params.lam
+    mat = tau * assembled_height_matrix(ops, params, shift, rho_a)
+    # the Jacobian's height block is this matrix, applied and densified
     h_int = np.linspace(0.0, 1.0, grid.num_interior)
-    mat = FullyImplicitJacobian(ops, params, tau, h_int, rho_a).J_hh
+    J = FullyImplicitJacobian(ops, params, tau, h_int, rho_a)
+    ni = grid.num_interior
+    assert np.allclose(J.toarray()[:ni, :ni], mat.toarray(), rtol=1e-13, atol=0.0)
+    x = np.random.default_rng(n).standard_normal(ni)
+    v = np.concatenate([x, np.zeros(2 * grid.num_nodes)])
+    assert np.allclose((J @ v)[:ni], mat @ x, rtol=1e-12, atol=1e-12 * np.abs(mat @ x).max())
     # J_hh is tau times a height matrix; CG is blind to that factor
-    return mat, ops.height_preconditioner(params, rho_a, params.c / tau + params.lam)
+    return mat, ops.height_preconditioner(params, rho_a, shift)
 
 
 @pytest.mark.parametrize("kind", ["stationary", "J_hh"])

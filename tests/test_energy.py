@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from blebsheet.dynamics import Operators
 from blebsheet.energy import (
@@ -175,16 +176,22 @@ def test_euler_lagrange_zero_case_and_heaviside():
         lap = ops.A @ h_int
         return PARAMS.kappa * (ops.A @ lap) + PARAMS.gamma * lap
 
+    def assert_spring_off(h):
+        res = euler_lagrange_residual_J0(h, 1.0, PARAMS, zero_p, grid, ops)
+        # the switched-off spring adds exactly nothing to the rho0 = 0 residual
+        no_spring = euler_lagrange_residual_J0(h, 0.0, PARAMS, zero_p, grid, ops)
+        assert np.array_equal(res, no_spring)
+        elastic = elastic_only(grid.restrict(h))
+        assert np.max(np.abs(grid.restrict(res) - elastic)) <= 1e-13 * np.max(np.abs(elastic))
+
     h = np.full(grid.num_nodes, 0.7)
     h[grid.boundary_mask] = 0.0
-    res = euler_lagrange_residual_J0(h, 1.0, PARAMS, zero_p, grid, ops)
-    assert np.array_equal(grid.restrict(res), elastic_only(grid.restrict(h)))
+    assert_spring_off(h)
 
     # exactly at the critical height the convention H(0) = 0 also drops it
     h_at = np.full(grid.num_nodes, PARAMS.h_star)
     h_at[grid.boundary_mask] = 0.0
-    res_at = euler_lagrange_residual_J0(h_at, 1.0, PARAMS, zero_p, grid, ops)
-    assert np.array_equal(grid.restrict(res_at), elastic_only(grid.restrict(h_at)))
+    assert_spring_off(h_at)
 
 
 def test_gradient_matches_finite_differences():
@@ -209,6 +216,60 @@ def test_gradient_matches_finite_differences():
             J_minus = eval_J_theta(grid.embed(h_int - e), params.theta, rho0, params, p, grid, ops)
             fd = (J_plus - J_minus) / (2.0 * eps)
             assert fd == pytest.approx(grad[j], rel=1e-5, abs=1e-12)
+
+
+def _random_heights(rng, grid, params):
+    h_int = rng.uniform(0.0, 1.0, grid.num_interior)
+    h_int[np.abs(h_int - params.h_star) < 0.05] += 0.1  # keep clear of the kink
+    return h_int
+
+
+@pytest.mark.parametrize("theta", [1e-2, 0.0])
+def test_hessian_matches_assembled_matrix(theta):
+    from blebsheet.energy import _hessian
+    from blebsheet.model import g_theta_prime
+
+    rng = np.random.default_rng(9)
+    grid = build_grid(8)
+    ops = Operators(grid)
+    h_int = _random_heights(rng, grid, PARAMS)
+    mask = (h_int < PARAMS.h_star).astype(float)
+    if theta > 0.0:
+        p_theta = PARAMS.with_(theta=theta)
+        h = grid.embed(h_int)
+        spring = grid.restrict(g_theta(h, 1.0, p_theta) + h * g_theta_prime(h, 1.0, p_theta))
+    else:
+        spring = mask
+    A = ops.A.scipy
+    ref = grid.spacing**2 * (
+        PARAMS.kappa * (A @ A) + PARAMS.gamma * A
+        + sp.diags(PARAMS.lam + spring)
+    )
+    H = _hessian(theta, 1.0, PARAMS, grid, ops, h_int, mask)
+    for _ in range(5):
+        x = rng.standard_normal(grid.num_interior)
+        expected = ref @ x
+        assert np.max(np.abs(H @ x - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_hessian_matches_finite_differences_of_gradient():
+    from blebsheet.energy import _gradient, _hessian
+
+    rng = np.random.default_rng(10)
+    grid = build_grid(8)
+    ops = Operators(grid)
+    p = pressure_pulse(grid, peak=50.0)
+    theta = 1e-2
+    eps = 1e-6
+    for _ in range(5):
+        h_int = _random_heights(rng, grid, PARAMS)
+        v = rng.standard_normal(grid.num_interior)
+        H = _hessian(theta, 1.0, PARAMS, grid, ops, h_int)
+        g_plus = _gradient(theta, 1.0, PARAMS, p, grid, ops, h_int + eps * v)
+        g_minus = _gradient(theta, 1.0, PARAMS, p, grid, ops, h_int - eps * v)
+        fd = (g_plus - g_minus) / (2.0 * eps)
+        Hv = H @ v
+        assert np.max(np.abs(fd - Hv)) <= 1e-6 * np.max(np.abs(Hv))
 
 
 def test_energy_descent_along_newton_iterates():
