@@ -154,7 +154,10 @@ class Operators:
 
     ``A`` is the interior Dirichlet negative Laplacian and ``LN`` the
     weighted symmetric form of the all-node Neumann operator, used in the
-    density solves.  The membrane operator is never assembled: every height
+    density solves.  ``LN`` is kept in canonical CSR form (sorted column
+    indices, no duplicates), and the position of each row's diagonal entry
+    in ``LN.data`` is recorded once, so :meth:`density_matrix` assembles in
+    one pass.  The membrane operator is never assembled: every height
     solve and membrane residual applies it matrix-free
     (:meth:`height_operator`).  ``AN``, the Neumann operator itself, is
     read only by the fully implicit scheme and the stationary residuals, so
@@ -177,6 +180,9 @@ class Operators:
         self.LN = sp.csr_matrix(
             sp.diags(grid.weights) @ assemble_laplacian(grid, "neumann0").scipy
         )
+        self.LN.sum_duplicates()  # also sorts the column indices of each row
+        rows = np.repeat(np.arange(grid.num_nodes), np.diff(self.LN.indptr))
+        self._ln_diagonal = np.flatnonzero(self.LN.indices == rows)
 
     @functools.cached_property
     def AN(self) -> SparseMatrix:
@@ -216,10 +222,16 @@ class Operators:
 
         return apply
 
-    def density_matrix(self, eta: float, diag_extra: np.ndarray) -> SparseMatrix:
-        """Weighted form ``W diag(extra) + eta L`` (symmetric positive definite)."""
-        mat = sp.diags(self.grid.weights * diag_extra) + eta * self.LN
-        return SparseMatrix.from_scipy(mat, symmetric=True)
+    def density_matrix(self, eta: float, diag_extra: np.ndarray) -> sp.csr_matrix:
+        """Weighted form ``W diag(extra) + eta LN`` (symmetric positive definite).
+
+        One pass over ``LN.data``: ``eta LN`` with ``W extra`` added on the
+        diagonal.  The result shares ``LN``'s index arrays, and it is exactly
+        symmetric because ``LN`` is.
+        """
+        data = eta * self.LN.data
+        data[self._ln_diagonal] += self.grid.weights * diag_extra
+        return sp.csr_matrix((data, self.LN.indices, self.LN.indptr), shape=self.LN.shape)
 
 
 def _solve_densities(

@@ -36,8 +36,7 @@ def _columns_strictly_increasing(indptr, indices) -> bool:
 
 @dataclass(frozen=True)
 class SparseMatrix:
-    """Compressed sparse row matrix of the assembled operators: the two
-    Laplacians and the density matrices.
+    """Compressed sparse row matrix of the two assembled Laplacians.
 
     Thin, immutable wrapper around the CSR triplet arrays.  ``symmetric``
     asserts entrywise symmetry and marks the matrix as safe for conjugate

@@ -621,3 +621,86 @@ def test_block_gauss_seidel_cap_raises():
     assert err.value.increment > 1e-13 * np.abs(rhs).max()
     assert err.value.residual_norm == pytest.approx(
         np.linalg.norm(J @ err.value.iterate - rhs))
+
+
+# ---------------------------------------------------------------------------
+# density matrices
+
+
+@pytest.mark.parametrize("n", [4, 8, 16, 64])
+@pytest.mark.parametrize("spread", [False, True])
+def test_density_matrix_matches_sparse_sum(n, spread):
+    grid = build_grid(n)
+    ops = Operators(grid)
+    if spread:
+        # 1/tau + rate under ripping: 1e6 off the bleb, up to 1e8 on it
+        rng = np.random.default_rng(n)
+        extra = rng.permutation(np.logspace(0.0, 8.0, grid.num_nodes))
+    else:
+        extra = np.full(grid.num_nodes, 1e6 + 1e4)
+    got = ops.density_matrix(0.2, extra)
+    want = sp.csr_matrix(sp.diags(grid.weights * extra) + 0.2 * ops.LN)
+    want.sum_duplicates()
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+@pytest.mark.parametrize("n", [*range(2, 41), 64, 128])
+def test_weighted_neumann_operator_exactly_symmetric(n):
+    # density_matrix is symmetric only because LN is; nothing re-symmetrizes
+    LN = Operators(build_grid(n)).LN
+    assert (LN - LN.T).nnz == 0
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 64])
+def test_weighted_neumann_operator_stores_every_diagonal(n):
+    LN = Operators(build_grid(n)).LN
+    rows = np.repeat(np.arange(LN.shape[0]), np.diff(LN.indptr))
+    assert np.count_nonzero(LN.indices == rows) == LN.shape[0]
+    assert np.all(LN.diagonal() > 0.0)
+
+
+def test_density_matrix_leaves_operator_unchanged():
+    grid = build_grid(8)
+    ops = Operators(grid)
+    before = ops.LN.data.copy()
+    first = ops.density_matrix(0.2, np.full(grid.num_nodes, 1e6))
+    kept = first.data.copy()
+    second = ops.density_matrix(0.2, np.linspace(1.0, 1e8, grid.num_nodes))
+    assert np.array_equal(ops.LN.data, before)
+    assert np.array_equal(first.data, kept)
+    assert not np.shares_memory(first.data, second.data)
+    assert not np.shares_memory(first.data, ops.LN.data)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_coupled_density_solve_matches_direct_solve(n):
+    # independent oracle for the implicit-ripping density step: the coupled
+    # system [[B_a, -k W], [-W diag(rate), B_i]] solved by sparse LU, with
+    # the weighted Neumann operator taken from the plain assembly
+    grid = build_grid(n)
+    ops = Operators(grid)
+    params = ModelParams()
+    tau = 1e-6
+    rng = np.random.default_rng(n)
+    rho_a = rng.uniform(0.5, 1.5, grid.num_nodes)
+    rho_i = rng.uniform(0.0, 0.5, grid.num_nodes)
+    dist = np.hypot(grid.node_x - 0.5, grid.node_y - 0.5)
+    rate = np.where(dist < 0.3, 1e8 * (1.0 - dist / 0.3), 0.0)
+    assert rate.max() >= 0.9e8 and np.count_nonzero(rate) > 1
+
+    got_a, got_i = _solve_densities(ops, params, tau, rate, rho_a, rho_i, True,
+                                    SolveOptions())
+
+    w = grid.weights
+    W = sp.diags(w)
+    L = W @ ops.AN.scipy
+    B_a = sp.diags(w * (1.0 / tau + rate)) + params.eta_a * L
+    B_i = sp.diags(w * (1.0 / tau + params.k)) + params.eta_i * L
+    coupled = sp.bmat([[B_a, -params.k * W], [-W @ sp.diags(rate), B_i]], format="csc")
+    want = spla.spsolve(coupled, np.concatenate([w * rho_a / tau, w * rho_i / tau]))
+    got = np.concatenate([got_a, got_i])
+    assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+    mass0 = w @ (rho_a + rho_i)
+    assert abs(w @ (got_a + got_i) - mass0) <= 1e-12 * mass0

@@ -94,6 +94,34 @@ def test_step_builds_one_height_operator(monkeypatch):
         assert len(heights) == k + 1
 
 
+def test_ripping_steps_make_no_sparse_matrix(monkeypatch):
+    # grid.from_scipy_calls counts grid assembly alone: once Operators is
+    # built, the density matrices of a ripping step are not wrapped
+    g = grid.build_grid(16)
+    ops = dynamics.Operators(g)
+    wraps = _counting(monkeypatch, grid.SparseMatrix, "from_scipy")
+    params = ModelParams()
+    bump = np.clip(1.0 - np.hypot(g.node_x - 0.5, g.node_y - 0.5) / 0.3, 0.0, None)
+    state = dynamics.State(
+        h=2.0 * params.h_star * bump, w=np.zeros(g.num_nodes),
+        rho_a=np.ones(g.num_nodes), rho_i=np.zeros(g.num_nodes),
+    )
+    pressure = pressure_pulse(g, peak=410.0)
+    for _ in range(10):
+        assert np.any(model.ripping_rate(state.h, params) > 0.0)
+        state = dynamics.step(state, 1e-6, params, pressure, g,
+                              dynamics.Scheme.IMPLICIT_RIPPING, ops=ops)
+    assert wraps == []
+
+
+def test_density_matrix_exposes_csr_arrays():
+    # linalg.cg_matvec_bytes reads nnz, indices and data of the solved matrix
+    g = grid.build_grid(8)
+    B = dynamics.Operators(g).density_matrix(0.2, np.full(g.num_nodes, 1e6))
+    assert B.nnz == B.data.size == B.indices.size > 0
+    assert B.indices.itemsize > 0 and B.data.itemsize == 8
+
+
 def test_import_leaves_heavy_modules_unloaded():
     # set-up time and memory count every module the import pulls in; the
     # worker pool is imported only when a sweep uses more than one worker
