@@ -27,7 +27,7 @@ from .model import (
     pressure_pulse,
     ripping_rate,
 )
-from .dynamics import Diagnostics, Scheme, State, simulate, step
+from .dynamics import Diagnostics, Scheme, State, march, simulate, step
 from .stationary import (
     StationaryResult,
     stationary_by_marching,
@@ -68,6 +68,7 @@ __all__ = [
     "Diagnostics",
     "Scheme",
     "step",
+    "march",
     "simulate",
     "StationaryResult",
     "stationary_fixed_point",

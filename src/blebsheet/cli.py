@@ -10,6 +10,7 @@ time step still writes its diagnostics up to that step and a manifest with
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 import time
 from pathlib import Path
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, ScenarioConfig, parse_config
-from .dynamics import Operators, StepError, build_pressure, initial_state, simulate, step
+from .dynamics import Operators, StepError, build_pressure, initial_state, march, simulate
 from .energy import gamma_ladder
 from .geometry import verification_report
 from .grid import build_grid
@@ -139,16 +140,10 @@ def _sweep_heights(peak: float, config: ScenarioConfig, ops: Operators | None) -
     """Max height after each of the ten steps of the sweep protocol."""
     if ops is None:
         ops = Operators(build_grid(config.n))
-    grid = ops.grid
-    state, _ = initial_state(config, grid)
-    pressure = pressure_pulse(grid, peak=peak, center=(0.5, 0.5), radius=0.4)
-    opts = config.solve_options()
-    heights = []
-    for _ in range(10):
-        state = step(state, config.tau, config.params, pressure, grid,
-                     config.scheme, opts, ops=ops)
-        heights.append(float(state.h.max()))
-    return heights
+    state, _ = initial_state(config, ops.grid)
+    pressure = pressure_pulse(ops.grid, peak=peak, center=(0.5, 0.5), radius=0.4)
+    states = itertools.islice(march(state, config, ops, pressure), 10)
+    return [float(s.h.max()) for s in states]
 
 
 def run_sweep(config: ScenarioConfig):

@@ -29,13 +29,14 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import Grid, SparseMatrix, assemble_laplacian, integrate
+from .grid import Grid, SparseMatrix, assemble_laplacian, build_grid, integrate
 from .linalg import (
     LinearSolveError,
     NewtonError,
@@ -65,11 +66,16 @@ class State:
     t: float = 0.0
     step_index: int = 0
 
-    def copy(self) -> "State":
-        return State(
-            self.h.copy(), self.w.copy(), self.rho_a.copy(), self.rho_i.copy(),
-            self.t, self.step_index,
-        )
+
+def weighted_density_residual(result_or_state, params: ModelParams, grid: Grid) -> float:
+    """Deviation of ``eta_a rho_a + eta_i rho_i`` from its spatial mean.
+
+    Zero (up to solver error) for stationary solutions; generally positive
+    for mid-run time-dependent states.
+    """
+    weighted = params.eta_a * result_or_state.rho_a + params.eta_i * result_or_state.rho_i
+    mean = integrate(grid, weighted)  # |D| = 1
+    return float(np.max(np.abs(weighted - mean)))
 
 
 @dataclass
@@ -90,8 +96,6 @@ class Diagnostics:
 
     def record(self, state: State, prev_h: np.ndarray, params: ModelParams, grid: Grid):
         rate = ripping_rate(state.h, params)
-        weighted = params.eta_a * state.rho_a + params.eta_i * state.rho_i
-        mean = integrate(grid, weighted)  # |D| = 1
         self.step.append(state.step_index)
         self.t.append(state.t)
         self.max_h.append(float(state.h.max()))
@@ -100,7 +104,7 @@ class Diagnostics:
         self.min_rho_a.append(float(state.rho_a.min()))
         self.min_rho_i.append(float(state.rho_i.min()))
         self.ripping_flux.append(integrate(grid, rate * state.rho_a))
-        self.weighted_density_spread.append(float(np.max(np.abs(weighted - mean))))
+        self.weighted_density_spread.append(weighted_density_residual(state, params, grid))
 
     def fit_decay(self, window: tuple[int, int]) -> None:
         """Least-squares fit of log(max_step_diff) against step index."""
@@ -307,10 +311,9 @@ def step(
     opts: SolveOptions = SolveOptions(),
     ops: Optional[Operators] = None,
 ) -> State:
-    """Advance the state by one step of size ``tau``.
+    """Advance the state by one step of size ``tau``; ``state`` is not modified.
 
-    ``ops`` caches the assembled operators across steps; ``simulate`` passes
-    it automatically.
+    ``ops`` caches the assembled operators across steps.
     """
     if tau <= 0.0:
         raise ValueError("time step tau must be positive")
@@ -320,26 +323,37 @@ def step(
     try:
         if scheme is Scheme.FULLY_IMPLICIT:
             return _step_fully_implicit(state, tau, params, pressure, grid, opts, ops)
-        rate = ripping_rate(state.h, params)
-        rho_a_new, rho_i_new = _solve_densities(
-            ops, params, tau, rate, state.rho_a, state.rho_i,
-            scheme is Scheme.IMPLICIT_RIPPING, opts,
-        )
-        B_h = ops.height_matrix(params, tau, rho_a_new)
-        h_int = grid.restrict(state.h)
-        rhs = (params.c / tau) * h_int + PASCAL * grid.restrict(pressure.values)
-        h_new_int = cg_solve(
-            B_h, rhs, opts, x0=h_int,
-            precond=ops.height_preconditioner(params, rho_a_new, params.c / tau + params.lam),
-        )
+        return _step_semi_implicit(state, tau, params, pressure, grid, opts, ops,
+                                   scheme is Scheme.IMPLICIT_RIPPING)
     except (LinearSolveError, NewtonError) as exc:
         raise StepError(str(exc), state.step_index) from exc
 
-    h_new = grid.embed(h_new_int)
-    w_new = grid.embed(ops.A @ h_new_int)
+
+def _step_semi_implicit(
+    state: State,
+    tau: float,
+    params: ModelParams,
+    pressure: PressureField,
+    grid: Grid,
+    opts: SolveOptions,
+    ops: Operators,
+    implicit_ripping: bool,
+) -> State:
+    """Densities with the ripping rate of ``state.h``, then the height."""
+    rate = ripping_rate(state.h, params)
+    rho_a_new, rho_i_new = _solve_densities(
+        ops, params, tau, rate, state.rho_a, state.rho_i, implicit_ripping, opts,
+    )
+    B_h = ops.height_matrix(params, tau, rho_a_new)
+    h_int = grid.restrict(state.h)
+    rhs = (params.c / tau) * h_int + PASCAL * grid.restrict(pressure.values)
+    h_new_int = cg_solve(
+        B_h, rhs, opts, x0=h_int,
+        precond=ops.height_preconditioner(params, rho_a_new, params.c / tau + params.lam),
+    )
     return State(
-        h=h_new,
-        w=w_new,
+        h=grid.embed(h_new_int),
+        w=grid.embed(ops.A @ h_new_int),
         rho_a=rho_a_new,
         rho_i=rho_i_new,
         t=state.t + tau,
@@ -534,20 +548,8 @@ def _step_fully_implicit(
 
     # semi-implicit predictor: O(tau)-accurate start keeps Newton on the
     # right side of the ripping switch even at sharpness 1e-8
-    rate = ripping_rate(state.h, params)
-    rho_a_pred, rho_i_pred = _solve_densities(
-        ops, params, tau, rate, state.rho_a, state.rho_i, True, opts
-    )
-    B_h = ops.height_matrix(params, tau, rho_a_pred)
-    h_pred = cg_solve(
-        B_h,
-        (params.c / tau) * grid.restrict(state.h)
-        + PASCAL * grid.restrict(pressure.values),
-        opts,
-        x0=grid.restrict(state.h),
-        precond=ops.height_preconditioner(params, rho_a_pred, params.c / tau + params.lam),
-    )
-    z0 = np.concatenate([h_pred, rho_a_pred, rho_i_pred])
+    pred = _step_semi_implicit(state, tau, params, pressure, grid, opts, ops, True)
+    z0 = np.concatenate([grid.restrict(pred.h), pred.rho_a, pred.rho_i])
     try:
         z = newton_armijo(residual, jacobian, z0, opts, linear_solve=linear_solve)
     except NewtonError:
@@ -613,6 +615,20 @@ def build_pressure(config, grid: Grid) -> PressureField:
     raise ValueError(f"unknown pressure kind {kind!r}")
 
 
+def march(state: State, config, ops: Operators, pressure: PressureField) -> Iterator[State]:
+    """Yield the state after each step of ``config.tau``, without end.
+
+    The one time loop of the package: ``simulate``, stationary marching and
+    the sweep protocol take from it as many steps as they need.  No step
+    modifies a state it is given, so a yielded state can be kept as it is.
+    """
+    opts = config.solve_options()
+    while True:
+        state = step(state, config.tau, config.params, pressure, ops.grid,
+                     config.scheme, opts, ops=ops)
+        yield state
+
+
 def simulate(config) -> tuple[State, Diagnostics, dict[int, State]]:
     """Run a scenario for ``final_time / tau`` steps.
 
@@ -620,33 +636,23 @@ def simulate(config) -> tuple[State, Diagnostics, dict[int, State]]:
     filled in), and the snapshot states keyed by step index.  Solver failures
     propagate as :class:`StepError` with the partial diagnostics attached.
     """
-    grid = _grid_for(config)
-    ops = Operators(grid)
-    state, pressure = initial_state(config, grid)
+    ops = Operators(build_grid(config.n))
+    state, pressure = initial_state(config, ops.grid)
     n_steps = int(round(config.final_time / config.tau))
-    snapshot_steps = set(config.snapshot_steps)
     diagnostics = Diagnostics()
     snapshots: dict[int, State] = {}
-    opts = config.solve_options()
 
-    for _ in range(n_steps):
-        prev_h = state.h
-        try:
-            state = step(state, config.tau, config.params, pressure, grid,
-                         config.scheme, opts, ops=ops)
-        except StepError as exc:
-            diagnostics.fit_decay(config.fit_window)
-            exc.diagnostics = diagnostics
-            raise
-        diagnostics.record(state, prev_h, config.params, grid)
-        if state.step_index in snapshot_steps:
-            snapshots[state.step_index] = state.copy()
+    prev_h = state.h
+    try:
+        for state in itertools.islice(march(state, config, ops, pressure), n_steps):
+            diagnostics.record(state, prev_h, config.params, ops.grid)
+            prev_h = state.h
+            if state.step_index in config.snapshot_steps:
+                snapshots[state.step_index] = state
+    except StepError as exc:
+        diagnostics.fit_decay(config.fit_window)
+        exc.diagnostics = diagnostics
+        raise
 
     diagnostics.fit_decay(config.fit_window)
     return state, diagnostics, snapshots
-
-
-def _grid_for(config) -> Grid:
-    from .grid import build_grid
-
-    return build_grid(config.n)

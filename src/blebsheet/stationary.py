@@ -10,12 +10,14 @@ sum ``eta_a rho_a + eta_i rho_i = rho_0``.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Diagnostics, Operators, step
-from .grid import Grid, integrate
+from .dynamics import Operators, initial_state, march
+from .dynamics import weighted_density_residual  # noqa: F401  re-exported
+from .grid import Grid, build_grid, integrate
 from .linalg import SolveOptions, cg_solve
 from .model import MICROGRAM, PASCAL, ModelParams, PressureField, ripping_rate
 
@@ -76,6 +78,26 @@ def _residuals(
     )
 
 
+def _result(
+    ops: Operators, params: ModelParams, pressure: PressureField,
+    h: np.ndarray, rho_a: np.ndarray, rho_i: np.ndarray, iterations: int,
+) -> StationaryResult:
+    """The fields with their residuals, mass and weighted density."""
+    grid = ops.grid
+    res = _residuals(grid, ops, params, pressure, h, rho_a, rho_i)
+    return StationaryResult(
+        h=h,
+        rho_a=rho_a,
+        rho_i=rho_i,
+        residual_height=res[0],
+        residual_rho_a=res[1],
+        residual_rho_i=res[2],
+        iterations=iterations,
+        total_mass=integrate(grid, rho_a + rho_i),
+        rho0_weighted=integrate(grid, params.eta_a * rho_a + params.eta_i * rho_i),
+    )
+
+
 def stationary_fixed_point(
     params: ModelParams,
     pressure: PressureField,
@@ -132,19 +154,7 @@ def stationary_fixed_point(
     # reconstruct the inactive density from the constant weighted sum
     rho0 = params.eta_i * ((ratio - 1.0) * integrate(grid, rho_bar) + m0)
     rho_i = (rho0 - params.eta_a * rho_bar) / params.eta_i
-    res = _residuals(grid, ops, params, pressure, h_bar, rho_bar, rho_i)
-    weighted = params.eta_a * rho_bar + params.eta_i * rho_i
-    result = StationaryResult(
-        h=h_bar,
-        rho_a=rho_bar,
-        rho_i=rho_i,
-        residual_height=res[0],
-        residual_rho_a=res[1],
-        residual_rho_i=res[2],
-        iterations=iterations,
-        total_mass=integrate(grid, rho_bar + rho_i),
-        rho0_weighted=integrate(grid, weighted),
-    )
+    result = _result(ops, params, pressure, h_bar, rho_bar, rho_i, iterations)
     if not converged:
         raise StationaryError(
             f"fixed point: no convergence in {max_iterations} iterations "
@@ -157,59 +167,27 @@ def stationary_fixed_point(
 def stationary_by_marching(
     config, stop_tol: float, max_steps: int = 20000
 ) -> StationaryResult:
-    """March the time-dependent system until ``max_step_diff <= stop_tol``."""
+    """March the time-dependent system until ``max|h - prev_h| <= stop_tol``."""
     if stop_tol <= 0.0:
         raise ValueError("stop_tol must be positive")
-    from .dynamics import _grid_for, initial_state
+    if max_steps < 1:
+        raise ValueError("max_steps must be at least 1")
+    ops = Operators(build_grid(config.n))
+    state, pressure = initial_state(config, ops.grid)
 
-    grid = _grid_for(config)
-    ops = Operators(grid)
-    state, pressure = initial_state(config, grid)
-    opts = config.solve_options()
-    diagnostics = Diagnostics()
-
-    converged = False
-    for _ in range(max_steps):
-        prev_h = state.h
-        state = step(state, config.tau, config.params, pressure, grid,
-                     config.scheme, opts, ops=ops)
-        diagnostics.record(state, prev_h, config.params, grid)
-        if diagnostics.max_step_diff[-1] <= stop_tol:
-            converged = True
+    prev_h = state.h
+    for state in itertools.islice(march(state, config, ops, pressure), max_steps):
+        diff = float(np.max(np.abs(state.h - prev_h)))
+        if diff <= stop_tol:
             break
+        prev_h = state.h
 
-    res = _residuals(grid, ops, config.params, pressure, state.h, state.rho_a, state.rho_i)
-    weighted = config.params.eta_a * state.rho_a + config.params.eta_i * state.rho_i
-    result = StationaryResult(
-        h=state.h,
-        rho_a=state.rho_a,
-        rho_i=state.rho_i,
-        residual_height=res[0],
-        residual_rho_a=res[1],
-        residual_rho_i=res[2],
-        iterations=state.step_index,
-        total_mass=integrate(grid, state.rho_a + state.rho_i),
-        rho0_weighted=integrate(grid, weighted),
-    )
-    if not converged:
+    result = _result(ops, config.params, pressure, state.h, state.rho_a, state.rho_i,
+                     state.step_index)
+    if diff > stop_tol:
         raise StationaryError(
-            f"marching: max_step_diff {diagnostics.max_step_diff[-1]:.3e} above "
+            f"marching: max_step_diff {diff:.3e} above "
             f"{stop_tol:.1e} after {max_steps} steps",
             result,
         )
     return result
-
-
-def weighted_density_residual(
-    result_or_state, params: ModelParams, grid: Grid
-) -> float:
-    """Deviation of ``eta_a rho_a + eta_i rho_i`` from its spatial mean.
-
-    Zero (up to solver error) for stationary solutions; generally positive
-    for mid-run time-dependent states.
-    """
-    rho_a = result_or_state.rho_a
-    rho_i = result_or_state.rho_i
-    weighted = params.eta_a * rho_a + params.eta_i * rho_i
-    mean = integrate(grid, weighted)  # |D| = 1
-    return float(np.max(np.abs(weighted - mean)))

@@ -344,16 +344,16 @@ def _plain_sweep(cfg):
 
 
 def _count_steps(monkeypatch):
-    import blebsheet.cli as cli
+    import blebsheet.dynamics as dynamics
 
     calls = []
-    original = cli.step
+    original = dynamics.step
 
     def counted(*args, **kwargs):
         calls.append(None)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "step", counted)
+    monkeypatch.setattr(dynamics, "step", counted)
     return calls
 
 

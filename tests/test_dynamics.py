@@ -431,6 +431,12 @@ def test_simulate_records_snapshots_and_fit():
     assert len(diag.step) == 40
     assert diag.decay_rate is not None and diag.decay_rate < 0.0
     assert diag.decay_fit_r2 > 0.9
+    # a kept snapshot is the state of that step, not a view of a later one
+    two, _, _ = simulate(parse_config_dict({**cfg.to_dict(), "final_time": 2e-6}))
+    for name in ("h", "w", "rho_a", "rho_i"):
+        assert np.array_equal(getattr(snaps[2], name), getattr(two, name))
+    assert (snaps[2].t, snaps[2].step_index) == (two.t, two.step_index)
+    assert not np.array_equal(snaps[2].h, state.h)
 
 
 def assembled_height_matrix(ops, params, shift, rho_a):

@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from blebsheet import cli, config, dynamics, grid, linalg, model, output, stationary
 from blebsheet.model import ModelParams, pressure_pulse
@@ -92,6 +93,21 @@ def test_step_builds_one_height_operator(monkeypatch):
     for k in range(3):
         state = dynamics.step(state, 1e-6, ModelParams(), pressure, g)
         assert len(heights) == k + 1
+
+
+def test_every_time_loop_steps_through_dynamics_step(monkeypatch):
+    # the runner rebinds dynamics.step to time each step; a loop that calls
+    # its own imported step would run untimed and uncounted
+    steps = _counting(monkeypatch, dynamics, "step")
+    cfg = config.parse_config_dict({"scenario": "stationary_state", "n": 8,
+                                    "final_time": 5e-6})
+    dynamics.simulate(cfg)
+    assert len(steps) == 5
+    with pytest.raises(stationary.StationaryError):
+        stationary.stationary_by_marching(cfg, stop_tol=1e-14, max_steps=3)
+    assert len(steps) == 8
+    cli.sweep_point(400.0, cfg)
+    assert len(steps) == 18
 
 
 def test_ripping_steps_make_no_sparse_matrix(monkeypatch):

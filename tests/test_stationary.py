@@ -120,10 +120,12 @@ def test_fixed_point_validation():
         stationary_fixed_point(ModelParams(eta_a=0.0), pressure, 1.0, grid)
     with pytest.raises(ValueError):
         stationary_fixed_point(ModelParams(), pressure, 1.0, grid, damping=0.0)
+    cfg = parse_config_dict({"scenario": "stationary_state", "n": 8})
     with pytest.raises(ValueError):
-        stationary_by_marching(
-            parse_config_dict({"scenario": "stationary_state", "n": 8}), stop_tol=0.0
-        )
+        stationary_by_marching(cfg, stop_tol=0.0)
+    for max_steps in (0, -1):
+        with pytest.raises(ValueError):
+            stationary_by_marching(cfg, stop_tol=1e-10, max_steps=max_steps)
 
 
 def test_picard_height_solves_take_few_iterations(monkeypatch):
