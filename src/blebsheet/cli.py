@@ -163,8 +163,9 @@ def run_sweep(config: ScenarioConfig):
     full, and so does every peak when the 1 Pa run itself passes ``h_star``.
     Superposed values match a full run to about 1e-12 relative.  The
     operators are built once and shared by every run in this process; with
-    ``workers > 1`` only the full-run samples go to the pool, so the rows do
-    not depend on the worker count.
+    ``workers > 1`` only the full-run samples go to the pool, one chunk per
+    worker that builds its own operators once, so the rows do not depend on
+    the worker count.
     """
     ops = Operators(build_grid(config.n))
     h_star = config.params.h_star
@@ -183,9 +184,11 @@ def run_sweep(config: ScenarioConfig):
     if config.workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
+        # one chunk per worker, so each worker builds the operators once
+        chunks = [c for c in (full[i::config.workers] for i in range(config.workers)) if c]
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            ran = dict(zip(full, pool.map(_sweep_point_star,
-                                          [(p, config.to_dict()) for p in full])))
+            results = pool.map(_sweep_chunk, [(c, config.to_dict()) for c in chunks])
+            ran = {p: v for c, vs in zip(chunks, results) for p, v in zip(c, vs)}
     else:
         ran = {p: sweep_point(p, config, ops) for p in full}
     values = [ran[p] if p in ran else p * u10 for p in peaks]
@@ -207,11 +210,14 @@ def run_sweep(config: ScenarioConfig):
     return rows, float(0.5 * (lo + hi))
 
 
-def _sweep_point_star(payload):
+def _sweep_chunk(payload) -> list[float]:
+    """``sweep_point`` of each peak in a chunk, with one set of operators."""
     from .config import parse_config_dict
 
-    peak, doc = payload
-    return sweep_point(peak, parse_config_dict(doc))
+    peaks, doc = payload
+    config = parse_config_dict(doc)
+    ops = Operators(build_grid(config.n))
+    return [sweep_point(p, config, ops) for p in peaks]
 
 
 def _cmd_sweep(config: ScenarioConfig) -> int:

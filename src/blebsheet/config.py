@@ -251,6 +251,31 @@ def _validate(cfg: ScenarioConfig):
         raise ConfigError("rel_tolerance must be positive")
     if cfg.max_iterations is not None and cfg.max_iterations < 1:
         raise ConfigError("max_iterations must be at least 1")
+    if not all(isinstance(s, int) and not isinstance(s, bool) and s > 0
+               for s in cfg.snapshot_steps):
+        raise ConfigError("snapshot_steps must be positive integers")
+    _check_center(cfg.disruption_center, "disruption_center")
+    pressure = cfg.pressure
+    if pressure["kind"] == "pulse":
+        _check_center(pressure["center"], "pressure.center")
+        numbers = [pressure["peak"]]
+    elif pressure["kind"] == "constant":
+        numbers = [pressure["value"]]
+    else:
+        numbers = pressure["values"]
+        if len(numbers) != (cfg.n + 1) ** 2:
+            raise ConfigError(f"custom pressure needs (n+1)^2 = {(cfg.n + 1) ** 2} values")
+    if not all(map(_is_number, numbers)):
+        raise ConfigError("pressure values must be finite numbers")
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _check_center(center, where: str):
+    if not (len(center) == 2 and all(_is_number(c) and 0.0 <= c <= 1.0 for c in center)):
+        raise ConfigError(f"{where} must be two numbers in [0, 1]")
 
 
 def _reject_constant(name: str):

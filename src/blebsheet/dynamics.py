@@ -158,8 +158,8 @@ class Operators:
 
     ``A`` is the interior Dirichlet negative Laplacian and ``LN`` the
     weighted symmetric form of the all-node Neumann operator, used in the
-    density solves.  ``LN`` is kept in canonical CSR form (sorted column
-    indices, no duplicates), and the position of each row's diagonal entry
+    density solves.  ``LN`` is built in canonical CSR form (sorted column
+    indices, no duplicates) by ``SparseMatrix.from_scipy``, and the position of each row's diagonal entry
     in ``LN.data`` is recorded once, so :meth:`density_matrix` assembles in
     one pass.  The membrane operator is never assembled: every height
     solve and membrane residual applies it matrix-free
@@ -181,10 +181,9 @@ class Operators:
         line = (2.0 * np.sin(0.5 * np.pi * k / grid.n) / grid.spacing) ** 2
         self.eig = line[:, None] + line[None, :]
         self.A = assemble_laplacian(grid, "dirichlet0")
-        self.LN = sp.csr_matrix(
-            sp.diags(grid.weights) @ assemble_laplacian(grid, "neumann0").scipy
+        self.LN = SparseMatrix.from_scipy(
+            sp.diags(grid.weights) @ assemble_laplacian(grid, "neumann0")
         )
-        self.LN.sum_duplicates()  # also sorts the column indices of each row
         rows = np.repeat(np.arange(grid.num_nodes), np.diff(self.LN.indptr))
         self._ln_diagonal = np.flatnonzero(self.LN.indices == rows)
 
@@ -196,7 +195,7 @@ class Operators:
                         rho_a: np.ndarray) -> HeightOperator:
         """``shift I + kappa A^2 + gamma A + xi diag(rho_a)`` on the interior, matrix-free."""
         spring = params.xi * MICROGRAM * self.grid.restrict(rho_a)
-        return HeightOperator(self.A.scipy, shift + spring, params.kappa, params.gamma)
+        return HeightOperator(self.A, shift + spring, params.kappa, params.gamma)
 
     def height_matrix(self, params: ModelParams, tau: float, rho_a: np.ndarray) -> HeightOperator:
         """Height operator of a time step: shift ``c/tau + lam``."""

@@ -111,7 +111,7 @@ def eval_J0(
 def _membrane(ops: Operators, params: ModelParams, spring: np.ndarray,
               scale: float = 1.0) -> HeightOperator:
     """``scale (kappa A^2 + gamma A + lam + diag(spring))`` on the interior."""
-    return HeightOperator(ops.A.scipy, scale * (params.lam + spring),
+    return HeightOperator(ops.A, scale * (params.lam + spring),
                           scale * params.kappa, scale * params.gamma)
 
 

@@ -12,7 +12,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -22,79 +22,21 @@ class GridError(ValueError):
     """Raised for invalid grid sizes or mismatched field lengths."""
 
 
-def _columns_strictly_increasing(indptr, indices) -> bool:
-    d = np.diff(indices)
-    if d.size == 0:
-        return True
-    # differences that straddle a row boundary carry no ordering constraint
-    boundary = np.zeros(d.size, dtype=bool)
-    ends = np.asarray(indptr[1:-1], dtype=np.int64) - 1
-    ends = ends[(ends >= 0) & (ends < d.size)]
-    boundary[ends] = True
-    return bool(np.all(d[~boundary] > 0))
+class SparseMatrix(sp.csr_matrix):
+    """A scipy CSR matrix, with nothing added but its constructor.
 
-
-@dataclass(frozen=True)
-class SparseMatrix:
-    """Compressed sparse row matrix of the two assembled Laplacians.
-
-    Thin, immutable wrapper around the CSR triplet arrays.  ``symmetric``
-    asserts entrywise symmetry and marks the matrix as safe for conjugate
-    gradients.  Matrix-vector products delegate to scipy.
+    :meth:`from_scipy` is the package's one canonicalizing constructor: its
+    result has strictly increasing column indices within each row (sorted,
+    no duplicates).  The grid Laplacians and the weighted Neumann operator
+    are built through it.  Scipy arithmetic on an instance (``A @ A``,
+    ``0.5 * A``) also returns this class, without that guarantee.
     """
 
-    nrows: int
-    ncols: int
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
-    symmetric: bool = False
-    _csr: sp.csr_matrix = field(repr=False, compare=False, default=None)
-
-    def __post_init__(self):
-        csr = sp.csr_matrix(
-            (self.data, self.indices, self.indptr), shape=(self.nrows, self.ncols)
-        )
-        if not _columns_strictly_increasing(self.indptr, self.indices):
-            raise ValueError("column indices must be strictly increasing within rows")
-        object.__setattr__(self, "_csr", csr)
-
     @classmethod
-    def from_scipy(cls, mat, symmetric: bool = False) -> "SparseMatrix":
-        csr = sp.csr_matrix(mat)
-        csr.sum_duplicates()
-        csr.sort_indices()
-        if symmetric:
-            # exact symmetry; sparse products can be off by an ulp
-            csr = (csr + csr.T) * 0.5
-            csr = sp.csr_matrix(csr)
-            csr.sort_indices()
-        return cls(
-            nrows=csr.shape[0],
-            ncols=csr.shape[1],
-            indptr=csr.indptr,
-            indices=csr.indices,
-            data=csr.data,
-            symmetric=symmetric,
-        )
-
-    @property
-    def scipy(self) -> sp.csr_matrix:
-        return self._csr
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.nrows, self.ncols)
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return self._csr @ x
-
-    def toarray(self) -> np.ndarray:
-        return self._csr.toarray()
-
-    def max_asymmetry(self) -> float:
-        d = self._csr - self._csr.T
-        return 0.0 if d.nnz == 0 else float(np.abs(d.data).max())
+    def from_scipy(cls, mat) -> "SparseMatrix":
+        csr = cls(mat)
+        csr.sum_duplicates()  # also sorts the column indices of each row
+        return csr
 
 
 @dataclass(frozen=True)
@@ -201,7 +143,7 @@ def _dirichlet_matrix(grid: Grid) -> SparseMatrix:
     rows = np.broadcast_to(k[:, None], cols.shape)
     N = grid.num_interior
     mat = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(N, N))
-    return SparseMatrix.from_scipy(mat, symmetric=True)
+    return SparseMatrix.from_scipy(mat)
 
 
 def _neumann_matrix(grid: Grid) -> SparseMatrix:
@@ -224,7 +166,7 @@ def _neumann_matrix(grid: Grid) -> SparseMatrix:
 
     L = sp.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(m * m, m * m))
     A = sp.diags(1.0 / grid.weights) @ L
-    return SparseMatrix.from_scipy(A, symmetric=False)
+    return SparseMatrix.from_scipy(A)
 
 
 def integrate(grid: Grid, field: np.ndarray) -> float:

@@ -1,8 +1,8 @@
 """Conjugate-gradient solves and a damped Newton method.
 
-Both solvers take any operator that supports ``A @ x``: a grid Laplacian
-(:class:`~blebsheet.grid.SparseMatrix`), a scipy CSR density matrix, a
-matrix-free height operator, or a Newton Jacobian.
+Both solvers take any operator that supports ``A @ x``: a scipy CSR
+matrix (a grid Laplacian or a density matrix), a matrix-free height
+operator, or a Newton Jacobian.
 Failures raise instead of returning silently wrong vectors, and the raised
 errors carry the last iterate so callers can inspect partial progress.
 """

@@ -138,7 +138,7 @@ def _linear_oracle_critical_pressure(n=64, steps=10):
     """Ten ripping-free steps at unit peak via a direct sparse solver."""
     grid = build_grid(n)
     params = ModelParams()
-    A = assemble_laplacian(grid, "dirichlet0").scipy
+    A = assemble_laplacian(grid, "dirichlet0")
     B = (
         (params.c / 1e-6) * sp.identity(grid.num_interior)
         + params.kappa * (A @ A)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blebsheet import cli, dynamics
 from blebsheet.cli import main, run_sweep, sweep_point
 from blebsheet.config import (
     _PARAM_KEYS,
@@ -166,6 +167,16 @@ def test_nonfinite_field_rejected(doc):
         parse_config_dict({"scenario": "stationary_state", **doc})
 
 
+# well-formed JSON whose values the run command cannot use
+_UNRUNNABLE = [
+    {"pressure": {"kind": "pulse", "center": [2, 2]}},
+    {"pressure": {"kind": "pulse", "center": [0.5]}},
+    {"disruption_center": [0.5]},
+    {"pressure": {"kind": "custom", "values": [0.0, 1.0]}},
+    {"snapshot_steps": "ab"},
+]
+
+
 @pytest.mark.parametrize("doc", [
     {"n": "abc"},
     {"scenario": "gamma_limit", "theta_ladder": [None]},
@@ -177,10 +188,22 @@ def test_nonfinite_field_rejected(doc):
     {"disruption_center": 0.5},
     {"max_iterations": "many"},
     {"tau": 10**400},
+    *_UNRUNNABLE,
+    {"disruption_center": [0.5, float("nan")]},
+    {"pressure": {"kind": "pulse", "peak": "high"}},
+    {"pressure": {"kind": "constant", "value": None}},
+    {"snapshot_steps": [0]},
+    {"snapshot_steps": [1.5]},
 ])
 def test_malformed_value_raises_config_error(doc):
     with pytest.raises(ConfigError):
         parse_config_dict({"scenario": "stationary_state", **doc})
+
+
+def test_custom_pressure_of_grid_length_accepted():
+    cfg = parse_config_dict({"scenario": "stationary_state", "n": 2,
+                             "pressure": {"kind": "custom", "values": [0.0] * 9}})
+    assert len(cfg.pressure["values"]) == 9
 
 
 def test_cli_malformed_value_exit_2(tmp_path, capsys):
@@ -189,6 +212,16 @@ def test_cli_malformed_value_exit_2(tmp_path, capsys):
     assert main(["run", "--config", str(path)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("doc", _UNRUNNABLE)
+def test_cli_unrunnable_value_exit_2(tmp_path, capsys, doc):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, {"scenario": "stationary_state", "n": 8,
+                                   "output_dir": str(out), **doc})
+    assert main(["run", "--config", str(path)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 _json = st.recursive(
@@ -320,6 +353,23 @@ def test_sweep_worker_neutrality(tmp_path):
     assert sum(v > 0.5 for _, v in rows1) >= 2
     assert rows1 == rows2
     assert crit1 == crit2
+
+
+def test_sweep_chunk_builds_operators_once(monkeypatch):
+    # a pool worker runs its chunk of peaks on one set of operators
+    built = []
+    init = dynamics.Operators.__init__
+
+    def counted(self, grid):
+        built.append(grid.n)
+        init(self, grid)
+
+    monkeypatch.setattr(dynamics.Operators, "__init__", counted)
+    cfg = parse_config_dict({"scenario": "pressure_sweep", "n": 6})
+    peaks = [300.0, 400.0, 500.0]
+    got = cli._sweep_chunk((peaks, cfg.to_dict()))
+    assert built == [6]
+    assert got == [sweep_point(p, cfg) for p in peaks]
 
 
 def _plain_sweep(cfg):

@@ -269,8 +269,8 @@ def test_fully_implicit_residual_matches_assembled_reference():
     F = _fully_implicit_residual(np.concatenate([h, rho_a, rho_i]), ops, params, tau,
                                  state, pressure)
 
-    A = ops.A.scipy
-    AN = ops.AN.scipy
+    A = ops.A
+    AN = ops.AN
     flux = ripping_rate(grid.embed(h), params) * rho_a
     ref_h = params.c * (h - grid.restrict(state.h)) + tau * (
         params.kappa * ((A @ A) @ h) + params.gamma * (A @ h) + params.lam * h
@@ -441,7 +441,7 @@ def test_simulate_records_snapshots_and_fit():
 
 def assembled_height_matrix(ops, params, shift, rho_a):
     """``shift I + kappa A@A + gamma A + diag(spring)``, assembled from ``ops.A``."""
-    A = ops.A.scipy
+    A = ops.A
     spring = params.xi * MICROGRAM * ops.grid.restrict(rho_a)
     return sp.csr_matrix(
         shift * sp.identity(A.shape[0]) + params.kappa * (A @ A) + params.gamma * A
@@ -701,7 +701,7 @@ def test_coupled_density_solve_matches_direct_solve(n):
 
     w = grid.weights
     W = sp.diags(w)
-    L = W @ ops.AN.scipy
+    L = W @ ops.AN
     B_a = sp.diags(w * (1.0 / tau + rate)) + params.eta_a * L
     B_i = sp.diags(w * (1.0 / tau + params.k)) + params.eta_i * L
     coupled = sp.bmat([[B_a, -params.k * W], [-W @ sp.diags(rate), B_i]], format="csc")

@@ -240,7 +240,7 @@ def test_hessian_matches_assembled_matrix(theta):
         spring = grid.restrict(g_theta(h, 1.0, p_theta) + h * g_theta_prime(h, 1.0, p_theta))
     else:
         spring = mask
-    A = ops.A.scipy
+    A = ops.A
     ref = grid.spacing**2 * (
         PARAMS.kappa * (A @ A) + PARAMS.gamma * A
         + sp.diags(PARAMS.lam + spring)

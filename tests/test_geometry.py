@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from blebsheet import geometry
 from blebsheet.geometry import (
     PerturbedSphere,
     formula_value,
@@ -119,3 +120,22 @@ def test_report_rows():
     # the floor must not mask the wrong main-text area coefficient
     main_area = [r for r in rows if r["kind"] == "Area" and r["variant"] == "MainText"]
     assert main_area and all(r["rel_err"] > 0.2 for r in main_area)
+
+
+def test_report_differences_each_kind_once(monkeypatch):
+    # the FD value does not depend on the variant: one call per kind and (R, l)
+    calls = []
+    fd = geometry.second_derivative_fd
+
+    def counted(kind, *args, **kwargs):
+        calls.append(kind)
+        return fd(kind, *args, **kwargs)
+
+    monkeypatch.setattr(geometry, "second_derivative_fd", counted)
+    rows = verification_report(radii=(1.0,), modes=(2,))
+    assert sorted(calls) == sorted(geometry.KINDS)
+    assert len(rows) == 5
+    for kind in ("Area", "WillmoreInt"):
+        pair = [r for r in rows if r["kind"] == kind]
+        assert [r["variant"] for r in pair] == list(geometry.VARIANTS)
+        assert pair[0]["fd_value"] == pair[1]["fd_value"]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from blebsheet.dynamics import Operators
 from blebsheet.grid import (
     Grid,
     GridError,
@@ -10,6 +11,19 @@ from blebsheet.grid import (
     build_grid,
     integrate,
 )
+
+
+def _columns_strictly_increasing(M) -> bool:
+    """Column indices of the CSR matrix ``M`` strictly increase within each row."""
+    d = np.diff(M.indices)
+    if d.size == 0:
+        return True
+    # differences that straddle a row boundary carry no ordering constraint
+    boundary = np.zeros(d.size, dtype=bool)
+    ends = np.asarray(M.indptr[1:-1], dtype=np.int64) - 1
+    ends = ends[(ends >= 0) & (ends < d.size)]
+    boundary[ends] = True
+    return bool(np.all(d[~boundary] > 0))
 
 
 def test_counting_n4():
@@ -55,7 +69,7 @@ def test_unknown_bc_rejected():
 def test_neumann_weighted_left_nullspace(n):
     g = build_grid(n)
     A = assemble_laplacian(g, "neumann0")
-    assert np.abs(g.weights @ A.scipy).max() <= 1e-12
+    assert np.abs(g.weights @ A).max() <= 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 5, 16])
@@ -69,7 +83,7 @@ def test_neumann_weighted_self_adjoint():
     # the operator is self-adjoint in the weighted inner product: W A symmetric
     g = build_grid(9)
     A = assemble_laplacian(g, "neumann0")
-    WA = sp.diags(g.weights) @ A.scipy
+    WA = sp.diags(g.weights) @ A
     asym = np.abs((WA - WA.T).toarray()).max()
     assert asym <= 1e-14
 
@@ -77,8 +91,6 @@ def test_neumann_weighted_self_adjoint():
 def test_dirichlet_spd():
     g = build_grid(6)
     A = assemble_laplacian(g, "dirichlet0")
-    assert A.symmetric
-    assert A.max_asymmetry() == 0.0
     rng = np.random.default_rng(0)
     for _ in range(100):
         v = rng.standard_normal(g.num_interior)
@@ -116,19 +128,26 @@ def test_integrate_length_mismatch():
         integrate(g, np.ones(7))
 
 
-def test_sparse_matrix_rejects_unsorted_columns():
-    # duplicate/unsorted column indices within a row violate the CSR contract
-    indptr = np.array([0, 2])
-    indices = np.array([1, 0])
-    data = np.array([1.0, 2.0])
-    with pytest.raises(ValueError):
-        SparseMatrix(1, 2, indptr, indices, data)
+def test_from_scipy_sorts_and_sums_duplicate_columns():
+    # one row with columns 2, 0, 2: unsorted, and column 2 twice
+    raw = sp.csr_matrix((np.array([1.0, 2.0, 3.0]), np.array([2, 0, 2]), np.array([0, 3])),
+                        shape=(1, 3))
+    assert not _columns_strictly_increasing(raw)
+    M = SparseMatrix.from_scipy(raw)
+    assert _columns_strictly_increasing(M)
+    assert np.array_equal(M.toarray(), [[2.0, 0.0, 4.0]])
 
 
-def test_sparse_matrix_symmetry_flag():
-    mat = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
-    wrapped = SparseMatrix.from_scipy(mat, symmetric=True)
-    assert wrapped.max_asymmetry() <= 1e-14
+@pytest.mark.parametrize("n", [*range(2, 41), 64, 128])
+def test_assembled_operators_are_canonical(n):
+    # CG and the one-pass density matrix rely on these; nothing re-sorts or
+    # re-symmetrizes them after assembly
+    ops = Operators(build_grid(n))
+    for name in ("A", "AN", "LN"):
+        assert _columns_strictly_increasing(getattr(ops, name)), name
+    for name in ("A", "LN"):
+        M = getattr(ops, name)
+        assert (M - M.T).nnz == 0, name
 
 
 def test_embed_restrict_roundtrip():
@@ -161,7 +180,7 @@ def _dirichlet_reference(grid):
                 vals.append(-1.0 / h2)
     N = grid.num_interior
     mat = sp.csr_matrix((vals, (rows, cols)), shape=(N, N))
-    return SparseMatrix.from_scipy(mat, symmetric=True)
+    return SparseMatrix.from_scipy(mat)
 
 
 def _neumann_reference(grid):
@@ -184,7 +203,7 @@ def _neumann_reference(grid):
                 add_edge(a, a + 1, 1.0 if 0 < i < n else 0.5)
     L = sp.csr_matrix((vals, (rows, cols)), shape=(m * m, m * m))
     A = sp.diags(1.0 / grid.weights) @ L
-    return SparseMatrix.from_scipy(A, symmetric=False)
+    return SparseMatrix.from_scipy(A)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])

@@ -12,8 +12,8 @@ from blebsheet.linalg import (
 )
 
 
-def spm(dense, symmetric=True):
-    return SparseMatrix.from_scipy(sp.csr_matrix(np.asarray(dense, float)), symmetric)
+def spm(dense):
+    return SparseMatrix.from_scipy(sp.csr_matrix(np.asarray(dense, float)))
 
 
 def test_cg_identity():
