@@ -1,15 +1,22 @@
 """Declarative run configuration: JSON in, validated ScenarioConfig out.
 
-Unknown keys anywhere in the document are hard errors; every field has a
-default so ``{"scenario": "stationary_state"}`` is a complete config.
+The fields of ``ScenarioConfig`` (and of ``ModelParams`` for ``params``)
+are the schema: they give the keys, the defaults and the manifest echo, and
+each field's type picks the one rule that coerces its value.  The
+``sweep_*`` fields are read from the nested ``"sweep"`` object.  Unknown
+keys anywhere in the document are hard errors; every field but
+``scenario`` has a default, so ``{"scenario": "stationary_state"}`` is a
+complete config.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 from .linalg import SolveOptions
 from .model import ModelParams
@@ -22,19 +29,6 @@ SCENARIOS = (
     "geometry_verify",
 )
 SCHEMES = ("ExplicitRipping", "ImplicitRipping", "FullyImplicit")
-
-_PARAM_KEYS = {
-    "c", "kappa", "gamma", "lam", "xi", "eta_a", "eta_i", "k",
-    "h_star", "theta", "h_bar",
-}
-_PRESSURE_KEYS = {"kind", "peak", "center", "radius", "value", "values"}
-_SWEEP_KEYS = {"min", "max", "samples", "bisect_tol"}
-_TOP_KEYS = {
-    "scenario", "n", "tau", "final_time", "scheme", "params", "pressure",
-    "sweep", "theta_ladder", "disruption_rho_hat", "disruption_center",
-    "disruption_radius", "disruption_ramp", "output_dir", "snapshot_steps",
-    "fit_window", "stop_tol", "workers", "rel_tolerance", "max_iterations",
-}
 
 
 class ConfigError(ValueError):
@@ -54,15 +48,14 @@ class ScenarioConfig:
     sweep_max: float = 500.0
     sweep_samples: int = 26
     sweep_bisect_tol: float = 1.0
-    theta_ladder: tuple = (1e-2, 1e-3, 1e-4, 1e-5)
+    theta_ladder: tuple[float, ...] = (1e-2, 1e-3, 1e-4, 1e-5)
     disruption_rho_hat: float = 10.0
-    disruption_center: tuple = (0.5, 0.5)
+    disruption_center: tuple[float, float] = (0.5, 0.5)
     disruption_radius: float = 0.4
     disruption_ramp: str = "min"
     output_dir: str = "out"
-    snapshot_steps: tuple = ()
-    fit_window: tuple = (10, 100)
-    stop_tol: float = 1e-10
+    snapshot_steps: tuple[int, ...] = ()
+    fit_window: tuple[int, int] = (10, 100)
     workers: int = 1
     rel_tolerance: float = 1e-10
     max_iterations: int | None = None
@@ -74,65 +67,91 @@ class ScenarioConfig:
 
     def to_dict(self) -> dict:
         """JSON-ready echo that re-parses to an equal config."""
-        return {
-            "scenario": self.scenario,
-            "n": self.n,
-            "tau": self.tau,
-            "final_time": self.final_time,
-            "scheme": self.scheme,
-            "params": {
-                "c": self.params.c,
-                "kappa": self.params.kappa,
-                "gamma": self.params.gamma,
-                "lam": self.params.lam,
-                "xi": self.params.xi,
-                "eta_a": self.params.eta_a,
-                "eta_i": self.params.eta_i,
-                "k": self.params.k,
-                "h_star": self.params.h_star,
-                "theta": self.params.theta,
-                "h_bar": self.params.h_bar,
-            },
-            "pressure": dict(self.pressure),
-            "sweep": {
-                "min": self.sweep_min,
-                "max": self.sweep_max,
-                "samples": self.sweep_samples,
-                "bisect_tol": self.sweep_bisect_tol,
-            },
-            "theta_ladder": list(self.theta_ladder),
-            "disruption_rho_hat": self.disruption_rho_hat,
-            "disruption_center": list(self.disruption_center),
-            "disruption_radius": self.disruption_radius,
-            "disruption_ramp": self.disruption_ramp,
-            "output_dir": self.output_dir,
-            "snapshot_steps": list(self.snapshot_steps),
-            "fit_window": list(self.fit_window),
-            "stop_tol": self.stop_tol,
-            "workers": self.workers,
-            "rel_tolerance": self.rel_tolerance,
-            "max_iterations": self.max_iterations,
-        }
+        doc = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, tuple):
+                value = list(value)
+            elif isinstance(value, ModelParams):
+                value = asdict(value)
+            elif isinstance(value, dict):
+                value = dict(value)
+            *section, key = _doc_path(f.name)
+            (doc.setdefault(section[0], {}) if section else doc)[key] = value
+        return doc
 
 
-_DEFAULT_PRESSURE = {
-    "stationary_state": {"kind": "pulse", "peak": 100.0, "center": [0.5, 0.5], "radius": 0.4},
-    "pressure_sweep": {"kind": "pulse", "peak": 100.0, "center": [0.5, 0.5], "radius": 0.4},
-    "disruption": {"kind": "constant", "value": 1.0},
-    # the ladder needs a supercritical load so the switch region is nonempty
-    "gamma_limit": {"kind": "pulse", "peak": 400.0, "center": [0.5, 0.5], "radius": 0.4},
-    "geometry_verify": {"kind": "constant", "value": 0.0},
+_SWEEP = "sweep_"
+
+
+def _doc_path(name: str) -> tuple[str, ...]:
+    """Where a field sits in the document: ``sweep_min`` is ``sweep.min``."""
+    return ("sweep", name[len(_SWEEP):]) if name.startswith(_SWEEP) else (name,)
+
+
+_PATHS = {f.name: _doc_path(f.name) for f in fields(ScenarioConfig)}
+_HINTS = get_type_hints(ScenarioConfig)
+_TOP_KEYS = {path[0] for path in _PATHS.values()}
+_SWEEP_KEYS = {path[1] for path in _PATHS.values() if len(path) == 2}
+_PARAM_KEYS = {f.name for f in fields(ModelParams)}
+_PRESSURE_TYPES = {
+    "peak": float, "center": tuple[float, float], "radius": float,
+    "value": float, "values": tuple[float, ...],
+}
+_PRESSURE_KEYS = {"kind", *_PRESSURE_TYPES}
+
+# the defaults that depend on the scenario; every other absent key takes its
+# field's default
+_SCENARIO_DEFAULTS = {
+    # the sharp-switch Newton certifies its first-order conditions in the
+    # strong form; fourth-order roundoff grows like n^4, so the ladder
+    # defaults to a coarse grid
+    "n": {"gamma_limit": 8},
+    "pressure": {
+        "stationary_state": {"kind": "pulse", "peak": 100.0, "center": [0.5, 0.5], "radius": 0.4},
+        "pressure_sweep": {"kind": "pulse", "peak": 100.0, "center": [0.5, 0.5], "radius": 0.4},
+        "disruption": {"kind": "constant", "value": 1.0},
+        # the ladder needs a supercritical load so the switch region is nonempty
+        "gamma_limit": {"kind": "pulse", "peak": 400.0, "center": [0.5, 0.5], "radius": 0.4},
+        "geometry_verify": {"kind": "constant", "value": 0.0},
+    },
+    "snapshot_steps": {"stationary_state": (1, 2, 50, 100), "disruption": (1, 50, 75, 100)},
 }
 
-_DEFAULT_SNAPSHOTS = {
-    "stationary_state": (1, 2, 50, 100),
-    "disruption": (1, 50, 75, 100),
-}
+_NUMBERS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a finite number")}
 
-# the sharp-switch Newton certifies its first-order conditions in the strong
-# form; fourth-order roundoff grows like n^4, so the ladder defaults to a
-# coarse grid
-_DEFAULT_N = {"gamma_limit": 8}
+
+def _coerce(value, hint, where: str):
+    """``value`` as type ``hint``, by the one rule for that type.
+
+    An int takes an integer and a float a finite number, neither a bool or
+    a string; a ``tuple[X, ...]`` takes a list of any length and a
+    ``tuple[X, X]`` a list of that length, each entry coerced as ``X``; a
+    dataclass takes an object of its fields.
+    """
+    origin, args = get_origin(hint), get_args(hint)
+    if type(None) in args:
+        return None if value is None else _coerce(value, args[0], where)
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{where} must be a list, got {value!r}")
+        if args[-1] is not Ellipsis and len(value) != len(args):
+            raise ConfigError(f"{where} must have {len(args)} entries, got {len(value)}")
+        return tuple(_coerce(v, args[0], f"{where}[{i}]") for i, v in enumerate(value))
+    if is_dataclass(hint):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where} must be an object")
+        _check_keys(value, {f.name for f in fields(hint)}, where)
+        hints = get_type_hints(hint)
+        return hint(**{k: _coerce(v, hints[k], f"{where}.{k}") for k, v in value.items()})
+    if hint in _NUMBERS:
+        kind, noun = _NUMBERS[hint]
+        if isinstance(value, bool) or not isinstance(value, kind) or not math.isfinite(value):
+            raise ConfigError(f"{where} must be {noun}, got {value!r}")
+        return hint(value)
+    if not isinstance(value, hint):
+        raise ConfigError(f"{where} must be a {hint.__name__}, got {value!r}")
+    return hint(value)
 
 
 def _check_keys(section: dict, allowed: set, where: str):
@@ -147,7 +166,7 @@ def parse_config_dict(doc: dict) -> ScenarioConfig:
         return _parse_config_dict(doc)
     except ConfigError:
         raise
-    except (TypeError, ValueError, OverflowError) as exc:  # int("abc"), None > 0, ...
+    except (TypeError, ValueError, OverflowError) as exc:  # float(10**400), ...
         raise ConfigError(f"invalid config value: {exc}") from exc
 
 
@@ -155,126 +174,96 @@ def _parse_config_dict(doc: dict) -> ScenarioConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
     _check_keys(doc, _TOP_KEYS, "config")
-
     scenario = doc.get("scenario")
     if scenario not in SCENARIOS:
         raise ConfigError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
-
-    scheme = doc.get("scheme", "ImplicitRipping")
-    if scheme not in SCHEMES:
-        raise ConfigError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-
-    params_doc = doc.get("params", {})
-    if not isinstance(params_doc, dict):
-        raise ConfigError("params must be an object")
-    _check_keys(params_doc, _PARAM_KEYS, "params")
-    params = ModelParams(**params_doc)
-
-    pressure = dict(doc.get("pressure", _DEFAULT_PRESSURE[scenario]))
-    _check_keys(pressure, _PRESSURE_KEYS, "pressure")
-    if pressure.get("kind") not in ("pulse", "constant", "custom"):
-        raise ConfigError(f"pressure.kind must be pulse|constant|custom")
-    if pressure["kind"] == "pulse":
-        pressure.setdefault("peak", 100.0)
-        pressure.setdefault("center", [0.5, 0.5])
-        pressure.setdefault("radius", 0.4)
-        if not pressure["radius"] > 0:
-            raise ConfigError("pressure.radius must be positive")
-    if pressure["kind"] == "constant" and "value" not in pressure:
-        raise ConfigError("constant pressure needs a value")
-    if pressure["kind"] == "custom" and "values" not in pressure:
-        raise ConfigError("custom pressure needs per-node values")
-
-    sweep = dict(doc.get("sweep", {}))
+    sweep = doc.get("sweep", {})
+    if not isinstance(sweep, dict):
+        raise ConfigError("sweep must be an object")
     _check_keys(sweep, _SWEEP_KEYS, "sweep")
 
-    cfg = ScenarioConfig(
-        scenario=scenario,
-        n=int(doc.get("n", _DEFAULT_N.get(scenario, 64))),
-        tau=float(doc.get("tau", 1e-6)),
-        final_time=float(doc.get("final_time", 1e-4)),
-        scheme=scheme,
-        params=params,
-        pressure=pressure,
-        sweep_min=float(sweep.get("min", 0.0)),
-        sweep_max=float(sweep.get("max", 500.0)),
-        sweep_samples=int(sweep.get("samples", 26)),
-        sweep_bisect_tol=float(sweep.get("bisect_tol", 1.0)),
-        theta_ladder=tuple(doc.get("theta_ladder", (1e-2, 1e-3, 1e-4, 1e-5))),
-        disruption_rho_hat=float(doc.get("disruption_rho_hat", 10.0)),
-        disruption_center=tuple(doc.get("disruption_center", (0.5, 0.5))),
-        disruption_radius=float(doc.get("disruption_radius", 0.4)),
-        disruption_ramp=str(doc.get("disruption_ramp", "min")),
-        output_dir=str(doc.get("output_dir", "out")),
-        snapshot_steps=tuple(doc.get("snapshot_steps", _DEFAULT_SNAPSHOTS.get(scenario, ()))),
-        fit_window=tuple(doc.get("fit_window", (10, 100))),
-        stop_tol=float(doc.get("stop_tol", 1e-10)),
-        workers=int(doc.get("workers", 1)),
-        rel_tolerance=float(doc.get("rel_tolerance", 1e-10)),
-        max_iterations=(
-            None if doc.get("max_iterations") is None else int(doc["max_iterations"])
-        ),
-    )
+    values = {}
+    for name, path in _PATHS.items():
+        source = sweep if len(path) == 2 else doc
+        scenario_defaults = _SCENARIO_DEFAULTS.get(name, {})
+        if path[-1] in source:
+            value = source[path[-1]]
+        elif scenario in scenario_defaults:
+            value = scenario_defaults[scenario]
+        else:
+            continue
+        values[name] = _coerce(value, _HINTS[name], ".".join(path))
+    cfg = ScenarioConfig(**values)
+    _fill_pressure(cfg.pressure)
     _validate(cfg)
     return cfg
 
 
+def _fill_pressure(pressure: dict):
+    """Check a pressure descriptor and coerce its entries, in place."""
+    _check_keys(pressure, _PRESSURE_KEYS, "pressure")
+    kind = pressure.get("kind")
+    if kind not in ("pulse", "constant", "custom"):
+        raise ConfigError("pressure.kind must be pulse|constant|custom")
+    if kind == "pulse":
+        pressure.setdefault("peak", 100.0)
+        pressure.setdefault("center", [0.5, 0.5])
+        pressure.setdefault("radius", 0.4)
+    if kind == "constant" and "value" not in pressure:
+        raise ConfigError("constant pressure needs a value")
+    if kind == "custom" and "values" not in pressure:
+        raise ConfigError("custom pressure needs per-node values")
+    for key in pressure.keys() - {"kind"}:
+        pressure[key] = _coerce(pressure[key], _PRESSURE_TYPES[key], f"pressure.{key}")
+
+
 def _validate(cfg: ScenarioConfig):
-    # range checks are written so that NaN fails them
+    # coercion has made every number finite
+    if cfg.scheme not in SCHEMES:
+        raise ConfigError(f"scheme must be one of {SCHEMES}, got {cfg.scheme!r}")
     if cfg.n < 2:
         raise ConfigError(f"n must be at least 2, got {cfg.n}")
     if not cfg.tau > 0.0:
         raise ConfigError("tau must be positive")
-    if not cfg.tau <= cfg.final_time < math.inf:
-        raise ConfigError("final_time must be finite and at least tau")
-    if not (0.0 <= cfg.sweep_min < cfg.sweep_max < math.inf):
-        raise ConfigError("sweep bounds must satisfy 0 <= min < max < inf")
+    if not cfg.tau <= cfg.final_time:
+        raise ConfigError("final_time must be at least tau")
+    if not 0.0 <= cfg.sweep_min < cfg.sweep_max:
+        raise ConfigError("sweep bounds must satisfy 0 <= min < max")
     if cfg.sweep_samples < 2:
         raise ConfigError("sweep needs at least 2 samples")
     if not cfg.sweep_bisect_tol > 0.0:
         raise ConfigError("sweep bisect_tol must be positive")
     if cfg.disruption_ramp not in ("min", "max"):
         raise ConfigError("disruption_ramp must be 'min' or 'max'")
+    if not cfg.disruption_rho_hat >= 0.0:
+        raise ConfigError("disruption_rho_hat must be nonnegative")
     if not cfg.disruption_radius > 0.0:
         raise ConfigError("disruption_radius must be positive")
     if not all(t > 0 for t in cfg.theta_ladder):
         raise ConfigError("theta_ladder entries must be positive")
-    if len(cfg.fit_window) != 2 or not cfg.fit_window[0] < cfg.fit_window[1]:
+    if not cfg.fit_window[0] < cfg.fit_window[1]:
         raise ConfigError("fit_window must be (first, last) with first < last")
     if cfg.workers < 1:
         raise ConfigError("workers must be at least 1")
     if not cfg.output_dir:
         raise ConfigError("output_dir must not be empty")
-    if not cfg.stop_tol > 0.0:
-        raise ConfigError("stop_tol must be positive")
-    if not cfg.rel_tolerance > 0.0:
-        raise ConfigError("rel_tolerance must be positive")
     if cfg.max_iterations is not None and cfg.max_iterations < 1:
         raise ConfigError("max_iterations must be at least 1")
-    if not all(isinstance(s, int) and not isinstance(s, bool) and s > 0
-               for s in cfg.snapshot_steps):
+    cfg.solve_options()  # checks rel_tolerance
+    if not all(s > 0 for s in cfg.snapshot_steps):
         raise ConfigError("snapshot_steps must be positive integers")
     _check_center(cfg.disruption_center, "disruption_center")
     pressure = cfg.pressure
     if pressure["kind"] == "pulse":
         _check_center(pressure["center"], "pressure.center")
-        numbers = [pressure["peak"]]
-    elif pressure["kind"] == "constant":
-        numbers = [pressure["value"]]
-    else:
-        numbers = pressure["values"]
-        if len(numbers) != (cfg.n + 1) ** 2:
-            raise ConfigError(f"custom pressure needs (n+1)^2 = {(cfg.n + 1) ** 2} values")
-    if not all(map(_is_number, numbers)):
-        raise ConfigError("pressure values must be finite numbers")
+        if not pressure["radius"] > 0.0:
+            raise ConfigError("pressure.radius must be positive")
+    if pressure["kind"] == "custom" and len(pressure["values"]) != (cfg.n + 1) ** 2:
+        raise ConfigError(f"custom pressure needs (n+1)^2 = {(cfg.n + 1) ** 2} values")
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-
-
-def _check_center(center, where: str):
-    if not (len(center) == 2 and all(_is_number(c) and 0.0 <= c <= 1.0 for c in center)):
+def _check_center(center: tuple, where: str):
+    if not all(0.0 <= c <= 1.0 for c in center):
         raise ConfigError(f"{where} must be two numbers in [0, 1]")
 
 

@@ -28,7 +28,6 @@ total linker mass exact up to the linear-solver tolerance.
 from __future__ import annotations
 
 import enum
-import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
@@ -156,17 +155,17 @@ class HeightOperator:
 class Operators:
     """Grid-bound discrete operators shared by all steps of one run.
 
-    ``A`` is the interior Dirichlet negative Laplacian and ``LN`` the
-    weighted symmetric form of the all-node Neumann operator, used in the
+    ``A`` is the interior Dirichlet negative Laplacian, ``AN`` the all-node
+    Neumann operator and ``LN`` its weighted symmetric form, used in the
     density solves.  ``LN`` is built in canonical CSR form (sorted column
     indices, no duplicates) by ``SparseMatrix.from_scipy``, and the position of each row's diagonal entry
     in ``LN.data`` is recorded once, so :meth:`density_matrix` assembles in
     one pass.  The membrane operator is never assembled: every height
     solve and membrane residual applies it matrix-free
-    (:meth:`height_operator`).  ``AN``, the Neumann operator itself, is
-    read only by the fully implicit scheme and the stationary residuals, so
-    it is built on first use (each operator kept adds to a run's peak
-    memory).
+    (:meth:`height_operator`).  ``AN`` is read only by the fully implicit
+    scheme and the stationary residuals, but it is assembled anyway to
+    build ``LN``, and recovering it from ``LN`` would not be bitwise equal
+    on every grid, so it is kept.
 
     ``sine`` is the orthonormal DST-I matrix ``S`` of one grid line
     (symmetric, ``S @ S = I``) and ``eig`` the eigenvalues of ``A`` on the
@@ -181,15 +180,10 @@ class Operators:
         line = (2.0 * np.sin(0.5 * np.pi * k / grid.n) / grid.spacing) ** 2
         self.eig = line[:, None] + line[None, :]
         self.A = assemble_laplacian(grid, "dirichlet0")
-        self.LN = SparseMatrix.from_scipy(
-            sp.diags(grid.weights) @ assemble_laplacian(grid, "neumann0")
-        )
+        self.AN = assemble_laplacian(grid, "neumann0")
+        self.LN = SparseMatrix.from_scipy(sp.diags(grid.weights) @ self.AN)
         rows = np.repeat(np.arange(grid.num_nodes), np.diff(self.LN.indptr))
         self._ln_diagonal = np.flatnonzero(self.LN.indices == rows)
-
-    @functools.cached_property
-    def AN(self) -> SparseMatrix:
-        return assemble_laplacian(self.grid, "neumann0")
 
     def height_operator(self, params: ModelParams, shift: float,
                         rho_a: np.ndarray) -> HeightOperator:

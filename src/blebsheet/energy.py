@@ -26,7 +26,7 @@ import numpy as np
 
 from .dynamics import HeightOperator, Operators
 from .grid import Grid
-from .linalg import NewtonError, SolveOptions, cg_solve
+from .linalg import ARMIJO_C1, BACKTRACK_FACTOR, NewtonError, SolveOptions, cg_solve
 from .model import PASCAL, ModelParams, PressureField, g_theta, g_theta_prime
 
 
@@ -209,9 +209,9 @@ def minimize_J(
         while True:
             trial = h_int + alpha * direction
             energy_trial = energy_at(trial)
-            if energy_trial <= energy + opts.armijo_c1 * alpha * slope:
+            if energy_trial <= energy + ARMIJO_C1 * alpha * slope:
                 break
-            alpha *= opts.backtrack_factor
+            alpha *= BACKTRACK_FACTOR
             if alpha < 1e-14:
                 raise NewtonError("minimize_J: line search failed",
                                   grid.embed(h_int), sup_grad)

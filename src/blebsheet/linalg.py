@@ -14,6 +14,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
+#: Sufficient-decrease constant of the Armijo line searches.
+ARMIJO_C1 = 1e-4
+#: Step-length factor of each backtrack of the Armijo line searches.
+BACKTRACK_FACTOR = 0.5
+
 
 @dataclass(frozen=True)
 class SolveOptions:
@@ -24,18 +29,15 @@ class SolveOptions:
 
     rel_tolerance: float = 1e-10
     max_iterations: Optional[int] = None
-    armijo_c1: float = 1e-4
-    backtrack_factor: float = 0.5
     newton_grad_tol: float = 1e-10
     newton_max_iter: int = 50
 
     def __post_init__(self):
-        if not (0.0 < self.armijo_c1 < 1.0):
-            raise ValueError("armijo_c1 must lie in (0, 1)")
-        if not (0.0 < self.backtrack_factor < 1.0):
-            raise ValueError("backtrack_factor must lie in (0, 1)")
-        if self.rel_tolerance <= 0.0 or self.newton_grad_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
+        # written so that NaN fails both checks
+        if not 0.0 < self.rel_tolerance < 1.0:
+            raise ValueError(f"rel_tolerance must lie in (0, 1), got {self.rel_tolerance!r}")
+        if not self.newton_grad_tol > 0.0:
+            raise ValueError("newton_grad_tol must be positive")
 
 
 class LinearSolveError(RuntimeError):
@@ -164,7 +166,7 @@ def newton_armijo(
     """Damped Newton iteration on ``residual(x) = 0``.
 
     The merit function is ``0.5 * ||residual||**2``; a step is accepted once
-    it decreases the merit by at least ``armijo_c1 * alpha * m'`` where
+    it decreases the merit by at least ``ARMIJO_C1 * alpha * m'`` where
     ``m'`` is the directional derivative along the Newton direction.
     Convergence is declared at ``||residual||_inf <= newton_grad_tol``.
 
@@ -194,9 +196,9 @@ def newton_armijo(
             x_trial = x + alpha * d
             F_trial = np.asarray(residual(x_trial), dtype=float)
             merit_trial = 0.5 * float(F_trial @ F_trial)
-            if merit_trial <= merit + opts.armijo_c1 * alpha * slope:
+            if merit_trial <= merit + ARMIJO_C1 * alpha * slope:
                 break
-            alpha *= opts.backtrack_factor
+            alpha *= BACKTRACK_FACTOR
             if alpha < 1e-14:
                 raise NewtonError(
                     "newton_armijo: line search failed (step below 1e-14)",

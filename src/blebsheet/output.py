@@ -7,6 +7,7 @@ so that reruns of identical configs are byte-identical.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -32,16 +33,9 @@ def write_csv(path, header: list[str], rows) -> None:
 
 
 def write_diagnostics(path, diag: Diagnostics) -> None:
-    header = [
-        "step", "t", "max_h", "max_step_diff", "total_mass",
-        "min_rho_a", "min_rho_i", "ripping_flux", "weighted_density_spread",
-    ]
-    rows = zip(
-        diag.step, diag.t, diag.max_h, diag.max_step_diff, diag.total_mass,
-        diag.min_rho_a, diag.min_rho_i, diag.ripping_flux,
-        diag.weighted_density_spread,
-    )
-    write_csv(path, header, rows)
+    """One column per list field of ``Diagnostics``, in field order."""
+    columns = [f.name for f in fields(diag) if isinstance(getattr(diag, f.name), list)]
+    write_csv(path, columns, zip(*(getattr(diag, name) for name in columns)))
 
 
 def write_snapshot(path, grid: Grid, state: State) -> None:

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +54,8 @@ def test_unknown_key_is_named():
         parse_config_dict({"scenario": "disruption", "grdi_size": 32})
     with pytest.raises(ConfigError, match="kapa"):
         parse_config_dict({"scenario": "disruption", "params": {"kapa": 1.0}})
+    with pytest.raises(ConfigError, match="stop_tol"):
+        parse_config_dict({"scenario": "disruption", "stop_tol": 1e-10})
 
 
 def test_range_validation():
@@ -83,9 +86,31 @@ def test_manifest_roundtrip():
     cfg = parse_config_dict({
         "scenario": "disruption",
         "n": 12,
-        "params": {"kappa": 50.0, "eta_a": 0.3},
+        "tau": 2e-6,
+        "final_time": 3e-5,
+        "scheme": "FullyImplicit",
+        "params": {"c": 2.0, "kappa": 50.0, "gamma": 90.0, "lam": 0.5, "xi": 80.0,
+                   "eta_a": 0.3, "eta_i": 0.25, "k": 5e3, "h_star": 0.7, "theta": 1e-6,
+                   "h_bar": 0.1},
+        "pressure": {"kind": "pulse", "peak": 210.5, "center": [0.25, 0.75], "radius": 0.3},
+        "sweep": {"min": 1.5, "max": 300.0, "samples": 7, "bisect_tol": 0.5},
+        "theta_ladder": [1e-1, 1e-3],
+        "disruption_rho_hat": 7.5,
+        "disruption_center": [0.4, 0.6],
+        "disruption_radius": 0.3,
         "disruption_ramp": "max",
+        "output_dir": "elsewhere",
+        "snapshot_steps": [3, 9],
+        "fit_window": [2, 30],
+        "workers": 2,
+        "rel_tolerance": 1e-9,
+        "max_iterations": 500,
     })
+    # every field is off its default, so a field that the echo or the key
+    # set misses cannot pass
+    for obj, default in ((cfg, ScenarioConfig("stationary_state")), (cfg.params, ModelParams())):
+        for f in fields(obj):
+            assert getattr(obj, f.name) != getattr(default, f.name), f.name
     echoed = parse_config_dict(cfg.to_dict())
     assert echoed == cfg
 
@@ -111,7 +136,8 @@ def test_cli_run_writes_outputs(tmp_path):
     })
     assert main(["run", "--config", str(path)]) == 0
     diag = (out / "diagnostics.csv").read_text().splitlines()
-    assert diag[0].startswith("step,t,max_h,")
+    assert diag[0] == ("step,t,max_h,max_step_diff,total_mass,min_rho_a,min_rho_i,"
+                       "ripping_flux,weighted_density_spread")
     assert len(diag) == 21  # header + final_time / tau rows
     assert (out / "snapshot_step1.csv").exists()
     assert (out / "snapshot_step20.csv").exists()
@@ -145,7 +171,8 @@ def test_cli_determinism_byte_identical(tmp_path):
 
 
 @pytest.mark.parametrize("field", ['"tau": NaN', '"params": {"theta": NaN}',
-                                   '"final_time": Infinity', '"pressure": {"kind": "constant", "value": -Infinity}'])
+                                   '"final_time": Infinity', '"pressure": {"kind": "constant", "value": -Infinity}',
+                                   '"rel_tolerance": 1e400', '"theta_ladder": [1e400]'])
 def test_cli_nonfinite_config_exit_2(tmp_path, capsys, field):
     path = tmp_path / "config.json"
     path.write_text('{"scenario": "stationary_state", "n": 8, %s}' % field)
@@ -161,6 +188,9 @@ def test_cli_nonfinite_config_exit_2(tmp_path, capsys, field):
     {"params": {"theta": float("nan")}},
     {"params": {"c": float("nan")}},
     {"pressure": {"kind": "pulse", "radius": float("nan")}},
+    {"rel_tolerance": float("inf")},
+    {"theta_ladder": [float("inf")]},
+    {"disruption_rho_hat": float("nan")},
 ])
 def test_nonfinite_field_rejected(doc):
     with pytest.raises(ConfigError):
@@ -174,6 +204,7 @@ _UNRUNNABLE = [
     {"disruption_center": [0.5]},
     {"pressure": {"kind": "custom", "values": [0.0, 1.0]}},
     {"snapshot_steps": "ab"},
+    {"fit_window": ["a", "b"]},
 ]
 
 
@@ -194,6 +225,11 @@ _UNRUNNABLE = [
     {"pressure": {"kind": "constant", "value": None}},
     {"snapshot_steps": [0]},
     {"snapshot_steps": [1.5]},
+    {"rel_tolerance": 2.0},
+    {"n": 8.9},
+    {"disruption_rho_hat": -5.0},
+    {"workers": True},
+    {"tau": "1e-6"},
 ])
 def test_malformed_value_raises_config_error(doc):
     with pytest.raises(ConfigError):

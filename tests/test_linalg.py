@@ -100,12 +100,11 @@ def test_cg_nonfinite_rhs_raises(bad):
 
 
 def test_solve_options_validation():
+    for tol in (-1.0, 0.0, 1.0, 2.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            SolveOptions(rel_tolerance=tol)
     with pytest.raises(ValueError):
-        SolveOptions(armijo_c1=1.5)
-    with pytest.raises(ValueError):
-        SolveOptions(backtrack_factor=0.0)
-    with pytest.raises(ValueError):
-        SolveOptions(rel_tolerance=-1.0)
+        SolveOptions(newton_grad_tol=0.0)
 
 
 def test_newton_linear_one_step():
