@@ -13,8 +13,8 @@ from .linalg import (
     LinearSolveError,
     NewtonError,
     SolveOptions,
-    SweepLimitError,
     cg_solve,
+    gmres_solve,
     newton_armijo,
 )
 from .model import (
@@ -52,9 +52,9 @@ __all__ = [
     "integrate",
     "SolveOptions",
     "LinearSolveError",
-    "SweepLimitError",
     "NewtonError",
     "cg_solve",
+    "gmres_solve",
     "newton_armijo",
     "ModelParams",
     "PressureField",

@@ -17,7 +17,7 @@ Scheme variants
                       system (block Gauss-Seidel, contraction ~ k*tau).
 ``FullyImplicit``     ripping rate evaluated at ``h^{k+1}``; the coupled
                       nonlinear residual is solved by Newton with Armijo
-                      control, with block-triangular solves for the Newton
+                      control, with preconditioned GMRES for the Newton
                       systems; a step whose Newton solve fails is retried
                       as two half steps.
 
@@ -40,8 +40,8 @@ from .linalg import (
     LinearSolveError,
     NewtonError,
     SolveOptions,
-    SweepLimitError,
     cg_solve,
+    gmres_solve,
     newton_armijo,
 )
 from .model import MICROGRAM, PASCAL, ModelParams, PressureField, ripping_rate
@@ -247,8 +247,8 @@ def _solve_densities(
     ripping the equations couple through the flux on the unknown active
     density; block Gauss-Seidel converges with contraction about ``k * tau``
     per sweep so a handful of sweeps reaches solver accuracy; after 80
-    sweeps it raises :class:`SweepLimitError` with the last iterate
-    ``[rho_a | rho_i]`` and the last increment of ``rho_a``.
+    sweeps it raises :class:`LinearSolveError` with the last iterate
+    ``[rho_a | rho_i]``.
     """
     w = ops.grid.weights
     # mass conservation inherits the residual of these solves; run them tight
@@ -285,12 +285,11 @@ def _solve_densities(
         B_a @ rho_a_new - w * (rho_a / tau + params.k * rho_i_new),
         B_i @ rho_i_new - w * (rho_i / tau + rate * rho_a_new),
     ])
-    raise SweepLimitError(
+    raise LinearSolveError(
         f"implicit ripping coupling did not converge in 80 sweeps "
         f"(last increment {increment:.3e})",
         np.concatenate([rho_a_new, rho_i_new]),
         float(np.linalg.norm(residual)),
-        increment,
     )
 
 
@@ -454,56 +453,34 @@ def _fully_implicit_residual(
     return np.concatenate([F_h, F_a, F_i])
 
 
-def _block_triangular_solve(J: FullyImplicitJacobian, rhs: np.ndarray,
-                            opts: SolveOptions) -> np.ndarray:
-    """Solve ``J d = rhs`` by block Gauss-Seidel sweeps with CG blocks.
+def _newton_solve(J: FullyImplicitJacobian, rhs: np.ndarray,
+                  opts: SolveOptions) -> np.ndarray:
+    """Solve ``J d = rhs`` by GMRES, preconditioned by one block sweep.
 
-    With no active ripping the system is block upper triangular and one
-    sweep is exact; otherwise the sweep contraction is about ``k * tau``.
-    After 60 sweeps it raises :class:`SweepLimitError` with the last sweep
-    and its increment.  Each diagonal block is ``tau`` times a time-step
-    operator, so the blocks are solved with those operators and the
-    right-hand sides divided by ``tau`` (CG does not see the factor): the
-    density blocks in weighted form, to stay symmetric, and the height block
-    preconditioned by the sine-transform inverse of its constant-coefficient
-    part.
+    The sweep solves the ``rho_i``, ``rho_a`` and height blocks in turn, so
+    it inverts the block upper triangular part of ``J``, which is all of
+    ``J`` when nothing rips.  Each diagonal block is ``tau`` times a
+    time-step operator and is solved by CG with that operator: the density
+    blocks in weighted form, the height block preconditioned by the
+    sine-transform inverse of its constant-coefficient part.
     """
     ops, p, tau = J.ops, J.params, J.tau
     w = ops.grid.weights
-    b_h, b_a, b_i = J.split(rhs)
-
     dopts = SolveOptions(rel_tolerance=min(opts.rel_tolerance, 1e-12),
                          max_iterations=opts.max_iterations)
     Ba = ops.density_matrix(p.eta_a, 1.0 / tau + J.rate)
     Bi = ops.density_matrix(p.eta_i, np.full(w.size, 1.0 / tau + p.k))
     Mh = ops.height_preconditioner(p, J.rho_a, p.c / tau + p.lam)
 
-    dh = np.zeros(J.n_int)
-    da = np.zeros(J.n_all)
-    di = np.zeros(J.n_all)
-    scale = max(float(np.max(np.abs(rhs))), 1.0)
-    prev = np.concatenate([dh, da, di])
-    for _sweep in range(60):
-        rhs_i = b_i + J.diag_ia_rate * da
-        rhs_i[J.interior] += J.diag_ah * dh
-        di = cg_solve(Bi, w * rhs_i / tau, dopts, x0=di)
-        rhs_a = b_a + J.k_tau * di
-        rhs_a[J.interior] -= J.diag_ah * dh
-        da = cg_solve(Ba, w * rhs_a / tau, dopts, x0=da)
+    def sweep(r: np.ndarray) -> np.ndarray:
+        b_h, b_a, b_i = J.split(r)
+        di = cg_solve(Bi, w * b_i / tau, dopts)
+        da = cg_solve(Ba, w * (b_a + J.k_tau * di) / tau, dopts)
         dh = cg_solve(J.height, (b_h - J.diag_ha * da[J.interior]) / tau, dopts,
-                      x0=dh, precond=Mh)
-        cur = np.concatenate([dh, da, di])
-        increment = float(np.max(np.abs(cur - prev)))
-        if increment <= 1e-13 * scale and _sweep > 0:
-            return cur
-        prev = cur
-    raise SweepLimitError(
-        f"block Gauss-Seidel did not converge in 60 sweeps "
-        f"(last increment {increment:.3e})",
-        cur,
-        float(np.linalg.norm(J @ cur - rhs)),
-        increment,
-    )
+                      precond=Mh)
+        return np.concatenate([dh, da, di])
+
+    return gmres_solve(J, rhs, sweep, dopts)
 
 
 # a fully implicit step whose Newton solve fails is split in two, at most
@@ -530,21 +507,13 @@ def _step_fully_implicit(
     def jacobian(z):
         return FullyImplicitJacobian(ops, params, tau, z[:ni], z[ni : ni + na])
 
-    def linear_solve(J, rhs):
-        try:
-            return _block_triangular_solve(J, rhs, opts)
-        except SweepLimitError as exc:
-            # where ripping switches on the sweeps can need 100-150 passes;
-            # Newton only needs a descent direction, and newton_armijo
-            # checks the slope along this one and line-searches it
-            return exc.iterate
-
     # semi-implicit predictor: O(tau)-accurate start keeps Newton on the
     # right side of the ripping switch even at sharpness 1e-8
     pred = _step_semi_implicit(state, tau, params, pressure, grid, opts, ops, True)
     z0 = np.concatenate([grid.restrict(pred.h), pred.rho_a, pred.rho_i])
     try:
-        z = newton_armijo(residual, jacobian, z0, opts, linear_solve=linear_solve)
+        z = newton_armijo(residual, jacobian, z0, opts,
+                          linear_solve=lambda J, rhs: _newton_solve(J, rhs, opts))
     except NewtonError:
         # near the ripping switch the system can lose its solution at this
         # tau; two half steps still count as one step of tau

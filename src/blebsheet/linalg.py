@@ -1,6 +1,6 @@
-"""Conjugate-gradient solves and a damped Newton method.
+"""Conjugate-gradient and GMRES solves and a damped Newton method.
 
-Both solvers take any operator that supports ``A @ x``: a scipy CSR
+The solvers take any operator that supports ``A @ x``: a scipy CSR
 matrix (a grid Laplacian or a density matrix), a matrix-free height
 operator, or a Newton Jacobian.
 Failures raise instead of returning silently wrong vectors, and the raised
@@ -18,6 +18,8 @@ import numpy as np
 ARMIJO_C1 = 1e-4
 #: Step-length factor of each backtrack of the Armijo line searches.
 BACKTRACK_FACTOR = 0.5
+#: Iterations per cycle of restarted GMRES.
+GMRES_RESTART = 30
 
 
 @dataclass(frozen=True)
@@ -47,18 +49,6 @@ class LinearSolveError(RuntimeError):
         super().__init__(message)
         self.iterate = iterate
         self.residual_norm = residual_norm
-
-
-class SweepLimitError(LinearSolveError):
-    """A block Gauss-Seidel loop reached its sweep cap.
-
-    ``increment`` is the sup norm of the change made by the last sweep.
-    """
-
-    def __init__(self, message: str, iterate: np.ndarray, residual_norm: float,
-                 increment: float):
-        super().__init__(message, iterate, residual_norm)
-        self.increment = increment
 
 
 class NewtonError(RuntimeError):
@@ -149,11 +139,52 @@ def cg_solve(
     return x
 
 
-def _default_linear_solve(opts: SolveOptions) -> Callable:
-    def solve(jac, rhs):
-        return cg_solve(jac, rhs, opts)
+def gmres_solve(A, b: np.ndarray, precond: Callable[[np.ndarray], np.ndarray],
+                opts: SolveOptions = SolveOptions()) -> np.ndarray:
+    """Solve ``A x = b`` for nonsingular, possibly nonsymmetric ``A``.
 
-    return solve
+    Restarted GMRES (Saad & Schultz 1986), right-preconditioned by
+    ``precond(v) ~ A^-1 v``.  The update is built from the stored
+    ``precond`` outputs, as in flexible GMRES (Saad 1993), so ``precond``
+    may be an inexact inner solve.  Every cycle of at most
+    ``GMRES_RESTART`` iterations ends on the true residual, with the stop
+    test of :func:`cg_solve`.  Raises :class:`LinearSolveError` after
+    ``max_iterations`` iterations, or on a non-finite ``b`` or residual.
+    """
+    b = np.asarray(b, dtype=float)
+    nb = np.linalg.norm(b)
+    tol = opts.rel_tolerance * nb
+    max_it = opts.max_iterations if opts.max_iterations is not None else 10 * b.size
+    x, r, it = np.zeros_like(b), b, 0
+    while True:
+        beta = float(np.linalg.norm(r))
+        if not np.isfinite(beta):  # on the first pass, beta = ||b||
+            raise LinearSolveError(f"gmres_solve: non-finite residual {beta:.3e}", x, beta)
+        if beta <= tol:
+            return x
+        if it >= max_it:
+            raise LinearSolveError(f"gmres_solve: no convergence in {max_it} iterations "
+                                   f"(residual {beta:.3e}, target {tol:.3e})", x, beta)
+        m = min(GMRES_RESTART, max_it - it)
+        V, Z, H = np.zeros((m + 1, b.size)), np.zeros((m, b.size)), np.zeros((m + 1, m))
+        g = np.zeros(m + 1)
+        g[0], V[0] = beta, r / beta
+        for j in range(m):
+            Z[j] = precond(V[j])
+            v = A @ Z[j]
+            for i in range(j + 1):  # modified Gram-Schmidt
+                H[i, j] = V[i] @ v
+                v -= H[i, j] * V[i]
+            H[j + 1, j] = np.linalg.norm(v)
+            it += 1
+            if not np.isfinite(H[j + 1, j]):
+                raise LinearSolveError("gmres_solve: non-finite residual", x, beta)
+            y = np.linalg.lstsq(H[: j + 2, : j + 1], g[: j + 2], rcond=None)[0]
+            if np.linalg.norm(g[: j + 2] - H[: j + 2, : j + 1] @ y) <= tol:
+                break
+            V[j + 1] = v / H[j + 1, j]
+        x = x + Z[: j + 1].T @ y
+        r = b - A @ x
 
 
 def newton_armijo(
@@ -161,7 +192,8 @@ def newton_armijo(
     jacobian: Callable[[np.ndarray], object],
     x0: np.ndarray,
     opts: SolveOptions = SolveOptions(),
-    linear_solve: Optional[Callable] = None,
+    *,
+    linear_solve: Callable[[object, np.ndarray], np.ndarray],
 ) -> np.ndarray:
     """Damped Newton iteration on ``residual(x) = 0``.
 
@@ -171,14 +203,14 @@ def newton_armijo(
     Convergence is declared at ``||residual||_inf <= newton_grad_tol``.
 
     ``jacobian(x)`` must return an object supporting ``J @ v``; the Newton
-    systems are handed to ``linear_solve(J, rhs)`` (conjugate gradients by
-    default, so pass a custom solver for nonsymmetric Jacobians).
+    systems are handed to ``linear_solve(J, rhs)``.  Raises
+    :class:`NewtonError` at once if ``residual(x0)`` is not finite.
     """
-    if linear_solve is None:
-        linear_solve = _default_linear_solve(opts)
-
     x = np.array(x0, dtype=float)
     F = np.asarray(residual(x), dtype=float)
+    if not np.all(np.isfinite(F)):
+        raise NewtonError("newton_armijo: non-finite residual at the start point", x,
+                          float(np.max(np.abs(F))))
     for _ in range(opts.newton_max_iter):
         if np.max(np.abs(F)) <= opts.newton_grad_tol:
             return x
@@ -186,10 +218,9 @@ def newton_armijo(
         d = linear_solve(J, -F)
         # directional derivative of the merit along d
         slope = float(F @ (J @ d))
-        if slope >= 0.0:
-            # inexact solve produced an ascent direction; fall back to -F
-            d = -F
-            slope = -float(F @ F)
+        if not slope < 0.0:
+            raise NewtonError(f"newton_armijo: linear solve gave no descent direction "
+                              f"(slope {slope:.3e})", x, float(np.max(np.abs(F))))
         merit = 0.5 * float(F @ F)
         alpha = 1.0
         while True:

@@ -8,12 +8,21 @@ from blebsheet.linalg import (
     NewtonError,
     SolveOptions,
     cg_solve,
+    gmres_solve,
     newton_armijo,
 )
 
 
 def spm(dense):
     return SparseMatrix.from_scipy(sp.csr_matrix(np.asarray(dense, float)))
+
+
+def cg(J, rhs):
+    return cg_solve(J, rhs)
+
+
+def identity(r):
+    return r
 
 
 def test_cg_identity():
@@ -85,10 +94,12 @@ def test_cg_nonconvergence_carries_residual():
     g = build_grid(12)
     A = assemble_laplacian(g, "dirichlet0")
     b = np.ones(g.num_interior)
-    with pytest.raises(LinearSolveError) as err:
-        cg_solve(A, b, SolveOptions(max_iterations=2))
-    assert err.value.residual_norm > 0.0
-    assert err.value.iterate.shape == b.shape
+    opts = SolveOptions(max_iterations=2)
+    for solve in (lambda: cg_solve(A, b, opts), lambda: gmres_solve(A, b, identity, opts)):
+        with pytest.raises(LinearSolveError, match="no convergence in 2") as err:
+            solve()
+        assert err.value.residual_norm > 0.0
+        assert err.value.iterate.shape == b.shape
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -97,6 +108,61 @@ def test_cg_nonfinite_rhs_raises(bad):
     for precond in (None, lambda r: 0.5 * r):
         with pytest.raises(LinearSolveError, match="non-finite"):
             cg_solve(spm(np.eye(4)), b, precond=precond)
+    with pytest.raises(LinearSolveError, match="non-finite"):
+        gmres_solve(spm(np.eye(4)), b, identity)
+
+
+def _nonsymmetric_system(size, seed):
+    rng = np.random.default_rng(seed)
+    A = np.diag(np.linspace(1.0, 50.0, size)) + rng.standard_normal((size, size))
+    assert np.abs(A - A.T).max() > 1.0
+    return A, rng.standard_normal(size)
+
+
+def test_gmres_matches_dense_solve_nonsymmetric():
+    A, b = _nonsymmetric_system(12, 0)
+    x = gmres_solve(A, b, identity)
+    want = np.linalg.solve(A, b)
+    assert np.linalg.norm(x - want) <= 1e-8 * np.linalg.norm(want)
+    assert np.linalg.norm(b - A @ x) <= 1e-10 * np.linalg.norm(b)
+
+
+def test_gmres_restarts_until_the_true_residual_meets_the_bound():
+    # more unknowns than one cycle holds, with no preconditioning
+    from blebsheet.linalg import GMRES_RESTART
+
+    A, b = _nonsymmetric_system(3 * GMRES_RESTART, 1)
+    calls = []
+
+    def counted(r):
+        calls.append(None)
+        return r
+
+    x = gmres_solve(A, b, counted, SolveOptions(rel_tolerance=1e-12))
+    assert len(calls) > GMRES_RESTART
+    assert np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b)
+    assert np.linalg.norm(x - np.linalg.solve(A, b)) <= 1e-8 * np.linalg.norm(x)
+
+
+def test_gmres_exact_preconditioner_takes_one_iteration():
+    A, b = _nonsymmetric_system(12, 2)
+    calls = []
+
+    def exact(r):
+        calls.append(None)
+        return np.linalg.solve(A, r)
+
+    x = gmres_solve(A, b, exact)
+    assert len(calls) == 1
+    assert np.linalg.norm(b - A @ x) <= 1e-10 * np.linalg.norm(b)
+
+
+def test_gmres_zero_rhs_and_nonfinite_preconditioner():
+    A, b = _nonsymmetric_system(6, 3)
+    assert np.array_equal(gmres_solve(A, np.zeros(6), identity), np.zeros(6))
+    with pytest.raises(LinearSolveError, match="non-finite") as err:
+        gmres_solve(A, b, lambda r: np.full_like(r, np.nan))
+    assert np.array_equal(err.value.iterate, np.zeros(6))
 
 
 def test_solve_options_validation():
@@ -114,6 +180,7 @@ def test_newton_linear_one_step():
         jacobian=lambda x: spm(np.eye(3)),
         x0=np.zeros(3),
         opts=SolveOptions(newton_max_iter=1),
+        linear_solve=cg,
     )
     assert np.allclose(x, b, atol=1e-12)
 
@@ -138,6 +205,7 @@ def test_newton_cubic_matches_bisection():
         residual=lambda x: x**3 - 8.0,
         jacobian=lambda x: np.array([[3.0 * x[0] ** 2]]),
         x0=np.array([3.0]),
+        linear_solve=cg,
     )
     assert x[0] == pytest.approx(oracle, abs=1e-10)
     assert x[0] == pytest.approx(2.0, abs=1e-10)
@@ -149,6 +217,7 @@ def test_newton_zero_residual_returns_start():
         residual=lambda x: np.zeros_like(x),
         jacobian=lambda x: spm(np.eye(2)),
         x0=x0,
+        linear_solve=cg,
     )
     assert np.array_equal(x, x0)
 
@@ -165,6 +234,7 @@ def test_newton_superlinear_on_cubic():
         lambda x: np.array([[3.0 * x[0] ** 2]]),
         np.array([3.0]),
         SolveOptions(newton_grad_tol=1e-13),
+        linear_solve=cg,
     )
     errs = np.abs(np.unique(iterates) - 2.0)
     errs = np.sort(errs[errs > 1e-14])[::-1]
@@ -179,6 +249,7 @@ def test_newton_line_search_failure():
             residual=lambda x: np.array([1.0]),  # no root anywhere
             jacobian=lambda x: np.array([[1.0]]),
             x0=np.array([0.0]),
+            linear_solve=cg,
         )
 
 
@@ -189,5 +260,39 @@ def test_newton_iteration_cap():
             jacobian=lambda x: np.array([[3.0 * x[0] ** 2]]),
             x0=np.array([50.0]),
             opts=SolveOptions(newton_max_iter=2),
+            linear_solve=cg,
         )
     assert err.value.residual_norm > 0.0
+
+
+def test_newton_nonfinite_start_raises_at_once():
+    # a solve that passes NaN through would otherwise send the line search
+    # down to its 1e-14 floor
+    evaluations = []
+
+    def residual(x):
+        evaluations.append(None)
+        return x + np.nan
+
+    with pytest.raises(NewtonError, match="non-finite residual at the start point"):
+        newton_armijo(residual, lambda x: np.eye(2), np.zeros(2),
+                      linear_solve=lambda J, rhs: np.linalg.solve(J, rhs))
+    assert len(evaluations) == 1
+
+
+def test_newton_rejects_an_ascent_direction():
+    evaluations = []
+
+    def residual(x):
+        evaluations.append(None)
+        return x - 1.0
+
+    with pytest.raises(NewtonError, match="no descent direction"):
+        newton_armijo(residual, lambda x: np.eye(2), np.zeros(2),
+                      linear_solve=lambda J, rhs: -rhs)
+    assert len(evaluations) == 1
+
+
+def test_newton_requires_a_linear_solve():
+    with pytest.raises(TypeError):
+        newton_armijo(lambda x: x, lambda x: np.eye(1), np.zeros(1))
