@@ -28,6 +28,7 @@ total linker mass exact up to the linear-solver tolerance.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
@@ -131,25 +132,41 @@ class StepError(RuntimeError):
 
 
 class HeightOperator:
-    """Matrix-free membrane operator on the interior nodes.
+    """Matrix-free membrane operator on the interior nodes, with its preconditioner.
 
-    Applies ``x -> diag * x + A (kappa A x + gamma x)``, that is
-    ``diag * x + kappa A^2 x + gamma A x``, with two products with the
-    5-point ``A`` and nothing assembled.  Every solve and residual of the
-    package that holds the membrane operator applies it through this class,
-    with its own ``diag`` (``shift`` plus a spring).  Symmetric positive
-    definite for a positive ``diag``, so ``cg_solve`` takes it as it is.
+    Applies ``diag * x + kappa A^2 x + gamma A x`` with ``diag = shift +
+    scale * spring`` as ``diag * x + A (kappa A x + gamma x)``: two products
+    with the 5-point ``A``, nothing assembled.  Every solve and residual of
+    the package that holds the membrane operator applies it through this
+    class, and every height solve passes :meth:`precond` to ``cg_solve``.
+    Symmetric positive definite for a positive ``diag``.
     """
 
-    def __init__(self, A: sp.csr_matrix, diag: np.ndarray, kappa: float, gamma: float):
-        self.A = A
-        self.diag = diag
+    def __init__(self, ops: Operators, shift: float, spring: np.ndarray,
+                 scale: float, kappa: float, gamma: float):
+        self.ops = ops
+        self.diag = shift + scale * spring
+        self.mean_diag = shift + scale * float(np.mean(spring))
         self.kappa = kappa
         self.gamma = gamma
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        Ax = self.A @ x
-        return self.diag * x + self.A @ (self.kappa * Ax + self.gamma * x)
+        Ax = self.ops.A @ x
+        return self.diag * x + self.ops.A @ (self.kappa * Ax + self.gamma * x)
+
+    @functools.cached_property
+    def _inverse_symbol(self) -> np.ndarray:
+        eig = self.ops.eig
+        return 1.0 / (self.mean_diag + eig * (self.kappa * eig + self.gamma))
+
+    def precond(self, r: np.ndarray) -> np.ndarray:
+        """``(mean(diag) + kappa A^2 + gamma A)^-1 r``, by two sine transforms.
+
+        The exact inverse for a uniform spring, so preconditioned CG needs
+        only as many iterations as the spring's variation demands.
+        """
+        S = self.ops.sine
+        return (S @ ((S @ r.reshape(S.shape) @ S) * self._inverse_symbol) @ S).ravel()
 
 
 class Operators:
@@ -170,7 +187,8 @@ class Operators:
     ``sine`` is the orthonormal DST-I matrix ``S`` of one grid line
     (symmetric, ``S @ S = I``) and ``eig`` the eigenvalues of ``A`` on the
     interior nodes laid out as an ``(n-1, n-1)`` array: with ``R`` a
-    field reshaped that way, ``A`` acts as ``S ((S R S) * eig) S``.
+    field reshaped that way, ``A`` acts as ``S ((S R S) * eig) S``.  The
+    height operator's preconditioner is built from them.
     """
 
     def __init__(self, grid: Grid):
@@ -185,39 +203,25 @@ class Operators:
         rows = np.repeat(np.arange(grid.num_nodes), np.diff(self.LN.indptr))
         self._ln_diagonal = np.flatnonzero(self.LN.indices == rows)
 
-    def height_operator(self, params: ModelParams, shift: float,
-                        rho_a: np.ndarray) -> HeightOperator:
-        """``shift I + kappa A^2 + gamma A + xi diag(rho_a)`` on the interior, matrix-free."""
-        spring = params.xi * MICROGRAM * self.grid.restrict(rho_a)
-        return HeightOperator(self.A, shift + spring, params.kappa, params.gamma)
+    def height_operator(self, params: ModelParams, shift: float, spring: np.ndarray,
+                        scale: float = 1.0) -> HeightOperator:
+        """``shift I + kappa A^2 + gamma A + diag(scale * spring)`` on the interior.
+
+        Matrix-free, with its own preconditioner.  ``spring`` is given on
+        the interior nodes; the linkers' spring is ``restrict(rho_a)``
+        with ``scale = xi``.
+        """
+        return HeightOperator(self, shift, spring, scale, params.kappa, params.gamma)
 
     def height_matrix(self, params: ModelParams, tau: float, rho_a: np.ndarray) -> HeightOperator:
         """Height operator of a time step: shift ``c/tau + lam``."""
-        return self.height_operator(params, params.c / tau + params.lam, rho_a)
+        return self.height_operator(params, params.c / tau + params.lam,
+                                    self.grid.restrict(rho_a), params.xi * MICROGRAM)
 
     def stationary_height_matrix(self, params: ModelParams, rho_a: np.ndarray) -> HeightOperator:
         """Height operator of a Picard iteration: shift ``lam``."""
-        return self.height_operator(params, params.lam, rho_a)
-
-    def height_preconditioner(self, params: ModelParams, rho_a: np.ndarray,
-                              shift: float):
-        """Exact inverse of the constant-coefficient height operator.
-
-        Returns ``r -> M r`` with ``M = (shift + mean(spring) + kappa A^2 +
-        gamma A)^-1`` and ``spring = xi * rho_a`` on the
-        interior, applied by two sine transforms.  It inverts a height
-        matrix exactly when the spring is uniform, so preconditioned CG
-        needs only as many iterations as the spring's variation demands.
-        """
-        spring = params.xi * MICROGRAM * float(np.mean(self.grid.restrict(rho_a)))
-        inv = 1.0 / (shift + spring + self.eig * (params.kappa * self.eig + params.gamma))
-        S = self.sine
-        m = self.grid.n - 1
-
-        def apply(r: np.ndarray) -> np.ndarray:
-            return (S @ ((S @ r.reshape(m, m) @ S) * inv) @ S).ravel()
-
-        return apply
+        return self.height_operator(params, params.lam, self.grid.restrict(rho_a),
+                                    params.xi * MICROGRAM)
 
     def density_matrix(self, eta: float, diag_extra: np.ndarray) -> sp.csr_matrix:
         """Weighted form ``W diag(extra) + eta LN`` (symmetric positive definite).
@@ -339,10 +343,7 @@ def _step_semi_implicit(
     B_h = ops.height_matrix(params, tau, rho_a_new)
     h_int = grid.restrict(state.h)
     rhs = (params.c / tau) * h_int + PASCAL * grid.restrict(pressure.values)
-    h_new_int = cg_solve(
-        B_h, rhs, opts, x0=h_int,
-        precond=ops.height_preconditioner(params, rho_a_new, params.c / tau + params.lam),
-    )
+    h_new_int = cg_solve(B_h, rhs, opts, x0=h_int, precond=B_h.precond)
     return State(
         h=grid.embed(h_new_int),
         w=grid.embed(ops.A @ h_new_int),
@@ -378,7 +379,6 @@ class FullyImplicitJacobian:
         self.rate = ripping_rate(h_full, params)
         # subgradient of the positive part: zero at the kink
         rate_prime = np.where(h_full > params.h_star, 1.0 / params.theta, 0.0)
-        self.rho_a = rho_a
         self.height = ops.height_matrix(params, tau, rho_a)
         self.diag_ha = tau * params.xi * MICROGRAM * h_int  # interior h times rho_a|int
         self.diag_ah = tau * grid.restrict(rate_prime * rho_a)  # dF_a/dh on interior cols
@@ -440,7 +440,8 @@ def _fully_implicit_residual(
     rate = ripping_rate(h_full, params)
     flux = rate * rho_a
 
-    membrane = ops.height_operator(params, params.lam, rho_a)
+    membrane = ops.height_operator(params, params.lam, grid.restrict(rho_a),
+                                   params.xi * MICROGRAM)
     F_h = params.c * (h_int - grid.restrict(state.h)) + tau * (
         membrane @ h_int - PASCAL * grid.restrict(pressure.values)
     )
@@ -470,14 +471,13 @@ def _newton_solve(J: FullyImplicitJacobian, rhs: np.ndarray,
                          max_iterations=opts.max_iterations)
     Ba = ops.density_matrix(p.eta_a, 1.0 / tau + J.rate)
     Bi = ops.density_matrix(p.eta_i, np.full(w.size, 1.0 / tau + p.k))
-    Mh = ops.height_preconditioner(p, J.rho_a, p.c / tau + p.lam)
 
     def sweep(r: np.ndarray) -> np.ndarray:
         b_h, b_a, b_i = J.split(r)
         di = cg_solve(Bi, w * b_i / tau, dopts)
         da = cg_solve(Ba, w * (b_a + J.k_tau * di) / tau, dopts)
         dh = cg_solve(J.height, (b_h - J.diag_ha * da[J.interior]) / tau, dopts,
-                      precond=Mh)
+                      precond=J.height.precond)
         return np.concatenate([dh, da, di])
 
     return gmres_solve(J, rhs, sweep, dopts)

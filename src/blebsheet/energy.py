@@ -37,7 +37,6 @@ class EnergyReport:
     gradient_sup_norm: float
     minimizer: np.ndarray
     iterations: int
-    inner_integral_method: str = "closed-form"
 
 
 def density_primitive(H, theta: float, rho0: float, params: ModelParams):
@@ -57,16 +56,18 @@ def density_primitive(H, theta: float, rho0: float, params: ModelParams):
     return below + np.where(H > hs, above, 0.0)
 
 
-def _quadratic_form(grid: Grid, ops: Operators, params: ModelParams,
-                    h_int: np.ndarray) -> float:
-    """a(h, h) with interior trapezoid weights (= spacing^2)."""
-    w2 = grid.spacing**2
+def _action(h, density: float, params: ModelParams, pressure: PressureField, grid: Grid,
+            ops: Operators | None) -> float:
+    """``1/2 a(h, h) + density - int p0 h``, ``a`` with interior weights spacing^2."""
+    if ops is None:
+        ops = Operators(grid)
+    h_int = grid.restrict(h)
     Ah = ops.A @ h_int
-    return w2 * float(
-        params.kappa * (Ah @ Ah)
-        + params.gamma * (h_int @ Ah)
-        + params.lam * (h_int @ h_int)
+    quadratic = grid.spacing**2 * float(
+        params.kappa * (Ah @ Ah) + params.gamma * (h_int @ Ah) + params.lam * (h_int @ h_int)
     )
+    load = PASCAL * float(grid.weights @ (pressure.values * h))
+    return 0.5 * quadratic + density - load
 
 
 def eval_J_theta(
@@ -79,14 +80,8 @@ def eval_J_theta(
     ops: Operators | None = None,
 ) -> float:
     """Discrete action functional at sharpness ``theta > 0``."""
-    if theta <= 0.0:
-        raise ValueError("theta must be positive")
-    if ops is None:
-        ops = Operators(grid)
-    h_int = grid.restrict(h)
     density = float(grid.weights @ density_primitive(h, theta, rho0, params))
-    load = PASCAL * float(grid.weights @ (pressure.values * h))
-    return 0.5 * _quadratic_form(grid, ops, params, h_int) + density - load
+    return _action(h, density, params, pressure, grid, ops)
 
 
 def eval_J0(
@@ -98,44 +93,34 @@ def eval_J0(
     ops: Operators | None = None,
 ) -> float:
     """Sharp-switch limit functional."""
-    if ops is None:
-        ops = Operators(grid)
-    h_int = grid.restrict(h)
-    density = 0.5 * rho0 * float(
-        grid.weights @ np.minimum(h**2, params.h_star**2)
-    )
-    load = PASCAL * float(grid.weights @ (pressure.values * h))
-    return 0.5 * _quadratic_form(grid, ops, params, h_int) + density - load
+    density = 0.5 * rho0 * float(grid.weights @ np.minimum(h**2, params.h_star**2))
+    return _action(h, density, params, pressure, grid, ops)
 
 
-def _membrane(ops: Operators, params: ModelParams, spring: np.ndarray,
-              scale: float = 1.0) -> HeightOperator:
-    """``scale (kappa A^2 + gamma A + lam + diag(spring))`` on the interior."""
-    return HeightOperator(ops.A, scale * (params.lam + spring),
-                          scale * params.kappa, scale * params.gamma)
+def _spring(theta, rho0, params, grid, h_int, active_mask=None, hessian=False):
+    """Interior spring of the gradient, ``g``, or Hessian, ``g + h g'`` (theta=0: rho0 mask)."""
+    if theta == 0.0:
+        return rho0 * active_mask
+    p_theta = params.with_(theta=theta)
+    h_full = grid.embed(h_int)
+    spring = g_theta(h_full, rho0, p_theta)
+    if hessian:
+        spring = spring + h_full * g_theta_prime(h_full, rho0, p_theta)
+    return grid.restrict(spring)
 
 
 def _gradient(theta, rho0, params, pressure, grid, ops, h_int, active_mask=None):
     """Weighted gradient on interior nodes; mask freezes the theta=0 switch."""
-    if theta > 0.0:
-        spring = grid.restrict(g_theta(grid.embed(h_int), rho0, params.with_(theta=theta)))
-    else:
-        spring = rho0 * active_mask
+    membrane = ops.height_operator(params, params.lam,
+                                   _spring(theta, rho0, params, grid, h_int, active_mask))
     load = PASCAL * grid.restrict(pressure.values)
-    return grid.spacing**2 * (_membrane(ops, params, spring) @ h_int - load)
+    return grid.spacing**2 * (membrane @ h_int - load)
 
 
 def _hessian(theta, rho0, params, grid, ops, h_int, active_mask=None) -> HeightOperator:
-    """Weighted Hessian: the membrane operator with spring ``g + h g'``."""
-    if theta > 0.0:
-        p_theta = params.with_(theta=theta)
-        h_full = grid.embed(h_int)
-        g = g_theta(h_full, rho0, p_theta)
-        gp = g_theta_prime(h_full, rho0, p_theta)
-        spring = grid.restrict(g + h_full * gp)
-    else:
-        spring = rho0 * active_mask
-    return _membrane(ops, params, spring, grid.spacing**2)
+    """Membrane operator with spring ``g + h g'``: the Hessian over ``spacing^2``."""
+    spring = _spring(theta, rho0, params, grid, h_int, active_mask, hessian=True)
+    return ops.height_operator(params, params.lam, spring)
 
 
 def minimize_J(
@@ -153,16 +138,26 @@ def minimize_J(
 
     ``theta = 0`` runs the semismooth variant: the Heaviside factor is frozen
     per iteration using the previous iterate's active set (``h < h_star``).
-    Convergence is declared when the discrete gradient of the energy drops
-    below ``newton_grad_tol`` in the sup norm.  At the iteration cap, or
-    when the line search fails, it raises :class:`NewtonError` with the last
-    iterate (on the full grid) and its gradient sup norm.
+    Each Newton direction solves the unweighted Hessian system by CG with
+    the height operator's preconditioner.  Convergence is declared once
+    the gradient's sup norm is at most ``max(newton_grad_tol, 16 eps ||M||
+    sup|h|)``, the grid's roundoff floor where that is larger: ``M`` maps
+    ``h`` to the gradient, and ``||M|| = spacing^2 (kappa eig_max^2 + gamma
+    eig_max + max|diag|)`` bounds its sup norm, so the floor grows about
+    fourfold per halving of the spacing.  At the iteration cap, on a
+    direction that does not descend, or when the line search fails, it
+    raises :class:`NewtonError` with the last iterate (on the full grid)
+    and its gradient sup norm.
     """
     if theta < 0.0:
         raise ValueError("theta must be nonnegative")
     if ops is None:
         ops = Operators(grid)
     h_int = np.zeros(grid.num_interior) if h0 is None else grid.restrict(np.asarray(h0, float))
+    # g and the theta = 0 mask never exceed rho0, which bounds max|diag|
+    eig_max = float(ops.eig.max())
+    floor_scale = 16.0 * np.finfo(float).eps * grid.spacing**2 * (
+        params.kappa * eig_max**2 + params.gamma * eig_max + abs(params.lam) + rho0)
 
     def energy_at(hi):
         h_full = grid.embed(hi)
@@ -170,53 +165,44 @@ def minimize_J(
             return eval_J_theta(h_full, theta, rho0, params, pressure, grid, ops)
         return eval_J0(h_full, rho0, params, pressure, grid, ops)
 
-    mask = (h_int < params.h_star).astype(float)
     energy = energy_at(h_int)
     if energy_history is not None:
         energy_history.append(energy)
     iterations = 0
     for iterations in range(opts.newton_max_iter + 1):
-        if theta == 0.0:
-            mask = (h_int < params.h_star).astype(float)
+        mask = (h_int < params.h_star).astype(float)  # read only at theta = 0
         grad = _gradient(theta, rho0, params, pressure, grid, ops, h_int, mask)
         sup_grad = float(np.max(np.abs(grad)))
-        if sup_grad <= opts.newton_grad_tol:
+        floor = floor_scale * np.max(np.abs(h_int))
+        if sup_grad <= max(opts.newton_grad_tol, floor):
             break
         if iterations == opts.newton_max_iter:
             raise NewtonError(
                 f"minimize_J: no convergence in {opts.newton_max_iter} Newton "
-                f"iterations (gradient sup {sup_grad:.3e}); the requested "
-                f"tolerance may sit below the grid's roundoff floor",
+                f"iterations (gradient sup {sup_grad:.3e}, roundoff floor {floor:.3e})",
                 grid.embed(h_int),
                 sup_grad,
             )
         H = _hessian(theta, rho0, params, grid, ops, h_int, mask)
-        direction = cg_solve(H, -grad, opts)
+        direction = cg_solve(H, -grad / grid.spacing**2, opts, precond=H.precond)
         slope = float(grad @ direction)
-        if slope >= 0.0:
-            direction = -grad
-            slope = -float(grad @ grad)
+        if not slope < 0.0:
+            raise NewtonError(f"minimize_J: Hessian solve gave no descent direction "
+                              f"(slope {slope:.3e})", grid.embed(h_int), sup_grad)
         # once the predicted decrease sinks below the roundoff floor of the
         # energy, the Armijo test cannot resolve it; take the pure Newton step
-        noise_floor = 1e3 * np.finfo(float).eps * max(1.0, abs(energy))
-        if -slope <= noise_floor:
-            h_int = h_int + direction
-            energy = energy_at(h_int)
-            if energy_history is not None:
-                energy_history.append(energy)
-            continue
+        resolved = -slope > 1e3 * np.finfo(float).eps * max(1.0, abs(energy))
         alpha = 1.0
-        while True:
-            trial = h_int + alpha * direction
-            energy_trial = energy_at(trial)
-            if energy_trial <= energy + ARMIJO_C1 * alpha * slope:
-                break
+        trial = h_int + direction
+        energy_trial = energy_at(trial)
+        while resolved and energy_trial > energy + ARMIJO_C1 * alpha * slope:
             alpha *= BACKTRACK_FACTOR
             if alpha < 1e-14:
                 raise NewtonError("minimize_J: line search failed",
                                   grid.embed(h_int), sup_grad)
-        h_int = trial
-        energy = energy_trial
+            trial = h_int + alpha * direction
+            energy_trial = energy_at(trial)
+        h_int, energy = trial, energy_trial
         if energy_history is not None:
             energy_history.append(energy)
 
@@ -246,7 +232,7 @@ def euler_lagrange_residual_J0(
         ops = Operators(grid)
     h_int = grid.restrict(h)
     heaviside = (h_int < params.h_star).astype(float)  # H(0) = 0 convention
-    res = _membrane(ops, params, rho0 * heaviside) @ h_int
+    res = ops.height_operator(params, params.lam, rho0 * heaviside) @ h_int
     return grid.embed(res - PASCAL * grid.restrict(pressure.values))
 
 

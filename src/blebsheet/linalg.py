@@ -20,6 +20,10 @@ ARMIJO_C1 = 1e-4
 BACKTRACK_FACTOR = 0.5
 #: Iterations per cycle of restarted GMRES.
 GMRES_RESTART = 30
+#: ``newton_armijo`` gives up as stalled once ``|F|_inf`` has fallen by less
+#: than ``STALL_FACTOR`` over the last ``STALL_WINDOW`` iterations.
+STALL_WINDOW = 5
+STALL_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
@@ -27,6 +31,9 @@ class SolveOptions:
     """Tolerances and iteration limits shared by the linear and Newton solvers.
 
     ``max_iterations`` of ``None`` means ten times the system size.
+    ``newton_grad_tol`` is the sup-norm tolerance of the Newton residual in
+    :func:`newton_armijo`.  ``energy.minimize_J`` stops at the larger of it
+    and its gradient's roundoff floor, which grows as the grid is refined.
     """
 
     rel_tolerance: float = 1e-10
@@ -204,23 +211,34 @@ def newton_armijo(
 
     ``jacobian(x)`` must return an object supporting ``J @ v``; the Newton
     systems are handed to ``linear_solve(J, rhs)``.  Raises
-    :class:`NewtonError` at once if ``residual(x0)`` is not finite.
+    :class:`NewtonError` at once if ``residual(x0)`` is not finite, and as
+    stalled once ``||residual||_inf`` has fallen by less than
+    ``STALL_FACTOR`` over ``STALL_WINDOW`` iterations.
     """
     x = np.array(x0, dtype=float)
     F = np.asarray(residual(x), dtype=float)
     if not np.all(np.isfinite(F)):
         raise NewtonError("newton_armijo: non-finite residual at the start point", x,
                           float(np.max(np.abs(F))))
-    for _ in range(opts.newton_max_iter):
-        if np.max(np.abs(F)) <= opts.newton_grad_tol:
+    sups = []
+    for it in range(opts.newton_max_iter + 1):
+        sups.append(float(np.max(np.abs(F))))
+        if sups[-1] <= opts.newton_grad_tol:
             return x
+        if it == opts.newton_max_iter:
+            raise NewtonError(f"newton_armijo: no convergence in {opts.newton_max_iter} "
+                              f"iterations (|residual|_inf = {sups[-1]:.3e})", x, sups[-1])
+        if it >= STALL_WINDOW and sups[-1] * STALL_FACTOR > sups[-1 - STALL_WINDOW]:
+            raise NewtonError(f"newton_armijo: stalled at |residual|_inf = {sups[-1]:.3e} "
+                              f"(fell less than {STALL_FACTOR:g}x in {STALL_WINDOW} "
+                              f"iterations)", x, sups[-1])
         J = jacobian(x)
         d = linear_solve(J, -F)
         # directional derivative of the merit along d
         slope = float(F @ (J @ d))
         if not slope < 0.0:
             raise NewtonError(f"newton_armijo: linear solve gave no descent direction "
-                              f"(slope {slope:.3e})", x, float(np.max(np.abs(F))))
+                              f"(slope {slope:.3e})", x, sups[-1])
         merit = 0.5 * float(F @ F)
         alpha = 1.0
         while True:
@@ -231,18 +249,6 @@ def newton_armijo(
                 break
             alpha *= BACKTRACK_FACTOR
             if alpha < 1e-14:
-                raise NewtonError(
-                    "newton_armijo: line search failed (step below 1e-14)",
-                    x,
-                    float(np.max(np.abs(F))),
-                )
-        x = x_trial
-        F = F_trial
-    if np.max(np.abs(F)) <= opts.newton_grad_tol:
-        return x
-    raise NewtonError(
-        f"newton_armijo: no convergence in {opts.newton_max_iter} iterations "
-        f"(|residual|_inf = {np.max(np.abs(F)):.3e})",
-        x,
-        float(np.max(np.abs(F))),
-    )
+                raise NewtonError("newton_armijo: line search failed (step below 1e-14)",
+                                  x, sups[-1])
+        x, F = x_trial, F_trial

@@ -131,8 +131,7 @@ def stationary_fixed_point(
     for iterations in range(1, max_iterations + 1):
         # height equation with frozen active density
         B_h = ops.stationary_height_matrix(params, rho_bar)
-        h_int = cg_solve(B_h, p_int, opts, x0=grid.restrict(h_bar),
-                         precond=ops.height_preconditioner(params, rho_bar, params.lam))
+        h_int = cg_solve(B_h, p_int, opts, x0=grid.restrict(h_bar), precond=B_h.precond)
         h_new = grid.embed(h_int)
 
         # active-linker equation with frozen rate and mean-field source

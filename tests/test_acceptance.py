@@ -197,40 +197,44 @@ def test_criterion_6_cortex_disruption(disruption_run_max_ramp, disruption_runs)
 
 
 def test_criterion_7_gamma_convergence_probe():
-    n = 8
-    grid = build_grid(n)
     params = ModelParams()
-    pressure = pressure_pulse(grid, peak=150.0)
     rho0 = 1.0
     ladder = (1e-2, 1e-3, 1e-4, 1e-5)
-    h_test = 0.8 * np.sin(np.pi * grid.node_x) * np.sin(np.pi * grid.node_y)
+    ok = True
+    details = []
+    # a grid ladder: the minimize_J stop test follows the grid's roundoff floor
+    for n in (8, 16, 32):
+        grid = build_grid(n)
+        pressure = pressure_pulse(grid, peak=150.0)
+        h_test = 0.8 * np.sin(np.pi * grid.node_x) * np.sin(np.pi * grid.node_y)
 
-    J0_test = eval_J0(h_test, rho0, params, pressure, grid)
-    gaps = [
-        abs(eval_J_theta(h_test, t, rho0, params, pressure, grid) - J0_test)
-        for t in ladder
-    ]
-    gaps_decreasing = all(a > b for a, b in zip(gaps, gaps[1:]))
-    final_gap_ok = gaps[-1] <= 1e-3 * abs(J0_test)
+        J0_test = eval_J0(h_test, rho0, params, pressure, grid)
+        gaps = [
+            abs(eval_J_theta(h_test, t, rho0, params, pressure, grid) - J0_test)
+            for t in ladder
+        ]
+        gaps_decreasing = all(a > b for a, b in zip(gaps, gaps[1:]))
+        final_gap_ok = gaps[-1] <= 1e-3 * abs(J0_test)
 
-    report0 = minimize_J(0.0, rho0, params, pressure, grid)
-    dists = []
-    for t in ladder:
-        rep = minimize_J(t, rho0, params, pressure, grid)
-        dists.append(float(np.max(np.abs(rep.minimizer - report0.minimizer))))
-    dists_decreasing = all(a > b for a, b in zip(dists, dists[1:]))
-
-    el_res = float(np.max(np.abs(
-        euler_lagrange_residual_J0(report0.minimizer, rho0, params, pressure, grid)
-    )))
-    ok = gaps_decreasing and final_gap_ok and dists_decreasing and el_res <= 1e-8
-    report(
-        7, ok,
-        f"gaps {['%.3e' % g for g in gaps]} (strictly decreasing: {gaps_decreasing}, "
-        f"final <= 1e-3|J0|={1e-3 * abs(J0_test):.2e}), minimizer distances "
-        f"{['%.3e' % d for d in dists]} (decreasing: {dists_decreasing}), "
-        f"sharp-limit first-order residual {el_res:.2e}",
-    )
+        report0 = minimize_J(0.0, rho0, params, pressure, grid)
+        dists = []
+        for t in ladder:
+            rep = minimize_J(t, rho0, params, pressure, grid)
+            dists.append(float(np.max(np.abs(rep.minimizer - report0.minimizer))))
+        dists_decreasing = all(a > b for a, b in zip(dists, dists[1:]))
+        ok = ok and gaps_decreasing and final_gap_ok and dists_decreasing
+        details.append(
+            f"n={n}: gaps {['%.3e' % g for g in gaps]} (strictly decreasing: "
+            f"{gaps_decreasing}, final <= 1e-3|J0|={1e-3 * abs(J0_test):.2e}), minimizer "
+            f"distances {['%.3e' % d for d in dists]} (decreasing: {dists_decreasing})"
+        )
+        if n == 8:
+            el_res = float(np.max(np.abs(
+                euler_lagrange_residual_J0(report0.minimizer, rho0, params, pressure, grid)
+            )))
+            ok = ok and el_res <= 1e-8
+            details.append(f"n=8 sharp-limit first-order residual {el_res:.2e}")
+    report(7, ok, "; ".join(details))
 
 
 def test_criterion_8_complementarity(disruption_run_max_ramp, stationary_run):

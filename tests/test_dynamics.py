@@ -7,6 +7,7 @@ from blebsheet.config import parse_config_dict
 from blebsheet.dynamics import (
     Diagnostics,
     FullyImplicitJacobian,
+    HeightOperator,
     Operators,
     Scheme,
     State,
@@ -320,6 +321,25 @@ def test_halved_fully_implicit_step_counts_as_one(monkeypatch):
     assert len(solves) == 7 + 2
 
 
+def test_failed_fully_implicit_attempt_stops_at_its_stall(monkeypatch):
+    # the full-tau attempt at step 6 sat at |F|_inf ~ 0.12 for about 45
+    # Newton systems before halving, 72 systems for the whole point
+    import blebsheet.dynamics as dyn
+    from blebsheet.cli import sweep_point
+
+    systems = []
+    newton_solve = dyn._newton_solve
+
+    def counted(*args):
+        systems.append(None)
+        return newton_solve(*args)
+
+    monkeypatch.setattr(dyn, "_newton_solve", counted)
+    cfg = parse_config_dict({"scenario": "pressure_sweep", "n": 8, "scheme": "FullyImplicit"})
+    assert sweep_point(350.0, cfg) > cfg.params.h_star
+    assert len(systems) <= 30
+
+
 def test_fully_implicit_halving_stops_at_fixed_depth(monkeypatch):
     import blebsheet.dynamics as dyn
     from blebsheet.linalg import NewtonError
@@ -460,7 +480,7 @@ def height_system(n, kind, rho_a):
     params = ModelParams()
     if kind == "stationary":
         mat = assembled_height_matrix(ops, params, params.lam, rho_a)
-        return mat, ops.height_preconditioner(params, rho_a, params.lam)
+        return mat, ops.stationary_height_matrix(params, rho_a).precond
     tau = 1e-6
     shift = params.c / tau + params.lam
     mat = tau * assembled_height_matrix(ops, params, shift, rho_a)
@@ -473,7 +493,7 @@ def height_system(n, kind, rho_a):
     v = np.concatenate([x, np.zeros(2 * grid.num_nodes)])
     assert np.allclose((J @ v)[:ni], mat @ x, rtol=1e-12, atol=1e-12 * np.abs(mat @ x).max())
     # J_hh is tau times a height matrix; CG is blind to that factor
-    return mat, ops.height_preconditioner(params, rho_a, shift)
+    return mat, J.height.precond
 
 
 @pytest.mark.parametrize("kind", ["stationary", "J_hh"])
@@ -545,7 +565,8 @@ def test_height_operator_symmetric():
     rng = np.random.default_rng(7)
     grid = build_grid(n)
     ops = Operators(grid)
-    B = ops.height_operator(ModelParams(), 3.0, rng.uniform(0.0, 3.0, grid.num_nodes))
+    spring = grid.restrict(rng.uniform(0.0, 3.0, grid.num_nodes))
+    B = ops.height_operator(ModelParams(), 3.0, spring)
     for _ in range(20):
         x, y = rng.standard_normal((2, grid.num_interior))
         By = B @ y
@@ -568,7 +589,7 @@ def test_preconditioned_step_matches_plain_cg(monkeypatch):
     pcg = _pulse_run(16, 8)
     assert pcg.h.max() > ModelParams().h_star
     assert np.ptp(pcg.rho_a) > 1e-3
-    monkeypatch.setattr(Operators, "height_preconditioner", lambda *args: None)
+    monkeypatch.setattr(HeightOperator, "precond", None)
     plain = _pulse_run(16, 8)
     for name in ("h", "w", "rho_a", "rho_i"):
         a, b = getattr(pcg, name), getattr(plain, name)
@@ -594,6 +615,39 @@ def test_step_height_solves_take_few_iterations(monkeypatch):
     assert state.h.max() > ModelParams().h_star
     assert len(iterations) == 10
     assert max(iterations) <= 20
+
+
+def test_every_height_solve_is_preconditioned(monkeypatch):
+    import blebsheet.dynamics as dyn
+    import blebsheet.energy as energy
+    import blebsheet.stationary as stationary
+
+    height_solves = []
+
+    def recorded(A, b, *args, **kwargs):
+        if isinstance(A, HeightOperator):
+            height_solves.append(kwargs.get("precond"))
+        return cg_solve(A, b, *args, **kwargs)
+
+    for module in (dyn, energy, stationary):
+        monkeypatch.setattr(module, "cg_solve", recorded)
+    n = 16
+    grid = build_grid(n)
+    ops = Operators(grid)
+    params = ModelParams()
+    pressure = pressure_pulse(grid, peak=400.0)
+    runs = [
+        lambda scheme=scheme: step(fresh_state(grid), 1e-6, params, pressure, grid, scheme,
+                                   ops=ops)
+        for scheme in Scheme
+    ]
+    runs.append(lambda: stationary.stationary_fixed_point(params, pressure, 1.0, grid))
+    runs.append(lambda: energy.minimize_J(1e-2, 1.0, params, pressure, grid, ops=ops))
+    for run in runs:
+        height_solves.clear()
+        run()
+        assert height_solves
+        assert all(precond is not None for precond in height_solves)
 
 
 def test_density_gauss_seidel_cap_raises():

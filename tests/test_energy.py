@@ -249,7 +249,9 @@ def test_hessian_matches_assembled_matrix(theta):
     for _ in range(5):
         x = rng.standard_normal(grid.num_interior)
         expected = ref @ x
-        assert np.max(np.abs(H @ x - expected)) <= 1e-12 * np.max(np.abs(expected))
+        # _hessian is the unweighted operator
+        Hx = grid.spacing**2 * (H @ x)
+        assert np.max(np.abs(Hx - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_hessian_matches_finite_differences_of_gradient():
@@ -268,7 +270,7 @@ def test_hessian_matches_finite_differences_of_gradient():
         g_plus = _gradient(theta, 1.0, PARAMS, p, grid, ops, h_int + eps * v)
         g_minus = _gradient(theta, 1.0, PARAMS, p, grid, ops, h_int - eps * v)
         fd = (g_plus - g_minus) / (2.0 * eps)
-        Hv = H @ v
+        Hv = grid.spacing**2 * (H @ v)  # the gradient is weighted, _hessian is not
         assert np.max(np.abs(fd - Hv)) <= 1e-6 * np.max(np.abs(Hv))
 
 
@@ -312,9 +314,71 @@ def test_eval_rejects_bad_theta():
 
 def test_minimize_J_cap_raises_newton_error():
     grid = build_grid(8)
-    p = pressure_pulse(grid, peak=50.0)
+    # supercritical, so one Newton step does not reach the minimizer
+    p = pressure_pulse(grid, peak=400.0)
     opts = SolveOptions(newton_max_iter=1, newton_grad_tol=1e-30)
     with pytest.raises(NewtonError, match="no convergence in 1 Newton") as err:
         minimize_J(1e-3, 1.0, PARAMS, p, grid, opts=opts)
     assert err.value.iterate.shape == (grid.num_nodes,)
     assert err.value.residual_norm > 1e-30
+
+
+def test_hessian_solves_take_few_iterations(monkeypatch):
+    # plain CG took 625-2,089 iterations per Newton step here
+    import blebsheet.energy as energy
+    from blebsheet.linalg import cg_solve
+
+    iterations = []
+
+    def counted(A, b, *args, **kwargs):
+        history = []
+        x = cg_solve(A, b, *args, residual_history=history, **kwargs)
+        iterations.append(len(history) - 1)
+        return x
+
+    monkeypatch.setattr(energy, "cg_solve", counted)
+    grid = build_grid(64)
+    p = pressure_pulse(grid, peak=400.0)
+    ops = Operators(grid)
+    for theta in (0.0, 1e-2):
+        iterations.clear()
+        report = minimize_J(theta, 1.0, PARAMS, p, grid, ops=ops)
+        assert len(iterations) == report.iterations >= 1
+        assert max(iterations) <= 10
+
+
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("theta", [0.0, 1e-2])
+def test_minimize_J_stops_at_the_grid_roundoff_floor(n, theta):
+    # the default tolerance of 1e-10 lies below the gradient's roundoff floor
+    # from n = 16 at this load, where the absolute test ran into the cap
+    grid = build_grid(n)
+    p = pressure_pulse(grid, peak=400.0)
+    report = minimize_J(theta, 1.0, PARAMS, p, grid)
+    assert report.iterations <= 5
+    assert report.gradient_sup_norm > SolveOptions().newton_grad_tol
+    # it is still small against the load's share of the gradient
+    load = grid.spacing**2 * PASCAL * np.max(np.abs(p.values))
+    assert report.gradient_sup_norm <= 1e-10 * load
+
+
+def test_minimize_J_tolerance_below_the_floor_converges():
+    # a quadratic problem (below h_star) is solved by one Newton step; a
+    # tolerance far below roundoff then stops at the floor, not at the cap
+    grid = build_grid(8)
+    p = pressure_pulse(grid, peak=50.0)
+    opts = SolveOptions(newton_max_iter=5, newton_grad_tol=1e-30)
+    report = minimize_J(1e-3, 1.0, PARAMS, p, grid, opts=opts)
+    assert report.minimizer.max() < PARAMS.h_star
+    assert report.iterations == 1
+
+
+def test_minimize_J_rejects_an_ascent_direction(monkeypatch):
+    import blebsheet.energy as energy
+
+    monkeypatch.setattr(energy, "cg_solve", lambda A, b, *args, **kwargs: -b)
+    grid = build_grid(8)
+    p = pressure_pulse(grid, peak=50.0)
+    with pytest.raises(NewtonError, match="no descent direction") as err:
+        minimize_J(1e-3, 1.0, PARAMS, p, grid)
+    assert err.value.iterate.shape == (grid.num_nodes,)

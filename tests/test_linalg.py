@@ -9,6 +9,7 @@ from blebsheet.linalg import (
     SolveOptions,
     cg_solve,
     gmres_solve,
+    STALL_WINDOW,
     newton_armijo,
 )
 
@@ -291,6 +292,21 @@ def test_newton_rejects_an_ascent_direction():
         newton_armijo(residual, lambda x: np.eye(2), np.zeros(2),
                       linear_solve=lambda J, rhs: -rhs)
     assert len(evaluations) == 1
+
+
+def test_newton_raises_once_the_residual_stalls():
+    # a tenth of the Newton step cuts |F| by 0.9 per iteration: 1.69x in five
+    jacobians = []
+
+    def jacobian(x):
+        jacobians.append(None)
+        return np.eye(1)
+
+    with pytest.raises(NewtonError, match="stalled") as err:
+        newton_armijo(lambda x: x - 1.0, jacobian, np.zeros(1),
+                      linear_solve=lambda J, rhs: 0.1 * np.linalg.solve(J, rhs))
+    assert len(jacobians) == STALL_WINDOW
+    assert err.value.residual_norm == pytest.approx(0.9**STALL_WINDOW)
 
 
 def test_newton_requires_a_linear_solve():
