@@ -137,11 +137,20 @@ def sweep_point(peak: float, config: ScenarioConfig, ops: Operators | None = Non
 
 
 def _sweep_heights(peak: float, config: ScenarioConfig, ops: Operators | None) -> list[float]:
-    """Max height after each of the ten steps of the sweep protocol."""
+    """Max height after each of the ten steps of the sweep protocol.
+
+    The load is the configured pulse with its peak replaced by ``peak``;
+    any other pressure kind raises :class:`ConfigError`.
+    """
+    desc = config.pressure
+    if desc["kind"] != "pulse":
+        raise ConfigError(f"a pressure sweep varies a pulse's peak; "
+                          f"pressure.kind is {desc['kind']!r}")
     if ops is None:
         ops = Operators(build_grid(config.n))
     state, _ = initial_state(config, ops.grid)
-    pressure = pressure_pulse(ops.grid, peak=peak, center=(0.5, 0.5), radius=0.4)
+    pressure = pressure_pulse(ops.grid, peak=peak, center=tuple(desc["center"]),
+                              radius=desc["radius"])
     states = itertools.islice(march(state, config, ops, pressure), 10)
     return [float(s.h.max()) for s in states]
 
@@ -149,9 +158,12 @@ def _sweep_heights(peak: float, config: ScenarioConfig, ops: Operators | None) -
 def run_sweep(config: ScenarioConfig):
     """Sampled response curve plus the bisection detector.
 
-    Returns (rows, critical_pressure or None).  The detector bisects the
-    indicator ``max_h(10 tau) > h_star`` between the first bracketing pair of
-    samples, to the configured pressure tolerance.
+    Returns (rows, critical_pressure or None).  The swept variable is the
+    peak of the configured pressure pulse (``pressure.peak`` itself is not
+    read; ``center`` and ``radius`` are kept), and a pressure of another
+    kind raises :class:`ConfigError` before any run.  The detector bisects
+    the indicator ``max_h(10 tau) > h_star`` between the first bracketing
+    pair of samples, to the configured pressure tolerance.
 
     Sub-critical peaks are answered by superposition.  The protocol is run
     once at a 1 Pa peak, keeping ``u10``, the max height after step 10, and

@@ -377,6 +377,37 @@ def test_sweep_no_crossing_reported(tmp_path, capsys):
     assert (out / "sweep.csv").read_text().startswith("peak_pressure,max_h")
 
 
+def test_sweep_takes_the_configured_pulse_shape():
+    # a narrower pulse carries less load, so the critical peak rises
+    doc = {
+        "scenario": "pressure_sweep",
+        "n": 8,
+        "sweep": {"min": 0.0, "max": 1500.0, "samples": 7, "bisect_tol": 2.0},
+    }
+    _, wide = run_sweep(parse_config_dict(doc))
+    narrow = parse_config_dict({**doc, "pressure": {"kind": "pulse", "radius": 0.2}})
+    _, critical = run_sweep(narrow)
+    assert wide is not None and critical is not None
+    assert critical > 2.0 * wide
+    assert critical == pytest.approx(narrow.params.h_star / sweep_point(1.0, narrow), abs=2.5)
+    moved = parse_config_dict({**doc, "pressure": {"kind": "pulse", "radius": 0.2,
+                                                   "center": [0.3, 0.5]}})
+    assert sweep_point(1.0, moved) != sweep_point(1.0, narrow)
+
+
+def test_sweep_of_non_pulse_pressure_exit_2(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    path = write_config(tmp_path, {
+        "scenario": "pressure_sweep",
+        "n": 8,
+        "pressure": {"kind": "constant", "value": 5.0},
+        "output_dir": str(out),
+    })
+    assert main(["sweep", "--config", str(path)]) == 2
+    assert "pulse" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_worker_neutrality(tmp_path):
     doc = {
         "scenario": "pressure_sweep",

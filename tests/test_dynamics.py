@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given
+from hypothesis import strategies as st
 
 from blebsheet.config import parse_config_dict
 from blebsheet.dynamics import (
@@ -14,6 +16,7 @@ from blebsheet.dynamics import (
     StepError,
     _fully_implicit_residual,
     _newton_solve,
+    _reaction_start,
     _solve_densities,
     simulate,
     step,
@@ -648,6 +651,90 @@ def test_every_height_solve_is_preconditioned(monkeypatch):
         run()
         assert height_solves
         assert all(precond is not None for precond in height_solves)
+
+
+def _count_density_iterations(monkeypatch, module):
+    """Per density CG call of ``module``, its iteration count."""
+    iterations = []
+
+    def counted(A, b, *args, **kwargs):
+        history = []
+        x = cg_solve(A, b, *args, residual_history=history, **kwargs)
+        if not isinstance(A, HeightOperator):
+            iterations.append(len(history) - 1)
+        return x
+
+    monkeypatch.setattr(module, "cg_solve", counted)
+    return iterations
+
+
+def test_diffusion_free_coupled_solve_starts_at_its_answer(monkeypatch):
+    # without diffusion the node-wise reaction solution is the coupled
+    # solution, so the first sweep's two CG solves take no iteration
+    import blebsheet.dynamics as dyn
+
+    iterations = _count_density_iterations(monkeypatch, dyn)
+    grid = build_grid(16)
+    rng = np.random.default_rng(16)
+    rho_a = rng.uniform(0.5, 1.5, grid.num_nodes)
+    rho_i = rng.uniform(0.0, 0.5, grid.num_nodes)
+    dist = np.hypot(grid.node_x - 0.5, grid.node_y - 0.5)
+    rate = np.where(dist < 0.3, 1e8 * (1.0 - dist / 0.3), 0.0)
+    params = ModelParams(eta_a=0.0, eta_i=0.0)
+    got_a, got_i = _solve_densities(Operators(grid), params, 1e-6, rate, rho_a, rho_i, True,
+                                    SolveOptions())
+    assert iterations == [0, 0]
+    want_a, want_i = _reaction_start(params.k * 1e-6, 1e-6 * rate, rho_a, rho_i)
+    assert np.array_equal(got_a, want_a) and np.array_equal(got_i, want_i)
+
+
+_rates = st.one_of(st.just(0.0), st.floats(min_value=1e-12, max_value=1e9))
+_densities = st.one_of(st.just(0.0), st.floats(min_value=1e-12, max_value=1e6))
+
+
+@given(k_tau=_rates, rate_tau=_rates, rho_a=_densities, rho_i=_densities)
+def test_reaction_start_nonnegative_and_conserving(k_tau, rate_tau, rho_a, rho_i):
+    a, i = _reaction_start(k_tau, np.array([rate_tau]), np.array([rho_a]), np.array([rho_i]))
+    assert a[0] >= 0.0 and i[0] >= 0.0
+    total = rho_a + rho_i
+    assert abs((a[0] + i[0]) - total) <= 4.0 * np.finfo(float).eps * total
+
+
+def test_ripping_steps_density_iterations_capped(monkeypatch):
+    # every coupled solve starts at the node-wise reaction solution; from
+    # the previous time level these 20 steps took 3,446 iterations
+    import blebsheet.dynamics as dyn
+
+    iterations = _count_density_iterations(monkeypatch, dyn)
+    state = _pulse_run(64, 20, peak=410.0)
+    assert state.h.max() > ModelParams().h_star
+    assert sum(iterations) <= 2400
+
+
+def test_fully_implicit_newton_density_iterations_capped(monkeypatch):
+    # the Newton preconditioner's density CGs start at their blocks'
+    # diffusion-free solutions: 390 iterations here, 441 from zero
+    import blebsheet.dynamics as dyn
+
+    state = _pulse_run(16, 8)
+    grid = build_grid(16)
+    params = ModelParams()
+    assert np.count_nonzero(dyn.ripping_rate(state.h, params)) > 1
+    counts = _count_density_iterations(monkeypatch, dyn)
+    newton_solve = dyn._newton_solve
+    inner = []
+
+    def recorded(J, rhs, opts):
+        start = len(counts)
+        d = newton_solve(J, rhs, opts)
+        inner.extend(counts[start:])
+        return d
+
+    monkeypatch.setattr(dyn, "_newton_solve", recorded)
+    step(state, 1e-6, params, pressure_pulse(grid, peak=400.0), grid, Scheme.FULLY_IMPLICIT,
+         ops=Operators(grid))
+    assert inner
+    assert sum(inner) <= 400
 
 
 def test_density_gauss_seidel_cap_raises():

@@ -149,3 +149,26 @@ def test_picard_height_solves_take_few_iterations(monkeypatch):
     result = stationary_fixed_point(ModelParams(), pressure, m0=1.0, grid=grid)
     assert len(iterations) == result.iterations
     assert max(iterations) <= 20
+
+
+def test_picard_density_iterations_capped(monkeypatch):
+    # each Picard density CG starts at the previous undamped solution; from
+    # the damped iterate these 60 iterations took 7,630 CG iterations
+    import blebsheet.stationary as st
+    from blebsheet.linalg import cg_solve
+
+    grid = build_grid(32)
+    iterations = []
+
+    def counted(A, b, *args, **kwargs):
+        history = []
+        x = cg_solve(A, b, *args, residual_history=history, **kwargs)
+        if b.size == grid.num_nodes:
+            iterations.append(len(history) - 1)
+        return x
+
+    monkeypatch.setattr(st, "cg_solve", counted)
+    pressure = pressure_pulse(grid, peak=410.0, center=(0.5, 0.5), radius=0.4)
+    result = stationary_fixed_point(ModelParams(), pressure, m0=1.0, grid=grid)
+    assert len(iterations) == result.iterations
+    assert sum(iterations) <= 7000
