@@ -17,17 +17,18 @@ Scheme variants
                       system (block Gauss-Seidel, contraction ~ k*tau).
 ``FullyImplicit``     ripping rate evaluated at ``h^{k+1}``; the coupled
                       nonlinear residual is solved by Newton with Armijo
-                      control, with preconditioned GMRES for the Newton
-                      systems; a step whose Newton solve fails is retried
-                      as two half steps.
+                      control, each Newton system by one GMRES solve; a
+                      step whose Newton solve fails is retried as two half
+                      steps.
 
 The density solves are performed in weighted (weak) form, which keeps the
 total linker mass exact up to the linear-solver tolerance.  Reaction
 dominates them: at n = 64 and tau = 1e-6, ``w / tau`` alone outweighs
-``eta LN`` about 300 times, and ripping rates reach about 2e8.  So every
-coupled density solve starts from the node-wise solution of its
-diffusion-free reaction system (:func:`_reaction_start`), which leaves CG
-only the diffusion to resolve.
+``eta LN`` about 300 times, and ripping rates reach about 2e8.  So the
+node-wise inverse of the diffusion-free reaction system
+(:func:`_reaction_start`) starts the coupled Gauss-Seidel loop and is the
+density block of the Newton preconditioner, with no inner solve; CG and
+GMRES resolve only the diffusion and the height coupling.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional
 
 import numpy as np
@@ -246,7 +247,9 @@ def _reaction_start(k_tau: float, rate_tau: np.ndarray, rho_a: np.ndarray,
 
     Solves ``(1 + rate_tau) a - k_tau i = rho_a``, ``-rate_tau a + (1 +
     k_tau) i = rho_i`` at each node.  Nonnegative for nonnegative data, and
-    ``a + i = rho_a + rho_i`` at each node.
+    ``a + i = rho_a + rho_i`` at each node.  The start of the coupled loop
+    of :func:`_solve_densities`, and the density block of
+    :meth:`FullyImplicitJacobian.precond`, which applies it to residuals.
     """
     d = 1.0 + k_tau + rate_tau
     a = ((1.0 + k_tau) * rho_a + k_tau * rho_i) / d
@@ -269,19 +272,13 @@ def _solve_densities(
     Solves the inactive density first, then the active one, each CG from
     the previous time level.  Under implicit ripping (some ``rate > 0``)
     the equations couple through the flux on the unknown active density.
-    Block Gauss-Seidel then starts from the node-wise reaction solution
-    (:func:`_reaction_start`), exact but for diffusion, which is about 300
-    times weaker than reaction here; it converges with contraction about
-    ``k * tau`` per sweep, so a handful of sweeps reaches solver accuracy;
-    after 80 sweeps it raises :class:`LinearSolveError` with the last
-    iterate ``[rho_a | rho_i]``.
+    Block Gauss-Seidel then starts from :func:`_reaction_start` and
+    contracts about ``k * tau`` per sweep; after 80 sweeps it raises
+    :class:`LinearSolveError` with the last iterate ``[rho_a | rho_i]``.
     """
     w = ops.grid.weights
     # mass conservation inherits the residual of these solves; run them tight
-    dopts = SolveOptions(
-        rel_tolerance=min(opts.rel_tolerance, 1e-12),
-        max_iterations=opts.max_iterations,
-    )
+    dopts = replace(opts, rel_tolerance=min(opts.rel_tolerance, 1e-12))
     B_i = ops.density_matrix(params.eta_i, np.full(w.size, 1.0 / tau + params.k))
 
     if not implicit_ripping or not np.any(rate > 0.0):
@@ -364,7 +361,14 @@ def _step_semi_implicit(
     B_h = ops.height_matrix(params, tau, rho_a_new)
     h_int = grid.restrict(state.h)
     rhs = (params.c / tau) * h_int + PASCAL * grid.restrict(pressure.values)
-    h_new_int = cg_solve(B_h, rhs, opts, x0=h_int, precond=B_h.precond)
+    try:
+        h_new_int = cg_solve(B_h, rhs, opts, x0=h_int, precond=B_h.precond)
+    except LinearSolveError as exc:
+        if rho_a_new.min() >= 0.0:
+            raise  # else the spring xi rho_a makes the height operator indefinite
+        flux = integrate(grid, rate * state.rho_a)
+        raise LinearSolveError(f"{exc}; min rho_a = {rho_a_new.min():.3e}, explicit ripping "
+                               f"flux {flux:.3e}", exc.iterate, exc.residual_norm) from exc
     return State(
         h=grid.embed(h_new_int),
         w=grid.embed(ops.A @ h_new_int),
@@ -382,10 +386,10 @@ def _step_semi_implicit(
 class FullyImplicitJacobian:
     """Block Jacobian of the tau-scaled fully implicit residual.
 
-    Unknown layout: ``[h interior | rho_a | rho_i]``.  Supports ``J @ v`` for
-    the Armijo slope and exposes the pieces of the structured linear solve;
-    the height block is ``tau * height``, the time step's height operator.
-    Only :meth:`toarray`, the dense test oracle, assembles anything.
+    Unknown layout: ``[h interior | rho_a | rho_i]``.  Supports ``J @ v`` and
+    owns the Newton systems' preconditioner (:meth:`precond`); the height
+    block is ``tau * height``, the time step's height operator.  Only
+    :meth:`toarray`, the dense test oracle, assembles anything.
     """
 
     def __init__(self, ops: Operators, params: ModelParams, tau: float,
@@ -420,6 +424,17 @@ class FullyImplicitJacobian:
         out_i = (1.0 + self.k_tau) * di + tau * (p.eta_i * (AN @ di)) - self.diag_ia_rate * da
         out_i[self.interior] -= self.diag_ah * dh
         return np.concatenate([out_h, out_a, out_i])
+
+    def precond(self, r: np.ndarray) -> np.ndarray:
+        """``J^-1 r`` with the density diffusion and the density rows' ``dh`` dropped.
+
+        The densities by the node-wise reaction inverse (:func:`_reaction_start`),
+        then the height by :meth:`HeightOperator.precond`; no inner solve.
+        """
+        b_h, b_a, b_i = self.split(r)
+        da, di = _reaction_start(self.k_tau, self.diag_ia_rate, b_a, b_i)
+        dh = self.height.precond(b_h - self.diag_ha * da[self.interior]) / self.tau
+        return np.concatenate([dh, da, di])
 
     def toarray(self) -> np.ndarray:
         ni, na = self.n_int, self.n_all
@@ -477,35 +492,9 @@ def _fully_implicit_residual(
 
 def _newton_solve(J: FullyImplicitJacobian, rhs: np.ndarray,
                   opts: SolveOptions) -> np.ndarray:
-    """Solve ``J d = rhs`` by GMRES, preconditioned by one block sweep.
-
-    The sweep solves the ``rho_i``, ``rho_a`` and height blocks in turn, so
-    it inverts the block upper triangular part of ``J``, which is all of
-    ``J`` when nothing rips.  Each diagonal block is ``tau`` times a
-    time-step operator and is solved by CG with that operator: the density
-    blocks in weighted form, the height block preconditioned by the
-    sine-transform inverse of its constant-coefficient part.  Each density
-    CG starts from its block's diffusion-free solution, ``b_i / (1 + k tau)``
-    and ``(b_a + k tau di) / (1 + tau rate)``, since reaction outweighs
-    diffusion in them about 300 times.
-    """
-    ops, p, tau = J.ops, J.params, J.tau
-    w = ops.grid.weights
-    dopts = SolveOptions(rel_tolerance=min(opts.rel_tolerance, 1e-12),
-                         max_iterations=opts.max_iterations)
-    Ba = ops.density_matrix(p.eta_a, 1.0 / tau + J.rate)
-    Bi = ops.density_matrix(p.eta_i, np.full(w.size, 1.0 / tau + p.k))
-
-    def sweep(r: np.ndarray) -> np.ndarray:
-        b_h, b_a, b_i = J.split(r)
-        di = cg_solve(Bi, w * b_i / tau, dopts, x0=b_i / (1.0 + J.k_tau))
-        b_a = b_a + J.k_tau * di
-        da = cg_solve(Ba, w * b_a / tau, dopts, x0=b_a / (1.0 + J.diag_ia_rate))
-        dh = cg_solve(J.height, (b_h - J.diag_ha * da[J.interior]) / tau, dopts,
-                      precond=J.height.precond)
-        return np.concatenate([dh, da, di])
-
-    return gmres_solve(J, rhs, sweep, dopts)
+    """Solve ``J d = rhs`` by GMRES, preconditioned by :meth:`FullyImplicitJacobian.precond`."""
+    return gmres_solve(J, rhs, J.precond,
+                       replace(opts, rel_tolerance=min(opts.rel_tolerance, 1e-12)))
 
 
 # a fully implicit step whose Newton solve fails is split in two, at most
@@ -539,9 +528,10 @@ def _step_fully_implicit(
     try:
         z = newton_armijo(residual, jacobian, z0, opts,
                           linear_solve=lambda J, rhs: _newton_solve(J, rhs, opts))
-    except NewtonError:
-        # near the ripping switch the system can lose its solution at this
-        # tau; two half steps still count as one step of tau
+    except (NewtonError, LinearSolveError):
+        # near the ripping switch the system can lose its solution at this tau,
+        # and at a large tau GMRES can stall above its target; two half steps
+        # still count as one step of tau
         if depth == _MAX_HALVINGS:
             raise
         mid = _step_fully_implicit(state, tau / 2, params, pressure, grid, opts, ops, depth + 1)

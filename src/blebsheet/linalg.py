@@ -152,26 +152,30 @@ def gmres_solve(A, b: np.ndarray, precond: Callable[[np.ndarray], np.ndarray],
 
     Restarted GMRES (Saad & Schultz 1986), right-preconditioned by
     ``precond(v) ~ A^-1 v``.  The update is built from the stored
-    ``precond`` outputs, as in flexible GMRES (Saad 1993), so ``precond``
-    may be an inexact inner solve.  Every cycle of at most
+    ``precond`` outputs, as in flexible GMRES (Saad 1993), which saves one
+    ``precond`` application per cycle.  Every cycle of at most
     ``GMRES_RESTART`` iterations ends on the true residual, with the stop
     test of :func:`cg_solve`.  Raises :class:`LinearSolveError` after
-    ``max_iterations`` iterations, or on a non-finite ``b`` or residual.
+    ``max_iterations`` iterations, on a non-finite ``b`` or residual, and as
+    stalled once a cycle ends without lowering the true residual, as it does
+    when the target lies below the roundoff floor of ``b - A x``.
     """
     b = np.asarray(b, dtype=float)
     nb = np.linalg.norm(b)
     tol = opts.rel_tolerance * nb
     max_it = opts.max_iterations if opts.max_iterations is not None else 10 * b.size
-    x, r, it = np.zeros_like(b), b, 0
+    x, r, it, prev = np.zeros_like(b), b, 0, np.inf
     while True:
         beta = float(np.linalg.norm(r))
         if not np.isfinite(beta):  # on the first pass, beta = ||b||
             raise LinearSolveError(f"gmres_solve: non-finite residual {beta:.3e}", x, beta)
         if beta <= tol:
             return x
-        if it >= max_it:
-            raise LinearSolveError(f"gmres_solve: no convergence in {max_it} iterations "
-                                   f"(residual {beta:.3e}, target {tol:.3e})", x, beta)
+        if it >= max_it or beta >= prev:
+            why = f"no convergence in {max_it}" if it >= max_it else f"stalled after {it}"
+            raise LinearSolveError(f"gmres_solve: {why} iterations (residual {beta:.3e}, "
+                                   f"target {tol:.3e})", x, beta)
+        prev = beta
         m = min(GMRES_RESTART, max_it - it)
         V, Z, H = np.zeros((m + 1, b.size)), np.zeros((m, b.size)), np.zeros((m + 1, m))
         g = np.zeros(m + 1)

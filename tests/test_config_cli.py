@@ -524,6 +524,18 @@ def test_cli_solver_failure_exit_1(tmp_path, capsys):
     assert "solver failure" in capsys.readouterr().err
 
 
+def test_cli_explicit_ripping_failure_names_negative_density(tmp_path, capsys):
+    # the explicit flux drives rho_a, and with it the height spring, negative
+    path = write_config(tmp_path, {
+        "scenario": "stationary_state", "n": 32, "scheme": "ExplicitRipping",
+        "pressure": {"kind": "pulse", "peak": 350.0}, "output_dir": str(tmp_path / "out"),
+    })
+    assert main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "step 10: cg_solve: operator not positive definite" in err
+    assert "min rho_a = -" in err and "explicit ripping flux" in err
+
+
 def test_cli_failed_run_keeps_partial_output(tmp_path, capsys):
     out = tmp_path / "fail"
     path = write_config(tmp_path, {**STARVED_RUN, "output_dir": str(out)})

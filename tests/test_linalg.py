@@ -158,6 +158,25 @@ def test_gmres_exact_preconditioner_takes_one_iteration():
     assert np.linalg.norm(b - A @ x) <= 1e-10 * np.linalg.norm(b)
 
 
+def test_gmres_stalls_below_its_roundoff_floor():
+    # the true residual cannot fall below about 1e-16 ||b||; without the
+    # stall test every later cycle would run until max_iterations
+    from blebsheet.linalg import GMRES_RESTART
+
+    A, b = _nonsymmetric_system(12, 1)
+    calls = []
+
+    def counted(r):
+        calls.append(None)
+        return r
+
+    with pytest.raises(LinearSolveError, match="stalled") as err:
+        gmres_solve(A, b, counted, SolveOptions(rel_tolerance=1e-17))
+    assert len(calls) <= 3 * GMRES_RESTART
+    assert err.value.residual_norm <= 1e-14 * np.linalg.norm(b)
+    assert np.linalg.norm(b - A @ err.value.iterate) == err.value.residual_norm
+
+
 def test_gmres_zero_rhs_and_nonfinite_preconditioner():
     A, b = _nonsymmetric_system(6, 3)
     assert np.array_equal(gmres_solve(A, np.zeros(6), identity), np.zeros(6))
