@@ -180,15 +180,19 @@ class Operators:
 
     ``A`` is the interior Dirichlet negative Laplacian, ``AN`` the all-node
     Neumann operator and ``LN`` its weighted symmetric form, used in the
-    density solves.  ``LN`` is built in canonical CSR form (sorted column
-    indices, no duplicates) by ``SparseMatrix.from_scipy``, and the position of each row's diagonal entry
-    in ``LN.data`` is recorded once, so :meth:`density_matrix` assembles in
-    one pass.  The membrane operator is never assembled: every height
-    solve and membrane residual applies it matrix-free
-    (:meth:`height_operator`).  ``AN`` is read only by the fully implicit
-    scheme and the stationary residuals, but it is assembled anyway to
-    build ``LN``, and recovering it from ``LN`` would not be bitwise equal
-    on every grid, so it is kept.
+    density solves.  Each is assembled once in canonical CSR form (sorted
+    column indices, no duplicates) and kept only in diagonal (DIA) storage:
+    five constant diagonals at the sorted offsets ``[-m, -1, 0, 1, m]``,
+    ``m`` the grid-line length, with zeros where a stencil leg leaves the
+    grid.  Scipy's DIA product adds each row's terms one diagonal at a
+    time, in offset order, which is the CSR column order, and a stored zero
+    adds exactly nothing to a finite sum; so every product ``@`` here is
+    bitwise equal to the canonical CSR one, at lower cost.  The membrane
+    operator is never assembled: every height solve and membrane residual
+    applies it matrix-free (:meth:`height_operator`).  ``AN`` is read only
+    by the fully implicit scheme and the stationary residuals, but it is
+    assembled anyway to build ``LN``, and recovering it from ``LN`` would
+    not be bitwise equal on every grid, so it is kept.
 
     ``sine`` is the orthonormal DST-I matrix ``S`` of one grid line
     (symmetric, ``S @ S = I``) and ``eig`` the eigenvalues of ``A`` on the
@@ -203,11 +207,11 @@ class Operators:
         self.sine = np.sqrt(2.0 / grid.n) * np.sin(np.pi * np.outer(k, k) / grid.n)
         line = (2.0 * np.sin(0.5 * np.pi * k / grid.n) / grid.spacing) ** 2
         self.eig = line[:, None] + line[None, :]
-        self.A = assemble_laplacian(grid, "dirichlet0")
-        self.AN = assemble_laplacian(grid, "neumann0")
-        self.LN = SparseMatrix.from_scipy(sp.diags(grid.weights) @ self.AN)
-        rows = np.repeat(np.arange(grid.num_nodes), np.diff(self.LN.indptr))
-        self._ln_diagonal = np.flatnonzero(self.LN.indices == rows)
+        self.A = assemble_laplacian(grid, "dirichlet0").todia()
+        AN = assemble_laplacian(grid, "neumann0")
+        self.LN = SparseMatrix.from_scipy(sp.diags(grid.weights) @ AN).todia()
+        self.AN = AN.todia()
+        self._main = int(np.flatnonzero(self.LN.offsets == 0)[0])
 
     def height_operator(self, params: ModelParams, shift: float, spring: np.ndarray,
                         scale: float = 1.0) -> HeightOperator:
@@ -229,16 +233,17 @@ class Operators:
         return self.height_operator(params, params.lam, self.grid.restrict(rho_a),
                                     params.xi * MICROGRAM)
 
-    def density_matrix(self, eta: float, diag_extra: np.ndarray) -> sp.csr_matrix:
+    def density_matrix(self, eta: float, diag_extra: np.ndarray) -> sp.dia_matrix:
         """Weighted form ``W diag(extra) + eta LN`` (symmetric positive definite).
 
-        One pass over ``LN.data``: ``eta LN`` with ``W extra`` added on the
-        diagonal.  The result shares ``LN``'s index arrays, and it is exactly
-        symmetric because ``LN`` is.
+        ``eta LN`` with ``W extra`` added to its main diagonal, in ``LN``'s
+        diagonal storage and offsets.  Each entry is computed as the CSR
+        assembly computes it, so the matrix and its products are bitwise
+        equal to that assembly's; it is exactly symmetric because ``LN`` is.
         """
         data = eta * self.LN.data
-        data[self._ln_diagonal] += self.grid.weights * diag_extra
-        return sp.csr_matrix((data, self.LN.indices, self.LN.indptr), shape=self.LN.shape)
+        data[self._main] += self.grid.weights * diag_extra
+        return sp.dia_matrix((data, self.LN.offsets), shape=self.LN.shape)
 
 
 def _reaction_start(k_tau: float, rate_tau: np.ndarray, rho_a: np.ndarray,
@@ -521,17 +526,17 @@ def _step_fully_implicit(
     def jacobian(z):
         return FullyImplicitJacobian(ops, params, tau, z[:ni], z[ni : ni + na])
 
-    # semi-implicit predictor: O(tau)-accurate start keeps Newton on the
-    # right side of the ripping switch even at sharpness 1e-8
-    pred = _step_semi_implicit(state, tau, params, pressure, grid, opts, ops, True)
-    z0 = np.concatenate([grid.restrict(pred.h), pred.rho_a, pred.rho_i])
     try:
+        # semi-implicit predictor: O(tau)-accurate start keeps Newton on the
+        # right side of the ripping switch even at sharpness 1e-8
+        pred = _step_semi_implicit(state, tau, params, pressure, grid, opts, ops, True)
+        z0 = np.concatenate([grid.restrict(pred.h), pred.rho_a, pred.rho_i])
         z = newton_armijo(residual, jacobian, z0, opts,
                           linear_solve=lambda J, rhs: _newton_solve(J, rhs, opts))
     except (NewtonError, LinearSolveError):
         # near the ripping switch the system can lose its solution at this tau,
-        # and at a large tau GMRES can stall above its target; two half steps
-        # still count as one step of tau
+        # at a large tau GMRES can stall above its target, and the predictor's
+        # own solves can fail; two half steps still count as one step of tau
         if depth == _MAX_HALVINGS:
             raise
         mid = _step_fully_implicit(state, tau / 2, params, pressure, grid, opts, ops, depth + 1)

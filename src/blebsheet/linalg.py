@@ -1,8 +1,8 @@
 """Conjugate-gradient and GMRES solves and a damped Newton method.
 
-The solvers take any operator that supports ``A @ x``: a scipy CSR
-matrix (a grid Laplacian or a density matrix), a matrix-free height
-operator, or a Newton Jacobian.
+The solvers take any operator that supports ``A @ x``: a scipy sparse
+matrix (a grid Laplacian or a density matrix, both stored by diagonals), a
+matrix-free height operator, or a Newton Jacobian.
 Failures raise instead of returning silently wrong vectors, and the raised
 errors carry the last iterate so callers can inspect partial progress.
 """
@@ -20,6 +20,10 @@ ARMIJO_C1 = 1e-4
 BACKTRACK_FACTOR = 0.5
 #: Iterations per cycle of restarted GMRES.
 GMRES_RESTART = 30
+#: A GMRES cycle ends once orthogonalization leaves less than this share of
+#: the norm of the new Krylov vector: the rest is roundoff, the Krylov space
+#: is exhausted, and the cycle's answer is as exact as the arithmetic allows.
+GMRES_BREAKDOWN = 1e-10
 #: ``newton_armijo`` gives up as stalled once ``|F|_inf`` has fallen by less
 #: than ``STALL_FACTOR`` over the last ``STALL_WINDOW`` iterations.
 STALL_WINDOW = 5
@@ -155,23 +159,26 @@ def gmres_solve(A, b: np.ndarray, precond: Callable[[np.ndarray], np.ndarray],
     ``precond`` outputs, as in flexible GMRES (Saad 1993), which saves one
     ``precond`` application per cycle.  Every cycle of at most
     ``GMRES_RESTART`` iterations ends on the true residual, with the stop
-    test of :func:`cg_solve`.  Raises :class:`LinearSolveError` after
-    ``max_iterations`` iterations, on a non-finite ``b`` or residual, and as
-    stalled once a cycle ends without lowering the true residual, as it does
-    when the target lies below the roundoff floor of ``b - A x``.
+    test of :func:`cg_solve`.  A cycle also ends at a happy breakdown, once
+    the new Krylov vector lies in the space already spanned up to
+    ``GMRES_BREAKDOWN``, instead of dividing by roundoff.  Raises
+    :class:`LinearSolveError` after ``max_iterations`` iterations, on a
+    non-finite ``b`` or residual, and as stalled once a cycle ends without
+    lowering the true residual or at a breakdown that misses the target:
+    either way the target lies below the roundoff floor of ``b - A x``.
     """
     b = np.asarray(b, dtype=float)
     nb = np.linalg.norm(b)
     tol = opts.rel_tolerance * nb
     max_it = opts.max_iterations if opts.max_iterations is not None else 10 * b.size
-    x, r, it, prev = np.zeros_like(b), b, 0, np.inf
+    x, r, it, prev, exhausted = np.zeros_like(b), b, 0, np.inf, False
     while True:
         beta = float(np.linalg.norm(r))
         if not np.isfinite(beta):  # on the first pass, beta = ||b||
             raise LinearSolveError(f"gmres_solve: non-finite residual {beta:.3e}", x, beta)
         if beta <= tol:
             return x
-        if it >= max_it or beta >= prev:
+        if it >= max_it or beta >= prev or exhausted:
             why = f"no convergence in {max_it}" if it >= max_it else f"stalled after {it}"
             raise LinearSolveError(f"gmres_solve: {why} iterations (residual {beta:.3e}, "
                                    f"target {tol:.3e})", x, beta)
@@ -183,6 +190,7 @@ def gmres_solve(A, b: np.ndarray, precond: Callable[[np.ndarray], np.ndarray],
         for j in range(m):
             Z[j] = precond(V[j])
             v = A @ Z[j]
+            v_norm = np.linalg.norm(v)
             for i in range(j + 1):  # modified Gram-Schmidt
                 H[i, j] = V[i] @ v
                 v -= H[i, j] * V[i]
@@ -192,6 +200,9 @@ def gmres_solve(A, b: np.ndarray, precond: Callable[[np.ndarray], np.ndarray],
                 raise LinearSolveError("gmres_solve: non-finite residual", x, beta)
             y = np.linalg.lstsq(H[: j + 2, : j + 1], g[: j + 2], rcond=None)[0]
             if np.linalg.norm(g[: j + 2] - H[: j + 2, : j + 1] @ y) <= tol:
+                break
+            exhausted = H[j + 1, j] <= GMRES_BREAKDOWN * v_norm
+            if exhausted:
                 break
             V[j + 1] = v / H[j + 1, j]
         x = x + Z[: j + 1].T @ y
@@ -215,9 +226,10 @@ def newton_armijo(
 
     ``jacobian(x)`` must return an object supporting ``J @ v``; the Newton
     systems are handed to ``linear_solve(J, rhs)``.  Raises
-    :class:`NewtonError` at once if ``residual(x0)`` is not finite, and as
-    stalled once ``||residual||_inf`` has fallen by less than
-    ``STALL_FACTOR`` over ``STALL_WINDOW`` iterations.
+    :class:`NewtonError` at once if ``residual(x0)`` or a trial step's
+    residual is not finite, with the last finite iterate, and as stalled
+    once ``||residual||_inf`` has fallen by less than ``STALL_FACTOR`` over
+    ``STALL_WINDOW`` iterations.
     """
     x = np.array(x0, dtype=float)
     F = np.asarray(residual(x), dtype=float)
@@ -248,6 +260,9 @@ def newton_armijo(
         while True:
             x_trial = x + alpha * d
             F_trial = np.asarray(residual(x_trial), dtype=float)
+            if not np.all(np.isfinite(F_trial)):
+                raise NewtonError(f"newton_armijo: non-finite residual at the trial step "
+                                  f"(alpha = {alpha:.3e})", x, sups[-1])
             merit_trial = 0.5 * float(F_trial @ F_trial)
             if merit_trial <= merit + ARMIJO_C1 * alpha * slope:
                 break

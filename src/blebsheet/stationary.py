@@ -111,12 +111,13 @@ def stationary_fixed_point(
     """Damped Picard iteration on the fixed-point map of the reduced problem.
 
     Requires positive diffusivities and ``damping`` in (0, 1].  Converges on
-    ``max(|h - F_h|, |rho_a - F_rho|)_inf <= tol``; non-convergence raises
-    with the last iterate attached.  The height CG starts from the damped
-    height, and the density CG from the previous iteration's undamped
-    density, which is nearer its answer than the damped one.  (The node-wise
-    reaction solution of the time steps is a worse start here: without a
-    ``1/tau`` term diffusion is about 30 % of this operator.)
+    ``max(|h - F_h|, |rho_a - F_rho|)_inf <= tol``; non-convergence, or a
+    non-finite increment, raises with the last finite iterate attached.
+    The height CG starts from the damped height, and the density CG from
+    the previous iteration's undamped density, which is nearer its answer
+    than the damped one.  (The node-wise reaction solution of the time
+    steps is a worse start here: without a ``1/tau`` term diffusion is
+    about 30 % of this operator.)
     """
     if params.eta_a <= 0.0 or params.eta_i <= 0.0:
         raise ValueError("fixed point construction needs positive diffusivities")
@@ -127,6 +128,12 @@ def stationary_fixed_point(
     w = grid.weights
     p_int = PASCAL * grid.restrict(pressure.values)
     ratio = params.eta_a / params.eta_i
+
+    def result_at(iterations: int) -> StationaryResult:
+        # reconstruct the inactive density from the constant weighted sum
+        rho0 = params.eta_i * ((ratio - 1.0) * integrate(grid, rho_bar) + m0)
+        rho_i = (rho0 - params.eta_a * rho_bar) / params.eta_i
+        return _result(ops, params, pressure, h_bar, rho_bar, rho_i, iterations)
 
     h_bar = np.zeros(grid.num_nodes)
     rho_bar = np.full(grid.num_nodes, m0)  # |D| = 1
@@ -145,20 +152,19 @@ def stationary_fixed_point(
         B_a = ops.density_matrix(params.eta_a, params.k * ratio + rate)
         rho_new = cg_solve(B_a, w * source, opts, x0=rho_new)
 
-        increment = max(
-            float(np.max(np.abs(h_new - h_bar))),
-            float(np.max(np.abs(rho_new - rho_bar))),
-        )
+        # np.maximum, unlike max, keeps a NaN from either field
+        increment = float(np.maximum(np.max(np.abs(h_new - h_bar)),
+                                     np.max(np.abs(rho_new - rho_bar))))
+        if not np.isfinite(increment):
+            raise StationaryError(f"fixed point: non-finite increment at iteration "
+                                  f"{iterations}", result_at(iterations - 1))
         h_bar = (1.0 - damping) * h_bar + damping * h_new
         rho_bar = (1.0 - damping) * rho_bar + damping * rho_new
         if increment <= tol:
             break
     converged = increment <= tol
 
-    # reconstruct the inactive density from the constant weighted sum
-    rho0 = params.eta_i * ((ratio - 1.0) * integrate(grid, rho_bar) + m0)
-    rho_i = (rho0 - params.eta_a * rho_bar) / params.eta_i
-    result = _result(ops, params, pressure, h_bar, rho_bar, rho_i, iterations)
+    result = result_at(iterations)
     if not converged:
         raise StationaryError(
             f"fixed point: no convergence in {max_iterations} iterations "

@@ -577,6 +577,23 @@ def test_write_csv_streams_the_joined_bytes(tmp_path):
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
+def test_snapshot_bytes_equal_the_fmt_path(tmp_path):
+    from blebsheet.dynamics import State
+    from blebsheet.grid import build_grid
+    from blebsheet.output import write_csv, write_snapshot
+
+    grid = build_grid(4)
+    values = np.random.default_rng(4).standard_normal((3, grid.num_nodes)) * 1e3
+    values[:, :6] = [[-0.0, 5e-324, 1e300, -1e300, -2.5e-310, 1.0 / 3.0]] * 3
+    state = State(h=values[0], w=np.zeros(grid.num_nodes), rho_a=-values[1], rho_i=values[2])
+    write_snapshot(tmp_path / "fast.csv", grid, state)
+    write_csv(tmp_path / "fmt.csv", ["x", "y", "h", "rho_a", "rho_i"],
+              zip(grid.node_x, grid.node_y, state.h, state.rho_a, state.rho_i))
+    fast = (tmp_path / "fast.csv").read_bytes()
+    assert fast == (tmp_path / "fmt.csv").read_bytes()
+    assert b"-0," in fast and b"4.9406564584124654e-324" in fast and b"1e+300" in fast
+
+
 def test_stationary_result_serializes_like_snapshots(tmp_path):
     from blebsheet.grid import build_grid
     from blebsheet.model import ModelParams, pressure_pulse

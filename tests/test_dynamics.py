@@ -21,7 +21,7 @@ from blebsheet.dynamics import (
     simulate,
     step,
 )
-from blebsheet.grid import build_grid, integrate
+from blebsheet.grid import SparseMatrix, assemble_laplacian, build_grid, integrate
 from blebsheet.linalg import LinearSolveError, SolveOptions, cg_solve
 from blebsheet.model import (
     MICROGRAM,
@@ -363,6 +363,32 @@ def test_fully_implicit_halving_stops_at_fixed_depth(monkeypatch):
     assert info.value.step_index == 7
     # the first half of every level fails in turn, down to the last level
     assert len(solves) == dyn._MAX_HALVINGS + 1
+
+
+def test_fully_implicit_step_halves_on_predictor_failure(monkeypatch):
+    # the semi-implicit predictor's own solves can fail at a large tau; the
+    # step is halved as for a failed Newton solve
+    import blebsheet.dynamics as dyn
+
+    predictions = []
+    predict = dyn._step_semi_implicit
+
+    def first_fails(*args):
+        predictions.append(None)
+        if len(predictions) == 1:
+            raise LinearSolveError("predictor failed", np.zeros(1), 1.0)
+        return predict(*args)
+
+    monkeypatch.setattr(dyn, "_step_semi_implicit", first_fails)
+    grid = build_grid(8)
+    state = fresh_state(grid)
+    state.step_index = 7
+    out = step(state, 1e-6, ModelParams(), pressure_pulse(grid, peak=400.0), grid,
+               Scheme.FULLY_IMPLICIT)
+    assert len(predictions) == 3  # the failed one, then one per half step
+    assert out.step_index == 8
+    assert out.t == 1e-6
+    assert np.all(np.isfinite(out.h)) and out.h.max() > 0.0
 
 
 def test_step_failure_carries_step_index():
@@ -890,26 +916,56 @@ def test_density_matrix_matches_sparse_sum(n, spread):
     else:
         extra = np.full(grid.num_nodes, 1e6 + 1e4)
     got = ops.density_matrix(0.2, extra)
-    want = sp.csr_matrix(sp.diags(grid.weights * extra) + 0.2 * ops.LN)
+    assert got.format == "dia" and np.array_equal(got.offsets, ops.LN.offsets)
+    LN = SparseMatrix.from_scipy(sp.diags(grid.weights) @ assemble_laplacian(grid, "neumann0"))
+    want = sp.csr_matrix(sp.diags(grid.weights * extra) + 0.2 * LN)
     want.sum_duplicates()
+    got = got.tocsr()
     assert got.shape == want.shape
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 64])
+def test_diagonal_storage_products_equal_csr_products(n):
+    # scipy's DIA product sums each row one diagonal at a time in offset
+    # order, the canonical CSR column order, so every term is added as the
+    # CSR product adds it: the results are bitwise equal, not merely close
+    grid = build_grid(n)
+    ops = Operators(grid)
+    A = assemble_laplacian(grid, "dirichlet0")
+    AN = assemble_laplacian(grid, "neumann0")
+    LN = SparseMatrix.from_scipy(sp.diags(grid.weights) @ AN)
+    rng = np.random.default_rng(n)
+    for name, M, want in (("A", ops.A, A), ("AN", ops.AN, AN), ("LN", ops.LN, LN)):
+        assert np.all(np.diff(M.offsets) > 0), name
+        for _ in range(3):
+            x = rng.standard_normal(M.shape[1]) * 10.0 ** rng.integers(-8, 8)
+            assert np.array_equal(M @ x, want @ x), name
+    extra = rng.permutation(np.logspace(0.0, 8.0, grid.num_nodes))
+    B = ops.density_matrix(0.2, extra)
+    B_csr = SparseMatrix.from_scipy(sp.diags(grid.weights * extra) + 0.2 * LN)
+    assert np.all(np.diff(B.offsets) > 0)
+    for _ in range(3):
+        x = rng.standard_normal(grid.num_nodes)
+        assert np.array_equal(B @ x, B_csr @ x)
 
 
 @pytest.mark.parametrize("n", [*range(2, 41), 64, 128])
 def test_weighted_neumann_operator_exactly_symmetric(n):
     # density_matrix is symmetric only because LN is; nothing re-symmetrizes
     LN = Operators(build_grid(n)).LN
-    assert (LN - LN.T).nnz == 0
+    assert (LN - LN.T).count_nonzero() == 0
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 64])
 def test_weighted_neumann_operator_stores_every_diagonal(n):
+    # density_matrix adds the reaction term to the offset-0 row of LN.data
     LN = Operators(build_grid(n)).LN
-    rows = np.repeat(np.arange(LN.shape[0]), np.diff(LN.indptr))
-    assert np.count_nonzero(LN.indices == rows) == LN.shape[0]
-    assert np.all(LN.diagonal() > 0.0)
+    main = LN.data[LN.offsets.tolist().index(0)]
+    assert main.shape == (LN.shape[0],)
+    assert np.array_equal(main, LN.diagonal())
+    assert np.all(main > 0.0)
 
 
 def test_density_matrix_leaves_operator_unchanged():

@@ -140,14 +140,28 @@ def test_from_scipy_sorts_and_sums_duplicate_columns():
 
 @pytest.mark.parametrize("n", [*range(2, 41), 64, 128])
 def test_assembled_operators_are_canonical(n):
-    # CG and the one-pass density matrix rely on these; nothing re-sorts or
-    # re-symmetrizes them after assembly
-    ops = Operators(build_grid(n))
-    for name in ("A", "AN", "LN"):
-        assert _columns_strictly_increasing(getattr(ops, name)), name
+    # every product runs scipy's DIA kernel, which adds a row's terms one
+    # diagonal at a time in offset order; sorted offsets make that the
+    # canonical CSR column order, and nothing re-sorts or re-symmetrizes the
+    # operators after assembly
+    grid = build_grid(n)
+    ops = Operators(grid)
+    csr = {"A": assemble_laplacian(grid, "dirichlet0"),
+           "AN": assemble_laplacian(grid, "neumann0")}
+    csr["LN"] = SparseMatrix.from_scipy(sp.diags(grid.weights) @ csr["AN"])
+    for name, line in (("A", n - 1), ("AN", n + 1), ("LN", n + 1)):
+        M = getattr(ops, name)
+        assert M.format == "dia", name
+        offsets = [0] if M.shape[0] == 1 else [-line, -1, 0, 1, line]
+        assert M.offsets.tolist() == offsets, name
+        # the stored diagonals hold exactly the canonical assembly's entries
+        back = M.tocsr()
+        assert _columns_strictly_increasing(back), name
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(back, part), getattr(csr[name], part)), name
     for name in ("A", "LN"):
         M = getattr(ops, name)
-        assert (M - M.T).nnz == 0, name
+        assert (M - M.T).count_nonzero() == 0, name
 
 
 def test_embed_restrict_roundtrip():

@@ -177,6 +177,26 @@ def test_gmres_stalls_below_its_roundoff_floor():
     assert np.linalg.norm(b - A @ err.value.iterate) == err.value.residual_norm
 
 
+def test_gmres_ends_its_cycle_at_a_happy_breakdown():
+    # 12 iterations span the whole space; the 13th Krylov vector is roundoff.
+    # The answer is as exact as the arithmetic allows, and it misses a target
+    # of 1e-15 ||b||: the solve raises as stalled at once, where without the
+    # breakdown test it divided by roundoff and restarted, 35 iterations in all
+    A, b = _nonsymmetric_system(12, 1)
+    calls = []
+
+    def counted(r):
+        calls.append(None)
+        return r
+
+    with pytest.raises(LinearSolveError, match="stalled after 12 iterations") as err:
+        gmres_solve(A, b, counted, SolveOptions(rel_tolerance=1e-15))
+    assert len(calls) <= 12
+    want = np.linalg.solve(A, b)
+    assert np.linalg.norm(err.value.iterate - want) <= 1e-14 * np.linalg.norm(want)
+    assert err.value.residual_norm <= 1e-14 * np.linalg.norm(b)
+
+
 def test_gmres_zero_rhs_and_nonfinite_preconditioner():
     A, b = _nonsymmetric_system(6, 3)
     assert np.array_equal(gmres_solve(A, np.zeros(6), identity), np.zeros(6))
@@ -298,6 +318,23 @@ def test_newton_nonfinite_start_raises_at_once():
         newton_armijo(residual, lambda x: np.eye(2), np.zeros(2),
                       linear_solve=lambda J, rhs: np.linalg.solve(J, rhs))
     assert len(evaluations) == 1
+
+
+def test_newton_nonfinite_trial_residual_raises_at_once():
+    # the full step lands where the residual is NaN; the NaN merit would fail
+    # the Armijo test down to the 1e-14 floor and read as a failed line search
+    evaluations = []
+
+    def residual(x):
+        evaluations.append(None)
+        return x - 1.0 if x[0] < 0.5 else x + np.nan
+
+    with pytest.raises(NewtonError, match="non-finite residual at the trial step") as err:
+        newton_armijo(residual, lambda x: np.eye(2), np.zeros(2),
+                      linear_solve=lambda J, rhs: np.linalg.solve(J, rhs))
+    assert len(evaluations) == 2
+    assert np.array_equal(err.value.iterate, np.zeros(2))
+    assert err.value.residual_norm == 1.0
 
 
 def test_newton_rejects_an_ascent_direction():

@@ -130,12 +130,15 @@ def test_ripping_steps_make_no_sparse_matrix(monkeypatch):
     assert wraps == []
 
 
-def test_density_matrix_exposes_csr_arrays():
-    # linalg.cg_matvec_bytes reads nnz, indices and data of the solved matrix
+def test_density_matrix_exposes_dia_arrays():
+    # linalg.cg_matvec_bytes reads nnz, indices and data of a CSR matrix; the
+    # density matrices are stored by diagonals and have no indices, so that
+    # metric counts no density solve until it reads offsets and data
     g = grid.build_grid(8)
     B = dynamics.Operators(g).density_matrix(0.2, np.full(g.num_nodes, 1e6))
-    assert B.nnz == B.data.size == B.indices.size > 0
-    assert B.indices.itemsize > 0 and B.data.itemsize == 8
+    assert not hasattr(B, "indices")
+    assert B.offsets.tolist() == [-9, -1, 0, 1, 9] and B.offsets.itemsize > 0
+    assert B.data.shape == (5, g.num_nodes) and B.data.itemsize == 8
 
 
 def test_import_leaves_heavy_modules_unloaded():

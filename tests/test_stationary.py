@@ -172,3 +172,32 @@ def test_picard_density_iterations_capped(monkeypatch):
     result = stationary_fixed_point(ModelParams(), pressure, m0=1.0, grid=grid)
     assert len(iterations) == result.iterations
     assert sum(iterations) <= 7000
+
+
+def test_fixed_point_nonfinite_increment_raises_with_last_finite_iterate(monkeypatch):
+    # a density solve that hands back NaN would otherwise run all 500
+    # iterations and report plain non-convergence
+    import blebsheet.stationary as st
+    from blebsheet.linalg import cg_solve
+
+    grid = build_grid(8)
+    density_solves = []
+
+    def poisoned(A, b, *args, **kwargs):
+        x = cg_solve(A, b, *args, **kwargs)
+        if b.size == grid.num_nodes:
+            density_solves.append(None)
+            if len(density_solves) == 3:
+                return np.full_like(x, np.nan)
+        return x
+
+    monkeypatch.setattr(st, "cg_solve", poisoned)
+    pressure = pressure_pulse(grid, peak=410.0)
+    with pytest.raises(StationaryError, match="non-finite increment at iteration 3") as err:
+        stationary_fixed_point(ModelParams(), pressure, m0=1.0, grid=grid)
+    assert len(density_solves) == 3
+    result = err.value.result
+    assert result.iterations == 2
+    for name in ("h", "rho_a", "rho_i"):
+        assert np.all(np.isfinite(getattr(result, name))), name
+    assert np.isfinite(result.residual_height)
