@@ -163,7 +163,8 @@ def run_sweep(config: ScenarioConfig):
     read; ``center`` and ``radius`` are kept), and a pressure of another
     kind raises :class:`ConfigError` before any run.  The detector bisects
     the indicator ``max_h(10 tau) > h_star`` between the first bracketing
-    pair of samples, to the configured pressure tolerance.
+    pair of samples, to the configured pressure tolerance or until the
+    bracket's ends are adjacent floats, whichever comes first.
 
     Sub-critical peaks are answered by superposition.  The protocol is run
     once at a 1 Pa peak, keeping ``u10``, the max height after step 10, and
@@ -215,6 +216,8 @@ def run_sweep(config: ScenarioConfig):
     lo, hi = peaks[i - 1], peaks[i]
     while hi - lo > config.sweep_bisect_tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # adjacent floats: the bracket cannot shrink
+            break
         if value(mid) > h_star:
             hi = mid
         else:

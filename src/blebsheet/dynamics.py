@@ -212,6 +212,7 @@ class Operators:
         self.LN = SparseMatrix.from_scipy(sp.diags(grid.weights) @ AN).todia()
         self.AN = AN.todia()
         self._main = int(np.flatnonzero(self.LN.offsets == 0)[0])
+        self._uniform_density: dict[tuple[float, float], sp.dia_matrix] = {}
 
     def height_operator(self, params: ModelParams, shift: float, spring: np.ndarray,
                         scale: float = 1.0) -> HeightOperator:
@@ -233,17 +234,30 @@ class Operators:
         return self.height_operator(params, params.lam, self.grid.restrict(rho_a),
                                     params.xi * MICROGRAM)
 
-    def density_matrix(self, eta: float, diag_extra: np.ndarray) -> sp.dia_matrix:
+    def density_matrix(self, eta: float, diag_extra: float | np.ndarray) -> sp.dia_matrix:
         """Weighted form ``W diag(extra) + eta LN`` (symmetric positive definite).
 
         ``eta LN`` with ``W extra`` added to its main diagonal, in ``LN``'s
         diagonal storage and offsets.  Each entry is computed as the CSR
         assembly computes it, so the matrix and its products are bitwise
         equal to that assembly's; it is exactly symmetric because ``LN`` is.
+
+        A float ``diag_extra`` is a uniform reaction term, bitwise the same
+        as the array ``np.full(num_nodes, diag_extra)``.  Its matrix is
+        built once per ``(eta, diag_extra)`` and this instance returns that
+        same matrix, with read-only ``data``, on every later call; an array
+        ``diag_extra`` gets a new matrix each call.
         """
+        uniform = isinstance(diag_extra, float)
+        if uniform and (eta, diag_extra) in self._uniform_density:
+            return self._uniform_density[eta, diag_extra]
         data = eta * self.LN.data
         data[self._main] += self.grid.weights * diag_extra
-        return sp.dia_matrix((data, self.LN.offsets), shape=self.LN.shape)
+        B = sp.dia_matrix((data, self.LN.offsets), shape=self.LN.shape)
+        if uniform:
+            B.data.flags.writeable = False
+            self._uniform_density[eta, diag_extra] = B
+        return B
 
 
 def _reaction_start(k_tau: float, rate_tau: np.ndarray, rho_a: np.ndarray,
@@ -284,12 +298,12 @@ def _solve_densities(
     w = ops.grid.weights
     # mass conservation inherits the residual of these solves; run them tight
     dopts = replace(opts, rel_tolerance=min(opts.rel_tolerance, 1e-12))
-    B_i = ops.density_matrix(params.eta_i, np.full(w.size, 1.0 / tau + params.k))
+    B_i = ops.density_matrix(params.eta_i, 1.0 / tau + params.k)
 
     if not implicit_ripping or not np.any(rate > 0.0):
         flux = rate * rho_a
         rho_i_new = cg_solve(B_i, w * (rho_i / tau + flux), dopts, x0=rho_i)
-        B_a = ops.density_matrix(params.eta_a, np.full(w.size, 1.0 / tau))
+        B_a = ops.density_matrix(params.eta_a, 1.0 / tau)
         rhs_a = w * (rho_a / tau + params.k * rho_i_new - flux)
         rho_a_new = cg_solve(B_a, rhs_a, dopts, x0=rho_a)
         return rho_a_new, rho_i_new

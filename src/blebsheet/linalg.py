@@ -90,7 +90,10 @@ def cg_solve(
     ``precond(r)`` applies a symmetric positive definite approximation of
     ``A^-1`` (preconditioned CG).  The stop test and the history stay on
     the unpreconditioned residual ``r``, so they mean the same with and
-    without it; with ``precond=None`` the iteration is plain CG.
+    without it; with ``precond=None`` the iteration is plain CG.  ``precond``
+    is applied only after the stop test has failed, so a solve calls it
+    once per iteration and not at all when ``x0`` already meets the test.
+    ``x``, ``r`` and ``p`` are updated in place through one work vector.
     """
     b = np.asarray(b, dtype=float)
     nb = np.linalg.norm(b)
@@ -99,12 +102,10 @@ def cg_solve(
 
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
     r = b - A @ x
-    z = r if precond is None else precond(r)
-    p = z.copy()
     rs = float(r @ r)
-    rz = rs if precond is None else float(r @ z)
     tol = opts.rel_tolerance * nb
     max_it = opts.max_iterations if opts.max_iterations is not None else 10 * b.size
+    work = np.empty_like(b)
 
     if residual_history is not None:
         residual_history.append(np.sqrt(rs))
@@ -117,6 +118,17 @@ def cg_solve(
                 x,
                 float(np.sqrt(rs)),
             )
+        if precond is None:
+            z, rz_new = r, rs
+        else:
+            z = precond(r)
+            rz_new = float(r @ z)
+        if it == 0:
+            p = z.copy()
+        else:  # p = z + beta p, in place
+            p *= rz_new / rz
+            p += z
+        rz = rz_new
         Ap = A @ p
         pAp = float(p @ Ap)
         if pAp <= 0.0:
@@ -126,16 +138,9 @@ def cg_solve(
                 float(np.sqrt(rs)),
             )
         alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
+        x += np.multiply(alpha, p, out=work)
+        r -= np.multiply(alpha, Ap, out=work)
         rs = float(r @ r)
-        if precond is None:
-            z, rz_new = r, rs
-        else:
-            z = precond(r)
-            rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
         if residual_history is not None:
             residual_history.append(np.sqrt(rs))
         it += 1
@@ -161,7 +166,8 @@ def gmres_solve(A, b: np.ndarray, precond: Callable[[np.ndarray], np.ndarray],
     ``GMRES_RESTART`` iterations ends on the true residual, with the stop
     test of :func:`cg_solve`.  A cycle also ends at a happy breakdown, once
     the new Krylov vector lies in the space already spanned up to
-    ``GMRES_BREAKDOWN``, instead of dividing by roundoff.  Raises
+    ``GMRES_BREAKDOWN``, instead of dividing by roundoff; modified
+    Gram-Schmidt runs twice, so that roundoff is all that is left.  Raises
     :class:`LinearSolveError` after ``max_iterations`` iterations, on a
     non-finite ``b`` or residual, and as stalled once a cycle ends without
     lowering the true residual or at a breakdown that misses the target:
@@ -191,18 +197,18 @@ def gmres_solve(A, b: np.ndarray, precond: Callable[[np.ndarray], np.ndarray],
             Z[j] = precond(V[j])
             v = A @ Z[j]
             v_norm = np.linalg.norm(v)
-            for i in range(j + 1):  # modified Gram-Schmidt
-                H[i, j] = V[i] @ v
-                v -= H[i, j] * V[i]
+            for _ in range(2):  # modified Gram-Schmidt, twice
+                for i in range(j + 1):
+                    h = V[i] @ v
+                    H[i, j] += h
+                    v -= h * V[i]
             H[j + 1, j] = np.linalg.norm(v)
             it += 1
             if not np.isfinite(H[j + 1, j]):
                 raise LinearSolveError("gmres_solve: non-finite residual", x, beta)
             y = np.linalg.lstsq(H[: j + 2, : j + 1], g[: j + 2], rcond=None)[0]
-            if np.linalg.norm(g[: j + 2] - H[: j + 2, : j + 1] @ y) <= tol:
-                break
             exhausted = H[j + 1, j] <= GMRES_BREAKDOWN * v_norm
-            if exhausted:
+            if exhausted or np.linalg.norm(g[: j + 2] - H[: j + 2, : j + 1] @ y) <= tol:
                 break
             V[j + 1] = v / H[j + 1, j]
         x = x + Z[: j + 1].T @ y

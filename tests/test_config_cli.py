@@ -345,6 +345,28 @@ def test_sweep_monotone_and_detector(tmp_path):
     assert critical == pytest.approx(cfg.params.h_star / gain, abs=2.5)
 
 
+def test_sweep_bisection_ends_when_its_bracket_cannot_shrink():
+    # below one ulp of the critical pressure the midpoint rounds to an end
+    # of the bracket; the bisection must stop there instead of looping
+    import subprocess
+    import sys
+
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); "
+        "from blebsheet.cli import run_sweep; "
+        "from blebsheet.config import parse_config_dict; "
+        "doc = {'scenario': 'pressure_sweep', 'n': 8, 'sweep': {'bisect_tol': 1e-300}}; "
+        "print(repr(run_sweep(parse_config_dict(doc))[1]))"
+    )
+    done = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                          text=True, timeout=60, check=True)
+    tiny = float(done.stdout)
+    _, coarse = run_sweep(parse_config_dict({"scenario": "pressure_sweep", "n": 8,
+                                             "sweep": {"bisect_tol": 1e-12}}))
+    assert tiny == pytest.approx(coarse, rel=0.0, abs=1e-12)
+
+
 def test_sweep_cli_with_detection(tmp_path, capsys):
     out = tmp_path / "sweepfull"
     path = write_config(tmp_path, {

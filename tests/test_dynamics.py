@@ -29,6 +29,7 @@ from blebsheet.model import (
     ModelParams,
     PressureField,
     pressure_pulse,
+    ripping_rate,
 )
 
 ALL_SCHEMES = [Scheme.EXPLICIT_RIPPING, Scheme.IMPLICIT_RIPPING, Scheme.FULLY_IMPLICIT]
@@ -979,6 +980,53 @@ def test_density_matrix_leaves_operator_unchanged():
     assert np.array_equal(first.data, kept)
     assert not np.shares_memory(first.data, second.data)
     assert not np.shares_memory(first.data, ops.LN.data)
+
+
+@pytest.mark.parametrize("n", [2, 8, 64])
+def test_uniform_density_matrix_is_built_once(n):
+    grid = build_grid(n)
+    ops = Operators(grid)
+    B = ops.density_matrix(0.2, 1e6 + 1e4)
+    assert ops.density_matrix(0.2, 1e6 + 1e4) is B
+    assert not B.data.flags.writeable
+    with pytest.raises(ValueError):
+        B.data[0, 0] = 1.0
+    # a uniform float is bitwise the array it stands for
+    full = ops.density_matrix(0.2, np.full(grid.num_nodes, 1e6 + 1e4))
+    assert full is not B and np.array_equal(full.data, B.data)
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        x = rng.standard_normal(grid.num_nodes) * 10.0 ** rng.integers(-8, 8)
+        assert np.array_equal(B @ x, full @ x)
+    # another eta or another reaction term is another matrix
+    assert ops.density_matrix(0.3, 1e6 + 1e4) is not B
+    assert ops.density_matrix(0.2, 1e6) is not B
+    assert ops.density_matrix(0.2, 1e6 + 1e4) is B
+
+
+def test_non_ripping_step_reuses_its_density_matrices(monkeypatch):
+    # below h_star the two density systems depend only on tau: the first
+    # step builds them, every later step of the same tau reuses them
+    import blebsheet.dynamics as dyn
+
+    grid = build_grid(16)
+    ops = Operators(grid)
+    params = ModelParams()
+    pressure = pressure_pulse(grid, peak=100.0)
+    built = []
+    dia_matrix = dyn.sp.dia_matrix
+
+    def counted(*args, **kwargs):
+        built.append(None)
+        return dia_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(dyn.sp, "dia_matrix", counted)
+    state = fresh_state(grid)
+    for expected in (2, 0, 0):
+        assert not np.any(ripping_rate(state.h, params) > 0.0)
+        built.clear()
+        state = step(state, 1e-6, params, pressure, grid, Scheme.IMPLICIT_RIPPING, ops=ops)
+        assert len(built) == expected
 
 
 @pytest.mark.parametrize("n", [8, 16])

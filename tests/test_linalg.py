@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -113,6 +115,97 @@ def test_cg_nonfinite_rhs_raises(bad):
         gmres_solve(spm(np.eye(4)), b, identity)
 
 
+def _reference_cg(A, b, rel_tolerance, x0, max_it, precond):
+    """The textbook loop ``cg_solve`` must match bit for bit: it applies
+    ``precond`` also to the first residual and after the last iteration,
+    and builds new vectors at every update.  Returns the iterate after at
+    most ``max_it`` iterations and the residual history."""
+    x = np.array(x0, dtype=float)
+    r = b - A @ x
+    z = r if precond is None else precond(r)
+    p = z.copy()
+    rs = float(r @ r)
+    rz = rs if precond is None else float(r @ z)
+    tol = rel_tolerance * np.linalg.norm(b)
+    history = [np.sqrt(rs)]
+    it = 0
+    while np.sqrt(rs) > tol and it < max_it:
+        Ap = A @ p
+        alpha = rz / float(p @ Ap)
+        x += alpha * p
+        r -= alpha * Ap
+        rs = float(r @ r)
+        if precond is None:
+            z, rz_new = r, rs
+        else:
+            z = precond(r)
+            rz_new = float(r @ z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+        history.append(np.sqrt(rs))
+        it += 1
+    return x, history
+
+
+def _spd_system(size, seed):
+    # symmetric positive definite, diagonal spread over four decades
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((size, size)))
+    A = Q @ np.diag(np.logspace(0.0, 3.0, size)) @ Q.T
+    d = np.sqrt(np.logspace(0.0, 4.0, size))
+    A = d[:, None] * (0.5 * (A + A.T)) * d[None, :]
+    return A, rng.standard_normal(size), rng.standard_normal(size)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("jacobi", [False, True])
+def test_cg_iterates_bitwise_equal_the_reference_loop(seed, jacobi):
+    A, b, x0 = _spd_system(24, seed)
+    inv_diag = 1.0 / np.diag(A)
+    calls = []
+
+    def apply(r):
+        return inv_diag * r
+
+    def counted(r):
+        calls.append(None)
+        return apply(r)
+
+    precond, reference = (counted, apply) if jacobi else (None, None)
+    opts = SolveOptions(rel_tolerance=1e-10)
+    history = []
+    x = cg_solve(A, b, opts, x0=x0, residual_history=history, precond=precond)
+    want_x, want_history = _reference_cg(A, b, 1e-10, x0, np.inf, reference)
+    assert np.array_equal(x, want_x)
+    assert history == want_history
+    iterations = len(history) - 1
+    assert iterations > 10
+    assert len(calls) == (iterations if jacobi else 0)
+    # every intermediate iterate, through the iteration cap's error
+    for cap in range(iterations):
+        calls.clear()
+        with pytest.raises(LinearSolveError, match="no convergence") as err:
+            cg_solve(A, b, replace(opts, max_iterations=cap), x0=x0, precond=precond)
+        assert len(calls) == (cap if jacobi else 0)
+        want, _ = _reference_cg(A, b, 1e-10, x0, cap, reference)
+        assert np.array_equal(err.value.iterate, want)
+
+
+def test_cg_applies_no_preconditioner_to_a_converged_start():
+    A, b, _ = _spd_system(24, 0)
+    calls = []
+
+    def counted(r):
+        calls.append(None)
+        return r / np.diag(A)
+
+    x0 = np.linalg.solve(A, b)
+    history = []
+    x = cg_solve(A, b, x0=x0, residual_history=history, precond=counted)
+    assert len(history) == 1 and calls == []
+    assert np.array_equal(x, x0)
+
+
 def _nonsymmetric_system(size, seed):
     rng = np.random.default_rng(seed)
     A = np.diag(np.linspace(1.0, 50.0, size)) + rng.standard_normal((size, size))
@@ -195,6 +288,31 @@ def test_gmres_ends_its_cycle_at_a_happy_breakdown():
     want = np.linalg.solve(A, b)
     assert np.linalg.norm(err.value.iterate - want) <= 1e-14 * np.linalg.norm(want)
     assert err.value.residual_norm <= 1e-14 * np.linalg.norm(b)
+
+
+def test_gmres_exhausts_a_full_krylov_space_in_one_cycle():
+    # 30 iterations span all 30 unknowns.  With Gram-Schmidt applied twice
+    # the 31st Krylov vector orthogonalizes to roundoff, so the cycle ends at
+    # a happy breakdown; one pass left up to 7.6e-5 of it and continued on
+    # noise directions, up to 50 iterations
+    for seed in range(200):
+        A, b = _nonsymmetric_system(30, seed)
+        calls = []
+
+        def counted(r):
+            calls.append(None)
+            return r
+
+        try:
+            x = gmres_solve(A, b, counted, SolveOptions(rel_tolerance=1e-14))
+        except LinearSolveError as err:
+            # the target lies below this system's roundoff floor
+            assert "stalled after 30 iterations" in str(err), seed
+            x = err.iterate
+        assert len(calls) <= 30, seed
+        want = np.linalg.solve(A, b)
+        assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want), seed
+        assert np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b), seed
 
 
 def test_gmres_zero_rhs_and_nonfinite_preconditioner():
