@@ -42,7 +42,7 @@ from typing import Iterator, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import Grid, SparseMatrix, assemble_laplacian, build_grid, integrate
+from .grid import Grid, assemble_laplacian, build_grid, integrate
 from .linalg import (
     LinearSolveError,
     NewtonError,
@@ -178,21 +178,20 @@ class HeightOperator:
 class Operators:
     """Grid-bound discrete operators shared by all steps of one run.
 
-    ``A`` is the interior Dirichlet negative Laplacian, ``AN`` the all-node
-    Neumann operator and ``LN`` its weighted symmetric form, used in the
-    density solves.  Each is assembled once in canonical CSR form (sorted
-    column indices, no duplicates) and kept only in diagonal (DIA) storage:
-    five constant diagonals at the sorted offsets ``[-m, -1, 0, 1, m]``,
-    ``m`` the grid-line length, with zeros where a stencil leg leaves the
-    grid.  Scipy's DIA product adds each row's terms one diagonal at a
-    time, in offset order, which is the CSR column order, and a stored zero
-    adds exactly nothing to a finite sum; so every product ``@`` here is
-    bitwise equal to the canonical CSR one, at lower cost.  The membrane
-    operator is never assembled: every height solve and membrane residual
-    applies it matrix-free (:meth:`height_operator`).  ``AN`` is read only
-    by the fully implicit scheme and the stationary residuals, but it is
-    assembled anyway to build ``LN``, and recovering it from ``LN`` would
-    not be bitwise equal on every grid, so it is kept.
+    ``LN`` is the grid's one assembled Laplacian (:func:`assemble_laplacian`):
+    the symmetric weak-form no-flux operator on all nodes, used in the
+    density solves; ``LN @ x / grid.weights`` is its strong form.  ``A`` is
+    its interior block with every entry divided by ``spacing**2``: the
+    5-point clamped (Dirichlet) negative Laplacian of the height.  Both are
+    kept only in diagonal (DIA) storage: five constant diagonals at the
+    sorted offsets ``[-m, -1, 0, 1, m]``, ``m`` the grid-line length, with
+    zeros where a stencil leg leaves the grid.  Scipy's DIA product adds
+    each row's terms one diagonal at a time, in offset order, which is the
+    canonical CSR column order, and a stored zero adds exactly nothing to a
+    finite sum; so every product ``@`` here is bitwise equal to the
+    canonical CSR one, at lower cost.  The membrane operator is never
+    assembled: every height solve and membrane residual applies it
+    matrix-free (:meth:`height_operator`).
 
     ``sine`` is the orthonormal DST-I matrix ``S`` of one grid line
     (symmetric, ``S @ S = I``) and ``eig`` the eigenvalues of ``A`` on the
@@ -207,10 +206,13 @@ class Operators:
         self.sine = np.sqrt(2.0 / grid.n) * np.sin(np.pi * np.outer(k, k) / grid.n)
         line = (2.0 * np.sin(0.5 * np.pi * k / grid.n) / grid.spacing) ** 2
         self.eig = line[:, None] + line[None, :]
-        self.A = assemble_laplacian(grid, "dirichlet0").todia()
-        AN = assemble_laplacian(grid, "neumann0")
-        self.LN = SparseMatrix.from_scipy(sp.diags(grid.weights) @ AN).todia()
-        self.AN = AN.todia()
+        L = assemble_laplacian(grid)
+        inner = grid.interior_indices
+        self.A = L[inner][:, inner].todia()
+        # elementwise: scipy's scalar division multiplies by the reciprocal,
+        # which is not bitwise 4.0 / spacing**2 on every grid
+        self.A.data = self.A.data / grid.spacing ** 2
+        self.LN = L.todia()
         self._main = int(np.flatnonzero(self.LN.offsets == 0)[0])
         self._uniform_density: dict[tuple[float, float], sp.dia_matrix] = {}
 
@@ -436,11 +438,11 @@ class FullyImplicitJacobian:
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         dh, da, di = self.split(v)
-        p, tau, AN = self.params, self.tau, self.ops.AN
+        p, tau, LN, w = self.params, self.tau, self.ops.LN, self.ops.grid.weights
         out_h = tau * (self.height @ dh) + self.diag_ha * da[self.interior]
-        out_a = da + tau * (p.eta_a * (AN @ da)) + self.diag_ia_rate * da - self.k_tau * di
+        out_a = da + tau * (p.eta_a * (LN @ da / w)) + self.diag_ia_rate * da - self.k_tau * di
         out_a[self.interior] += self.diag_ah * dh
-        out_i = (1.0 + self.k_tau) * di + tau * (p.eta_i * (AN @ di)) - self.diag_ia_rate * da
+        out_i = (1.0 + self.k_tau) * di + tau * (p.eta_i * (LN @ di / w)) - self.diag_ia_rate * da
         out_i[self.interior] -= self.diag_ah * dh
         return np.concatenate([out_h, out_a, out_i])
 
@@ -459,20 +461,20 @@ class FullyImplicitJacobian:
         ni, na = self.n_int, self.n_all
         p, tau = self.params, self.tau
         A = self.ops.A.toarray()
-        AN = self.ops.AN.toarray()
+        neumann = self.ops.LN.toarray() / self.ops.grid.weights[:, None]
         J = np.zeros((ni + 2 * na, ni + 2 * na))
         J[:ni, :ni] = tau * (np.diag(self.height.diag) + p.kappa * (A @ A) + p.gamma * A)
         ha = np.zeros((ni, na))
         ha[np.arange(ni), self.interior] = self.diag_ha
         J[:ni, ni : ni + na] = ha
-        J[ni : ni + na, ni : ni + na] = np.eye(na) + tau * (p.eta_a * AN + np.diag(self.rate))
+        J[ni : ni + na, ni : ni + na] = np.eye(na) + tau * (p.eta_a * neumann + np.diag(self.rate))
         ah = np.zeros((na, ni))
         ah[self.interior, np.arange(ni)] = self.diag_ah
         J[ni : ni + na, :ni] = ah
         J[ni : ni + na, ni + na :] = -self.k_tau * np.eye(na)
         J[ni + na :, :ni] = -ah
         J[ni + na :, ni : ni + na] = -np.diag(self.diag_ia_rate)
-        J[ni + na :, ni + na :] = (1.0 + self.k_tau) * np.eye(na) + tau * p.eta_i * AN
+        J[ni + na :, ni + na :] = (1.0 + self.k_tau) * np.eye(na) + tau * p.eta_i * neumann
         return J
 
 
@@ -501,10 +503,10 @@ def _fully_implicit_residual(
         membrane @ h_int - PASCAL * grid.restrict(pressure.values)
     )
     F_a = (rho_a - state.rho_a) + tau * (
-        params.eta_a * (ops.AN @ rho_a) - params.k * rho_i + flux
+        params.eta_a * (ops.LN @ rho_a / grid.weights) - params.k * rho_i + flux
     )
     F_i = (rho_i - state.rho_i) + tau * (
-        params.eta_i * (ops.AN @ rho_i) + params.k * rho_i - flux
+        params.eta_i * (ops.LN @ rho_i / grid.weights) + params.k * rho_i - flux
     )
     return np.concatenate([F_h, F_a, F_i])
 

@@ -1,4 +1,4 @@
-"""Uniform node-centered grid on the closed unit square and its Laplacians.
+"""Uniform node-centered grid on the closed unit square and its Laplacian.
 
 Conventions used throughout the package:
 
@@ -6,8 +6,11 @@ Conventions used throughout the package:
   sits at ``(i * spacing, j * spacing)``.
 - Quadrature weights are trapezoidal: ``spacing**2`` in the interior, half of
   that on edges, a quarter in corners.  They sum to the unit-square area.
-- Both Laplacian assemblies store the NEGATIVE Laplacian, so every operator
-  built from them is positive (semi)definite.
+- The one Laplacian assembly, :func:`assemble_laplacian`, stores the
+  NEGATIVE Laplacian in weak form on all nodes, so every operator built
+  from it is positive (semi)definite.  The no-flux (Neumann) density
+  operators use it whole; the clamped (Dirichlet) height operator uses its
+  interior block.
 """
 
 from __future__ import annotations
@@ -27,9 +30,9 @@ class SparseMatrix(sp.csr_matrix):
 
     :meth:`from_scipy` is the package's one canonicalizing constructor: its
     result has strictly increasing column indices within each row (sorted,
-    no duplicates).  The grid Laplacians and the weighted Neumann operator
-    are built through it.  Scipy arithmetic on an instance (``A @ A``,
-    ``0.5 * A``) also returns this class, without that guarantee.
+    no duplicates).  The grid Laplacian is built through it.  Scipy
+    arithmetic on an instance (``A @ A``, ``0.5 * A``) also returns this
+    class, without that guarantee.
     """
 
     @classmethod
@@ -104,55 +107,24 @@ def build_grid(n: int) -> Grid:
     )
 
 
-def assemble_laplacian(grid: Grid, bc: str) -> SparseMatrix:
-    """Assemble the negative Laplacian for the requested boundary condition.
+def assemble_laplacian(grid: Grid) -> SparseMatrix:
+    """Assemble the finite-volume negative Laplacian on all nodes.
 
-    ``dirichlet0``: standard 5-point stencil on interior nodes only; the
-    matrix is symmetric positive definite with diagonal ``4 / spacing**2``.
-
-    ``neumann0``: finite-volume operator on all nodes.  Fluxes across cell
-    faces use mirrored boundary faces (half-length on the boundary rows), and
-    each row is divided by the node's quadrature weight.  By construction the
-    weight vector spans the left null space (``weights @ A == 0``) and
-    constants span the right null space, which makes the discrete linker mass
-    conserved exactly by the time stepping.
+    The weak form of ``-lap`` with no-flux edges: each cell face between two
+    neighbouring nodes adds its conductance (face length over node distance,
+    ``1`` inside and ``1/2`` along the boundary) to both diagonals and
+    subtracts it from both couplings.  The matrix is exactly symmetric, and
+    constants span both its null spaces (``L @ 1 == 0 == 1 @ L``), which makes
+    the discrete linker mass conserved exactly by the time stepping.  Divided
+    by the node weights it is the strong-form Neumann operator; its interior
+    block divided by ``spacing**2`` is the 5-point Dirichlet stencil, with
+    ``4`` on the diagonal and ``-1`` for each interior neighbour.
     """
-    if bc == "dirichlet0":
-        return _dirichlet_matrix(grid)
-    if bc == "neumann0":
-        return _neumann_matrix(grid)
-    raise ValueError(f"unknown boundary condition {bc!r}")
-
-
-def _dirichlet_matrix(grid: Grid) -> SparseMatrix:
-    m = grid.n + 1
-    h2 = grid.spacing ** 2
-    full_to_int = -np.ones(grid.num_nodes, dtype=np.int64)
-    full_to_int[grid.interior_indices] = np.arange(grid.num_interior)
-
-    # one row of slots per interior node: the diagonal, then the neighbours
-    # at -m, +m, -1, +1; boundary neighbours are dropped
-    full = grid.interior_indices
-    k = full_to_int[full]
-    nbs = full_to_int[full[:, None] + np.array([-m, m, -1, 1])]
-    cols = np.column_stack([k, nbs])
-    vals = np.empty(cols.shape)
-    vals[:, 0] = 4.0 / h2
-    vals[:, 1:] = -1.0 / h2
-    keep = cols >= 0
-    rows = np.broadcast_to(k[:, None], cols.shape)
-    N = grid.num_interior
-    mat = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(N, N))
-    return SparseMatrix.from_scipy(mat)
-
-
-def _neumann_matrix(grid: Grid) -> SparseMatrix:
     n = grid.n
     m = n + 1
 
     # per node, the edge to +x then the edge to +y, each as four entries
-    # (a,a), (b,b), (a,b), (b,a) with symmetric conductance (face length /
-    # node distance); rows are divided by node weights afterwards
+    # (a,a), (b,b), (a,b), (b,a) with symmetric conductance
     a = np.arange(m * m)
     i, j = np.divmod(a, m)
     b = np.stack([a + m, a + 1], axis=1)
@@ -165,8 +137,7 @@ def _neumann_matrix(grid: Grid) -> SparseMatrix:
     vals = (conduct[:, :, None] * np.array([1.0, 1.0, -1.0, -1.0]))[exists]
 
     L = sp.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(m * m, m * m))
-    A = sp.diags(1.0 / grid.weights) @ L
-    return SparseMatrix.from_scipy(A)
+    return SparseMatrix.from_scipy(L)
 
 
 def integrate(grid: Grid, field: np.ndarray) -> float:

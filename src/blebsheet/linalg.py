@@ -167,24 +167,26 @@ def gmres_solve(A, b: np.ndarray, precond: Callable[[np.ndarray], np.ndarray],
     test of :func:`cg_solve`.  A cycle also ends at a happy breakdown, once
     the new Krylov vector lies in the space already spanned up to
     ``GMRES_BREAKDOWN``, instead of dividing by roundoff; modified
-    Gram-Schmidt runs twice, so that roundoff is all that is left.  Raises
+    Gram-Schmidt runs twice, so that roundoff is all that is left.  A cycle
+    that ends at a breakdown short of the target restarts from its answer,
+    like any other, which is a step of iterative refinement.  Raises
     :class:`LinearSolveError` after ``max_iterations`` iterations, on a
     non-finite ``b`` or residual, and as stalled once a cycle ends without
-    lowering the true residual or at a breakdown that misses the target:
-    either way the target lies below the roundoff floor of ``b - A x``.
+    lowering the true residual: the target then lies below the roundoff
+    floor of ``b - A x``.
     """
     b = np.asarray(b, dtype=float)
     nb = np.linalg.norm(b)
     tol = opts.rel_tolerance * nb
     max_it = opts.max_iterations if opts.max_iterations is not None else 10 * b.size
-    x, r, it, prev, exhausted = np.zeros_like(b), b, 0, np.inf, False
+    x, r, it, prev = np.zeros_like(b), b, 0, np.inf
     while True:
         beta = float(np.linalg.norm(r))
         if not np.isfinite(beta):  # on the first pass, beta = ||b||
             raise LinearSolveError(f"gmres_solve: non-finite residual {beta:.3e}", x, beta)
         if beta <= tol:
             return x
-        if it >= max_it or beta >= prev or exhausted:
+        if it >= max_it or beta >= prev:
             why = f"no convergence in {max_it}" if it >= max_it else f"stalled after {it}"
             raise LinearSolveError(f"gmres_solve: {why} iterations (residual {beta:.3e}, "
                                    f"target {tol:.3e})", x, beta)

@@ -10,7 +10,7 @@ assembled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -66,21 +66,17 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class PressureField:
-    """Per-node pressure values in Pa plus the descriptor they came from."""
+    """Per-node pressure values in Pa."""
 
     values: np.ndarray
-    descriptor: dict = field(default_factory=dict)
 
     @classmethod
     def constant(cls, grid: Grid, value: float) -> "PressureField":
-        return cls(
-            values=np.full(grid.num_nodes, float(value)),
-            descriptor={"kind": "constant", "value": float(value)},
-        )
+        return cls(values=np.full(grid.num_nodes, float(value)))
 
     @classmethod
     def custom(cls, values: np.ndarray) -> "PressureField":
-        return cls(values=np.asarray(values, dtype=float), descriptor={"kind": "custom"})
+        return cls(values=np.asarray(values, dtype=float))
 
 
 def ripping_rate(h_value, params: ModelParams):
@@ -132,15 +128,7 @@ def pressure_pulse(
         raise ValueError("pulse center must lie inside the unit square")
     dist = np.hypot(grid.node_x - center[0], grid.node_y - center[1])
     values = np.where(dist < radius, peak * (radius - dist) ** 2 / radius**2, 0.0)
-    return PressureField(
-        values=values,
-        descriptor={
-            "kind": "pulse",
-            "peak": float(peak),
-            "center": [float(center[0]), float(center[1])],
-            "radius": float(radius),
-        },
-    )
+    return PressureField(values=values)
 
 
 def disruption_initial(

@@ -65,8 +65,8 @@ def _residuals(
     spring = params.xi * MICROGRAM * grid.restrict(rho_a) * h_int
     force = PASCAL * grid.restrict(pressure.values)
     res_h = bend + tens + params.lam * h_int + spring - force
-    diff_a = params.eta_a * (ops.AN @ rho_a)
-    diff_i = params.eta_i * (ops.AN @ rho_i)
+    diff_a = params.eta_a * (ops.LN @ rho_a / grid.weights)
+    diff_i = params.eta_i * (ops.LN @ rho_i / grid.weights)
     recon = params.k * rho_i
     rip = rate * rho_a
     res_a = diff_a - recon + rip

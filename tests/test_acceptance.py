@@ -30,7 +30,7 @@ from blebsheet.geometry import (
     second_derivative_fd,
     verification_report,
 )
-from blebsheet.grid import assemble_laplacian, build_grid, integrate
+from blebsheet.grid import build_grid, integrate
 from blebsheet.model import (
     MICROGRAM,
     PASCAL,
@@ -85,7 +85,7 @@ def stationary_run():
 def test_criterion_1_discretization_order():
     def err(n):
         g = build_grid(n)
-        A = assemble_laplacian(g, "dirichlet0")
+        A = Operators(g).A
         u = np.sin(np.pi * g.node_x) * np.sin(np.pi * g.node_y)
         return np.max(np.abs(A @ g.restrict(u) - 2.0 * np.pi**2 * g.restrict(u)))
 
@@ -138,7 +138,7 @@ def _linear_oracle_critical_pressure(n=64, steps=10):
     """Ten ripping-free steps at unit peak via a direct sparse solver."""
     grid = build_grid(n)
     params = ModelParams()
-    A = assemble_laplacian(grid, "dirichlet0")
+    A = Operators(grid).A
     B = (
         (params.c / 1e-6) * sp.identity(grid.num_interior)
         + params.kappa * (A @ A)

@@ -275,15 +275,15 @@ def test_fully_implicit_residual_matches_assembled_reference():
                                  state, pressure)
 
     A = ops.A
-    AN = ops.AN
+    neumann = sp.diags(1.0 / grid.weights) @ assemble_laplacian(grid)
     flux = ripping_rate(grid.embed(h), params) * rho_a
     ref_h = params.c * (h - grid.restrict(state.h)) + tau * (
         params.kappa * ((A @ A) @ h) + params.gamma * (A @ h) + params.lam * h
         + params.xi * MICROGRAM * grid.restrict(rho_a) * h
         - PASCAL * grid.restrict(pressure.values)
     )
-    ref_a = rho_a - state.rho_a + tau * (params.eta_a * (AN @ rho_a) - params.k * rho_i + flux)
-    ref_i = rho_i - state.rho_i + tau * (params.eta_i * (AN @ rho_i) + params.k * rho_i - flux)
+    ref_a = rho_a - state.rho_a + tau * (params.eta_a * (neumann @ rho_a) - params.k * rho_i + flux)
+    ref_i = rho_i - state.rho_i + tau * (params.eta_i * (neumann @ rho_i) + params.k * rho_i - flux)
     ni, na = grid.num_interior, grid.num_nodes
     for got, ref in ((F[:ni], ref_h), (F[ni : ni + na], ref_a), (F[ni + na :], ref_i)):
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -918,7 +918,7 @@ def test_density_matrix_matches_sparse_sum(n, spread):
         extra = np.full(grid.num_nodes, 1e6 + 1e4)
     got = ops.density_matrix(0.2, extra)
     assert got.format == "dia" and np.array_equal(got.offsets, ops.LN.offsets)
-    LN = SparseMatrix.from_scipy(sp.diags(grid.weights) @ assemble_laplacian(grid, "neumann0"))
+    LN = assemble_laplacian(grid)
     want = sp.csr_matrix(sp.diags(grid.weights * extra) + 0.2 * LN)
     want.sum_duplicates()
     got = got.tocsr()
@@ -934,11 +934,11 @@ def test_diagonal_storage_products_equal_csr_products(n):
     # CSR product adds it: the results are bitwise equal, not merely close
     grid = build_grid(n)
     ops = Operators(grid)
-    A = assemble_laplacian(grid, "dirichlet0")
-    AN = assemble_laplacian(grid, "neumann0")
-    LN = SparseMatrix.from_scipy(sp.diags(grid.weights) @ AN)
+    # ops.A.tocsr() is the canonical 5-point stencil (test_grid pins it)
+    A = ops.A.tocsr()
+    LN = assemble_laplacian(grid)
     rng = np.random.default_rng(n)
-    for name, M, want in (("A", ops.A, A), ("AN", ops.AN, AN), ("LN", ops.LN, LN)):
+    for name, M, want in (("A", ops.A, A), ("LN", ops.LN, LN)):
         assert np.all(np.diff(M.offsets) > 0), name
         for _ in range(3):
             x = rng.standard_normal(M.shape[1]) * 10.0 ** rng.integers(-8, 8)
@@ -1050,7 +1050,7 @@ def test_coupled_density_solve_matches_direct_solve(n):
 
     w = grid.weights
     W = sp.diags(w)
-    L = W @ ops.AN
+    L = assemble_laplacian(grid)
     B_a = sp.diags(w * (1.0 / tau + rate)) + params.eta_a * L
     B_i = sp.diags(w * (1.0 / tau + params.k)) + params.eta_i * L
     coupled = sp.bmat([[B_a, -params.k * W], [-W @ sp.diags(rate), B_i]], format="csc")

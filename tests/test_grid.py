@@ -55,42 +55,38 @@ def test_rejects_too_small(n):
 
 
 def test_dirichlet_n2_single_entry():
-    A = assemble_laplacian(build_grid(2), "dirichlet0")
+    A = Operators(build_grid(2)).A
     assert A.shape == (1, 1)
     assert A.toarray()[0, 0] == pytest.approx(16.0)
 
 
-def test_unknown_bc_rejected():
-    with pytest.raises(ValueError):
-        assemble_laplacian(build_grid(4), "periodic")
-
-
 @pytest.mark.parametrize("n", [2, 3, 8, 16])
 def test_neumann_weighted_left_nullspace(n):
+    # the strong form diag(1/w) L has the weights as its left null vector,
+    # because w @ diag(1/w) L = 1 @ L, which vanishes exactly
     g = build_grid(n)
-    A = assemble_laplacian(g, "neumann0")
-    assert np.abs(g.weights @ A).max() <= 1e-12
+    L = assemble_laplacian(g)
+    assert np.array_equal(np.ones(g.num_nodes) @ L, np.zeros(g.num_nodes))
+    assert np.abs(g.weights @ (sp.diags(1.0 / g.weights) @ L)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 5, 16])
 def test_neumann_constant_kernel(n):
     g = build_grid(n)
-    A = assemble_laplacian(g, "neumann0")
-    assert np.abs(A @ np.ones(g.num_nodes)).max() <= 1e-12
+    L = assemble_laplacian(g)
+    assert np.array_equal(L @ np.ones(g.num_nodes), np.zeros(g.num_nodes))
 
 
 def test_neumann_weighted_self_adjoint():
-    # the operator is self-adjoint in the weighted inner product: W A symmetric
-    g = build_grid(9)
-    A = assemble_laplacian(g, "neumann0")
-    WA = sp.diags(g.weights) @ A
-    asym = np.abs((WA - WA.T).toarray()).max()
-    assert asym <= 1e-14
+    # the strong form diag(1/w) L is self-adjoint in the weighted inner
+    # product because W diag(1/w) L = L is exactly symmetric
+    L = assemble_laplacian(build_grid(9))
+    assert (L - L.T).count_nonzero() == 0
 
 
 def test_dirichlet_spd():
     g = build_grid(6)
-    A = assemble_laplacian(g, "dirichlet0")
+    A = Operators(g).A
     rng = np.random.default_rng(0)
     for _ in range(100):
         v = rng.standard_normal(g.num_interior)
@@ -99,7 +95,7 @@ def test_dirichlet_spd():
 
 def _laplacian_error(n: int) -> float:
     g = build_grid(n)
-    A = assemble_laplacian(g, "dirichlet0")
+    A = Operators(g).A
     u = np.sin(np.pi * g.node_x) * np.sin(np.pi * g.node_y)
     exact = 2.0 * np.pi**2 * u
     err = A @ g.restrict(u) - g.restrict(exact)
@@ -143,13 +139,13 @@ def test_assembled_operators_are_canonical(n):
     # every product runs scipy's DIA kernel, which adds a row's terms one
     # diagonal at a time in offset order; sorted offsets make that the
     # canonical CSR column order, and nothing re-sorts or re-symmetrizes the
-    # operators after assembly
+    # operators after assembly.  A, the interior block of the one assembly
+    # divided by spacing**2 entry by entry, is bitwise the 5-point stencil
+    # with entries 4 / spacing**2 and -1 / spacing**2
     grid = build_grid(n)
     ops = Operators(grid)
-    csr = {"A": assemble_laplacian(grid, "dirichlet0"),
-           "AN": assemble_laplacian(grid, "neumann0")}
-    csr["LN"] = SparseMatrix.from_scipy(sp.diags(grid.weights) @ csr["AN"])
-    for name, line in (("A", n - 1), ("AN", n + 1), ("LN", n + 1)):
+    csr = {"A": _dirichlet_reference(grid), "LN": assemble_laplacian(grid)}
+    for name, line in (("A", n - 1), ("LN", n + 1)):
         M = getattr(ops, name)
         assert M.format == "dia", name
         offsets = [0] if M.shape[0] == 1 else [-line, -1, 0, 1, line]
@@ -198,7 +194,8 @@ def _dirichlet_reference(grid):
 
 
 def _neumann_reference(grid):
-    """The node-by-node loop the vectorized assembly replaced."""
+    """The node-by-node loop the vectorized assembly replaced, without the
+    division of each row by its node weight that it once ended with."""
     n = grid.n
     m = n + 1
     rows, cols, vals = [], [], []
@@ -216,18 +213,23 @@ def _neumann_reference(grid):
             if j < n:
                 add_edge(a, a + 1, 1.0 if 0 < i < n else 0.5)
     L = sp.csr_matrix((vals, (rows, cols)), shape=(m * m, m * m))
-    A = sp.diags(1.0 / grid.weights) @ L
-    return SparseMatrix.from_scipy(A)
+    return SparseMatrix.from_scipy(L)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 @pytest.mark.parametrize("bc, reference", [("dirichlet0", _dirichlet_reference),
                                            ("neumann0", _neumann_reference)])
 def test_assembly_matches_loop_reference(bc, reference, n):
+    # the clamped (Dirichlet) stencil is Operators.A, taken from the no-flux
+    # (Neumann) assembly
     g = build_grid(n)
-    got = assemble_laplacian(g, bc)
+    got = Operators(g).A.tocsr() if bc == "dirichlet0" else assemble_laplacian(g)
     want = reference(g)
     for name in ("indptr", "indices", "data"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype
         assert np.array_equal(a, b)
+    if bc == "neumann0":
+        ones, zeros = np.ones(g.num_nodes), np.zeros(g.num_nodes)
+        assert (got - got.T).count_nonzero() == 0
+        assert np.array_equal(got @ ones, zeros) and np.array_equal(ones @ got, zeros)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from blebsheet.grid import SparseMatrix, assemble_laplacian, build_grid
+from blebsheet.dynamics import Operators
+from blebsheet.grid import SparseMatrix, build_grid
 from blebsheet.linalg import (
     LinearSolveError,
     NewtonError,
@@ -61,7 +62,7 @@ def test_cg_error_monotone_in_operator_norm():
     # CG's guaranteed monotone quantity: ||x_k - x*||_A never increases
     # (the plain residual 2-norm oscillates, even on 1D Laplacians)
     g = build_grid(10)
-    A = assemble_laplacian(g, "dirichlet0")
+    A = Operators(g).A
     Ad = A.toarray()
     b = np.ones(g.num_interior)
     x_star = np.linalg.solve(Ad, b)
@@ -95,7 +96,7 @@ def test_cg_error_monotone_in_operator_norm():
 
 def test_cg_nonconvergence_carries_residual():
     g = build_grid(12)
-    A = assemble_laplacian(g, "dirichlet0")
+    A = Operators(g).A
     b = np.ones(g.num_interior)
     opts = SolveOptions(max_iterations=2)
     for solve in (lambda: cg_solve(A, b, opts), lambda: gmres_solve(A, b, identity, opts)):
@@ -270,49 +271,72 @@ def test_gmres_stalls_below_its_roundoff_floor():
     assert np.linalg.norm(b - A @ err.value.iterate) == err.value.residual_norm
 
 
-def test_gmres_ends_its_cycle_at_a_happy_breakdown():
-    # 12 iterations span the whole space; the 13th Krylov vector is roundoff.
-    # The answer is as exact as the arithmetic allows, and it misses a target
-    # of 1e-15 ||b||: the solve raises as stalled at once, where without the
-    # breakdown test it divided by roundoff and restarted, 35 iterations in all
-    A, b = _nonsymmetric_system(12, 1)
-    calls = []
+class _CycleRecorder:
+    """A dense matrix and an identity preconditioner that record each GMRES
+    cycle's iteration count and answer.  A cycle ends on the product that
+    gives its true residual, the only product not preceded by a
+    preconditioner call."""
 
-    def counted(r):
-        calls.append(None)
+    def __init__(self, A):
+        self.A, self.cycles, self.answers = A, [], []
+        self._iters, self._after_precond = 0, False
+
+    def __matmul__(self, x):
+        if not self._after_precond:
+            self.cycles.append(self._iters)
+            self.answers.append(x.copy())
+            self._iters = 0
+        self._after_precond = False
+        return self.A @ x
+
+    def precond(self, r):
+        self._iters += 1
+        self._after_precond = True
         return r
 
-    with pytest.raises(LinearSolveError, match="stalled after 12 iterations") as err:
-        gmres_solve(A, b, counted, SolveOptions(rel_tolerance=1e-15))
-    assert len(calls) <= 12
+
+def test_gmres_ends_its_cycle_at_a_happy_breakdown():
+    # 12 iterations span the whole space; the 13th Krylov vector is roundoff,
+    # so the first cycle ends there instead of dividing by roundoff.  Its
+    # answer misses a target of 1e-15 ||b||, and one restart from it meets
+    # the target: raising as stalled at the breakdown gave up too early.  A
+    # target of 1e-17 ||b|| lies below the roundoff floor and still raises
+    A, b = _nonsymmetric_system(12, 1)
     want = np.linalg.solve(A, b)
+    rec = _CycleRecorder(A)
+    x = gmres_solve(rec, b, rec.precond, SolveOptions(rel_tolerance=1e-15))
+    assert rec.cycles[0] == 12 and len(rec.cycles) >= 2
+    assert np.linalg.norm(b - A @ x) <= 1e-15 * np.linalg.norm(b)
+    assert np.linalg.norm(x - want) <= 1e-14 * np.linalg.norm(want)
+
+    rec = _CycleRecorder(A)
+    with pytest.raises(LinearSolveError, match="stalled") as err:
+        gmres_solve(rec, b, rec.precond, SolveOptions(rel_tolerance=1e-17))
+    assert rec.cycles[0] == 12
     assert np.linalg.norm(err.value.iterate - want) <= 1e-14 * np.linalg.norm(want)
     assert err.value.residual_norm <= 1e-14 * np.linalg.norm(b)
 
 
 def test_gmres_exhausts_a_full_krylov_space_in_one_cycle():
     # 30 iterations span all 30 unknowns.  With Gram-Schmidt applied twice
-    # the 31st Krylov vector orthogonalizes to roundoff, so the cycle ends at
-    # a happy breakdown; one pass left up to 7.6e-5 of it and continued on
-    # noise directions, up to 50 iterations
+    # the cycle's answer is as exact as the arithmetic allows; one pass left
+    # up to 7.6e-5 of the 31st Krylov vector and continued on noise
+    # directions.  Where that answer misses a target of 1e-14 ||b||, a
+    # restart from it meets the target; raising as stalled at the breakdown
+    # failed 45 of these 200 solves.  A target of 1e-17 ||b|| still stalls
     for seed in range(200):
         A, b = _nonsymmetric_system(30, seed)
-        calls = []
-
-        def counted(r):
-            calls.append(None)
-            return r
-
-        try:
-            x = gmres_solve(A, b, counted, SolveOptions(rel_tolerance=1e-14))
-        except LinearSolveError as err:
-            # the target lies below this system's roundoff floor
-            assert "stalled after 30 iterations" in str(err), seed
-            x = err.iterate
-        assert len(calls) <= 30, seed
+        rec = _CycleRecorder(A)
+        x = gmres_solve(rec, b, rec.precond, SolveOptions(rel_tolerance=1e-14))
+        assert np.linalg.norm(b - A @ x) <= 1e-14 * np.linalg.norm(b), seed
+        assert rec.cycles[0] == 30, seed
+        first = rec.answers[0]
         want = np.linalg.solve(A, b)
-        assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want), seed
-        assert np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b), seed
+        assert np.linalg.norm(first - want) <= 1e-12 * np.linalg.norm(want), seed
+        assert np.linalg.norm(b - A @ first) <= 1e-12 * np.linalg.norm(b), seed
+
+    with pytest.raises(LinearSolveError, match="stalled"):
+        gmres_solve(A, b, identity, SolveOptions(rel_tolerance=1e-17))
 
 
 def test_gmres_zero_rhs_and_nonfinite_preconditioner():
