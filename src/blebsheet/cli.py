@@ -4,7 +4,8 @@ Exit codes: 0 success (including a sweep that finds no critical pressure in
 range), 1 solver failure, 2 configuration error.  Only the package's solver
 errors map to 1; any other exception propagates.  A ``run`` that fails at a
 time step still writes its diagnostics up to that step and a manifest with
-``"status": "failed"`` and the failing step.
+``"status": "failed"`` and the failing step; a ``sweep`` that fails writes a
+failed manifest with the error.  Every command runs in one process.
 """
 
 from __future__ import annotations
@@ -28,6 +29,10 @@ from .output import write_csv, write_diagnostics, write_manifest, write_snapshot
 from .stationary import StationaryError
 
 
+# the errors that exit 1
+_SOLVER_ERRORS = (LinearSolveError, NewtonError, StepError, StationaryError)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="blebsheet",
@@ -40,12 +45,10 @@ def main(argv=None) -> int:
     run_p.add_argument("--out", default=None, help="override the output directory")
     run_p.add_argument("--n", type=int, default=None, help="override the grid size")
     run_p.add_argument("--tau", type=float, default=None, help="override the time step")
-    run_p.add_argument("--workers", type=int, default=None, help="override worker count")
 
     sweep_p = sub.add_parser("sweep", help="pressure sweep with bisection detector")
     sweep_p.add_argument("--config", required=True)
     sweep_p.add_argument("--out", default=None)
-    sweep_p.add_argument("--workers", type=int, default=None)
 
     geo_p = sub.add_parser("verify-geometry", help="shape-derivative verification table")
     geo_p.add_argument("--out", default="out")
@@ -62,7 +65,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (LinearSolveError, NewtonError, StepError, StationaryError) as exc:
+    except _SOLVER_ERRORS as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 1
 
@@ -72,7 +75,7 @@ def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
 
     doc = config.to_dict()
     # an explicit 0 must reach validation, not fall back to the config's value
-    for key, arg in (("output_dir", "out"), ("n", "n"), ("tau", "tau"), ("workers", "workers")):
+    for key, arg in (("output_dir", "out"), ("n", "n"), ("tau", "tau")):
         value = getattr(args, arg, None)
         if value is not None:
             doc[key] = value
@@ -174,11 +177,8 @@ def run_sweep(config: ScenarioConfig):
     height is linear in ``p`` (peaks are nonnegative): its value is
     ``p * u10`` without a run.  Every other peak runs ``sweep_point`` in
     full, and so does every peak when the 1 Pa run itself passes ``h_star``.
-    Superposed values match a full run to about 1e-12 relative.  The
-    operators are built once and shared by every run in this process; with
-    ``workers > 1`` only the full-run samples go to the pool, one chunk per
-    worker that builds its own operators once, so the rows do not depend on
-    the worker count.
+    Superposed values match a full run to about 1e-12 relative.  Every
+    point runs in this process, on one set of operators built once.
     """
     ops = Operators(build_grid(config.n))
     h_star = config.params.h_star
@@ -193,18 +193,7 @@ def run_sweep(config: ScenarioConfig):
 
     peaks = [float(p) for p in np.linspace(config.sweep_min, config.sweep_max,
                                            config.sweep_samples)]
-    full = [p for p in peaks if not superposed(p)]
-    if config.workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        # one chunk per worker, so each worker builds the operators once
-        chunks = [c for c in (full[i::config.workers] for i in range(config.workers)) if c]
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results = pool.map(_sweep_chunk, [(c, config.to_dict()) for c in chunks])
-            ran = {p: v for c, vs in zip(chunks, results) for p, v in zip(c, vs)}
-    else:
-        ran = {p: sweep_point(p, config, ops) for p in full}
-    values = [ran[p] if p in ran else p * u10 for p in peaks]
+    values = [value(p) for p in peaks]
     rows = list(zip(peaks, values))
 
     crossed = [v > h_star for v in values]
@@ -225,19 +214,15 @@ def run_sweep(config: ScenarioConfig):
     return rows, float(0.5 * (lo + hi))
 
 
-def _sweep_chunk(payload) -> list[float]:
-    """``sweep_point`` of each peak in a chunk, with one set of operators."""
-    from .config import parse_config_dict
-
-    peaks, doc = payload
-    config = parse_config_dict(doc)
-    ops = Operators(build_grid(config.n))
-    return [sweep_point(p, config, ops) for p in peaks]
-
-
 def _cmd_sweep(config: ScenarioConfig) -> int:
     start = time.perf_counter()
-    rows, critical = run_sweep(config)
+    try:
+        rows, critical = run_sweep(config)
+    except _SOLVER_ERRORS as exc:
+        write_manifest(_outdir(config) / "manifest.json", config,
+                       time.perf_counter() - start, extra={"error": str(exc)},
+                       status="failed")
+        raise
     out = _outdir(config)
     write_csv(out / "sweep.csv", ["peak_pressure", "max_h"], rows)
     extra = {

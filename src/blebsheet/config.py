@@ -56,7 +56,7 @@ class ScenarioConfig:
     output_dir: str = "out"
     snapshot_steps: tuple[int, ...] = ()
     fit_window: tuple[int, int] = (10, 100)
-    workers: int = 1
+    workers: int = 1  # must be 1; accepted so that configs that still send it parse
     rel_tolerance: float = 1e-10
     max_iterations: int | None = None
 
@@ -227,6 +227,10 @@ def _validate(cfg: ScenarioConfig):
         raise ConfigError("tau must be positive")
     if not cfg.tau <= cfg.final_time:
         raise ConfigError("final_time must be at least tau")
+    steps = cfg.final_time / cfg.tau
+    if abs(steps - round(steps)) > 1e-9 * steps:
+        raise ConfigError(f"final_time must be a whole number of steps of tau, "
+                          f"got {steps!r} steps")
     if not 0.0 <= cfg.sweep_min < cfg.sweep_max:
         raise ConfigError("sweep bounds must satisfy 0 <= min < max")
     if cfg.sweep_samples < 2:
@@ -243,8 +247,8 @@ def _validate(cfg: ScenarioConfig):
         raise ConfigError("theta_ladder entries must be positive")
     if not cfg.fit_window[0] < cfg.fit_window[1]:
         raise ConfigError("fit_window must be (first, last) with first < last")
-    if cfg.workers < 1:
-        raise ConfigError("workers must be at least 1")
+    if cfg.workers != 1:
+        raise ConfigError(f"workers must be 1, got {cfg.workers}: a sweep runs in one process")
     if not cfg.output_dir:
         raise ConfigError("output_dir must not be empty")
     if cfg.max_iterations is not None and cfg.max_iterations < 1:

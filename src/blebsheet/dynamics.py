@@ -3,11 +3,11 @@
 One step advances, in order, the inactive density, the active density, and
 the membrane height.  The fourth-order operator is handled through the
 splitting variable ``w = -lap h``: the height solve eliminates ``w``
-algebraically (the negative Laplacian applied twice) and recovers it
-afterwards, so a single symmetric positive definite system is solved per
-step.  That height operator is applied matrix-free, and its conjugate
-gradient solve is preconditioned by the sine-transform inverse of its
-constant-coefficient part.
+algebraically (the negative Laplacian applied twice), so a single symmetric
+positive definite system in ``h`` alone is solved per step.  That height
+operator is applied matrix-free, and its conjugate gradient solve is
+preconditioned by the sine-transform inverse of its constant-coefficient
+part.
 
 Scheme variants
 ---------------
@@ -62,11 +62,10 @@ class Scheme(str, enum.Enum):
 
 @dataclass
 class State:
-    """Evolving fields: height and splitting variable on the full grid with
-    zero boundary, densities on all nodes, plus the simulation clock."""
+    """Evolving fields: height on the full grid with zero boundary, densities
+    on all nodes, plus the simulation clock."""
 
     h: np.ndarray
-    w: np.ndarray
     rho_a: np.ndarray
     rho_i: np.ndarray
     t: float = 0.0
@@ -392,7 +391,6 @@ def _step_semi_implicit(
                                f"flux {flux:.3e}", exc.iterate, exc.residual_norm) from exc
     return State(
         h=grid.embed(h_new_int),
-        w=grid.embed(ops.A @ h_new_int),
         rho_a=rho_a_new,
         rho_i=rho_i_new,
         t=state.t + tau,
@@ -559,10 +557,8 @@ def _step_fully_implicit(
         end = _step_fully_implicit(mid, tau / 2, params, pressure, grid, opts, ops, depth + 1)
         end.t, end.step_index = state.t + tau, state.step_index + 1
         return end
-    h_int = z[:ni]
     return State(
-        h=grid.embed(h_int),
-        w=grid.embed(ops.A @ h_int),
+        h=grid.embed(z[:ni]),
         rho_a=z[ni : ni + na],
         rho_i=z[ni + na :],
         t=state.t + tau,
@@ -578,7 +574,6 @@ def initial_state(config, grid: Grid) -> tuple[State, PressureField]:
     """Initial fields and pressure for a dynamics scenario config."""
     from .model import disruption_initial
 
-    zeros = np.zeros(grid.num_nodes)
     if config.scenario == "disruption":
         rho_a0, rho_i0 = disruption_initial(
             grid,
@@ -591,7 +586,7 @@ def initial_state(config, grid: Grid) -> tuple[State, PressureField]:
         rho_a0 = np.ones(grid.num_nodes)
         rho_i0 = np.zeros(grid.num_nodes)
     pressure = build_pressure(config, grid)
-    return State(h=zeros.copy(), w=zeros.copy(), rho_a=rho_a0, rho_i=rho_i0), pressure
+    return State(h=np.zeros(grid.num_nodes), rho_a=rho_a0, rho_i=rho_i0), pressure
 
 
 def build_pressure(config, grid: Grid) -> PressureField:

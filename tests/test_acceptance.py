@@ -330,7 +330,6 @@ def test_criterion_10_gradient_checks():
 
     base = State(
         h=state_h,
-        w=np.zeros(grid.num_nodes),
         rho_a=rng.uniform(0.1, 2.0, grid.num_nodes),
         rho_i=rng.uniform(0.0, 1.0, grid.num_nodes),
     )

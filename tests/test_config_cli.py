@@ -102,15 +102,15 @@ def test_manifest_roundtrip():
         "output_dir": "elsewhere",
         "snapshot_steps": [3, 9],
         "fit_window": [2, 30],
-        "workers": 2,
         "rel_tolerance": 1e-9,
         "max_iterations": 500,
     })
     # every field is off its default, so a field that the echo or the key
-    # set misses cannot pass
+    # set misses cannot pass; workers accepts only its default
     for obj, default in ((cfg, ScenarioConfig("stationary_state")), (cfg.params, ModelParams())):
         for f in fields(obj):
-            assert getattr(obj, f.name) != getattr(default, f.name), f.name
+            if f.name != "workers":
+                assert getattr(obj, f.name) != getattr(default, f.name), f.name
     echoed = parse_config_dict(cfg.to_dict())
     assert echoed == cfg
 
@@ -195,6 +195,22 @@ def test_cli_nonfinite_config_exit_2(tmp_path, capsys, field):
 def test_nonfinite_field_rejected(doc):
     with pytest.raises(ConfigError):
         parse_config_dict({"scenario": "stationary_state", **doc})
+
+
+@pytest.mark.parametrize("final_time", [1.5e-6, 2.5e-6])
+def test_final_time_between_steps_rejected(final_time):
+    # simulate would run round(final_time / tau) steps and end elsewhere
+    with pytest.raises(ConfigError, match="whole number of steps"):
+        parse_config_dict({"scenario": "stationary_state", "tau": 1e-6,
+                           "final_time": final_time})
+
+
+def test_final_time_with_inexact_quotient_accepted():
+    # 1e-4 / 1e-6 is 100.00000000000001 in floating point
+    cfg = parse_config_dict({"scenario": "stationary_state", "tau": 1e-6,
+                             "final_time": 1e-4})
+    assert cfg.final_time / cfg.tau != 100.0
+    assert cfg.final_time == 1e-4
 
 
 # well-formed JSON whose values the run command cannot use
@@ -298,7 +314,7 @@ def test_any_document_gives_config_or_config_error(doc):
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("--n", "0"), ("--tau", "0"), ("--workers", "0"), ("--tau", "nan"), ("--out", ""),
+    ("--n", "0"), ("--tau", "0"), ("--tau", "nan"), ("--out", ""),
 ])
 def test_cli_override_reaches_validation(tmp_path, capsys, flag, value):
     out = tmp_path / "out"
@@ -430,35 +446,39 @@ def test_sweep_of_non_pulse_pressure_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_sweep_worker_neutrality(tmp_path):
-    doc = {
-        "scenario": "pressure_sweep",
-        "n": 6,
-        "sweep": {"min": 0.0, "max": 500.0, "samples": 4, "bisect_tol": 5.0},
-    }
-    rows1, crit1 = run_sweep(parse_config_dict({**doc, "workers": 1}))
-    rows2, crit2 = run_sweep(parse_config_dict({**doc, "workers": 2}))
-    # the range crosses h_star, so the pool runs the supercritical samples
-    assert sum(v > 0.5 for _, v in rows1) >= 2
-    assert rows1 == rows2
-    assert crit1 == crit2
+def test_workers_other_than_one_rejected():
+    with pytest.raises(ConfigError, match="one process"):
+        parse_config_dict({"scenario": "pressure_sweep", "workers": 2})
 
 
-def test_sweep_chunk_builds_operators_once(monkeypatch):
-    # a pool worker runs its chunk of peaks on one set of operators
-    built = []
-    init = dynamics.Operators.__init__
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_workers_flag_is_a_usage_error(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, {"scenario": "pressure_sweep", "n": 6,
+                                   "output_dir": str(out)})
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--config", str(path), "--workers", "2"])
+    assert exit_.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not out.exists()
 
-    def counted(self, grid):
-        built.append(grid.n)
-        init(self, grid)
 
-    monkeypatch.setattr(dynamics.Operators, "__init__", counted)
-    cfg = parse_config_dict({"scenario": "pressure_sweep", "n": 6})
-    peaks = [300.0, 400.0, 500.0]
-    got = cli._sweep_chunk((peaks, cfg.to_dict()))
-    assert built == [6]
-    assert got == [sweep_point(p, cfg) for p in peaks]
+def test_cli_failed_sweep_writes_failed_manifest(tmp_path, capsys, monkeypatch):
+    def failing(peak, config, ops=None):
+        raise dynamics.StepError("cg_solve: did not converge", 3)
+
+    # the default range is supercritical at its top, so full runs are made
+    monkeypatch.setattr(cli, "sweep_point", failing)
+    out = tmp_path / "sweep"
+    path = write_config(tmp_path, {"scenario": "pressure_sweep", "n": 6,
+                                   "output_dir": str(out)})
+    assert main(["sweep", "--config", str(path)]) == 1
+    assert "solver failure: step 3" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["error"] == "step 3: cg_solve: did not converge"
+    assert parse_config_dict(manifest["config"]).n == 6
+    assert not (out / "sweep.csv").exists()
 
 
 def _plain_sweep(cfg):
@@ -607,7 +627,7 @@ def test_snapshot_bytes_equal_the_fmt_path(tmp_path):
     grid = build_grid(4)
     values = np.random.default_rng(4).standard_normal((3, grid.num_nodes)) * 1e3
     values[:, :6] = [[-0.0, 5e-324, 1e300, -1e300, -2.5e-310, 1.0 / 3.0]] * 3
-    state = State(h=values[0], w=np.zeros(grid.num_nodes), rho_a=-values[1], rho_i=values[2])
+    state = State(h=values[0], rho_a=-values[1], rho_i=values[2])
     write_snapshot(tmp_path / "fast.csv", grid, state)
     write_csv(tmp_path / "fmt.csv", ["x", "y", "h", "rho_a", "rho_i"],
               zip(grid.node_x, grid.node_y, state.h, state.rho_a, state.rho_i))

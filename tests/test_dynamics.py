@@ -36,10 +36,8 @@ ALL_SCHEMES = [Scheme.EXPLICIT_RIPPING, Scheme.IMPLICIT_RIPPING, Scheme.FULLY_IM
 
 
 def fresh_state(grid, rho_a=1.0, rho_i=0.0):
-    zeros = np.zeros(grid.num_nodes)
     return State(
-        h=zeros.copy(),
-        w=zeros.copy(),
+        h=np.zeros(grid.num_nodes),
         rho_a=np.full(grid.num_nodes, float(rho_a)),
         rho_i=np.full(grid.num_nodes, float(rho_i)),
     )
@@ -109,7 +107,6 @@ def test_single_interior_node_matches_scalar_update():
     expected = (params.c / tau * 0.0 + PASCAL * peak_pa) / denom
     center = grid.interior_indices[0]
     assert new.h[center] == pytest.approx(expected, rel=1e-12)
-    assert new.w[center] == pytest.approx(16.0 * expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
@@ -121,9 +118,6 @@ def test_splitting_fidelity(scheme):
     ops = Operators(grid)
     for _ in range(5):
         state = step(state, 1e-6, params, pressure, grid, scheme, ops=ops)
-        gap = np.abs(grid.restrict(state.w) - (ops.A @ grid.restrict(state.h)))
-        assert np.max(gap) <= 1e-9
-        assert np.all(state.w[grid.boundary_mask] == 0.0)
         assert np.all(state.h[grid.boundary_mask] == 0.0)
 
 
@@ -152,7 +146,8 @@ def test_block_form_equivalence_oracle():
     ])
     sol = np.linalg.solve(block, rhs)
     assert np.max(np.abs(grid.restrict(new.h) - sol[:N])) <= 1e-10 * max(1.0, np.abs(sol[:N]).max())
-    assert np.max(np.abs(grid.restrict(new.w) - sol[N:])) <= 1e-8 * max(1.0, np.abs(sol[N:]).max())
+    w = ops.A @ grid.restrict(new.h)
+    assert np.max(np.abs(w - sol[N:])) <= 1e-8 * max(1.0, np.abs(sol[N:]).max())
 
 
 def test_zero_pressure_simulation_all_quiet():
@@ -223,7 +218,6 @@ def test_fully_implicit_jacobian_matches_finite_differences():
     pressure = PressureField.constant(grid, 3.0)
     state = State(
         h=grid.embed(rng.uniform(0.0, 1.0, grid.num_interior)),
-        w=np.zeros(grid.num_nodes),
         rho_a=rng.uniform(0.1, 2.0, grid.num_nodes),
         rho_i=rng.uniform(0.0, 1.0, grid.num_nodes),
     )
@@ -264,7 +258,6 @@ def test_fully_implicit_residual_matches_assembled_reference():
     pressure = pressure_pulse(grid, peak=400.0)
     state = State(
         h=grid.embed(rng.uniform(0.0, 1.0, grid.num_interior)),
-        w=np.zeros(grid.num_nodes),
         rho_a=rng.uniform(0.1, 2.0, grid.num_nodes),
         rho_i=rng.uniform(0.0, 1.0, grid.num_nodes),
     )
@@ -483,7 +476,7 @@ def test_simulate_records_snapshots_and_fit():
     assert diag.decay_fit_r2 > 0.9
     # a kept snapshot is the state of that step, not a view of a later one
     two, _, _ = simulate(parse_config_dict({**cfg.to_dict(), "final_time": 2e-6}))
-    for name in ("h", "w", "rho_a", "rho_i"):
+    for name in ("h", "rho_a", "rho_i"):
         assert np.array_equal(getattr(snaps[2], name), getattr(two, name))
     assert (snaps[2].t, snaps[2].step_index) == (two.t, two.step_index)
     assert not np.array_equal(snaps[2].h, state.h)
@@ -621,7 +614,7 @@ def test_preconditioned_step_matches_plain_cg(monkeypatch):
     assert np.ptp(pcg.rho_a) > 1e-3
     monkeypatch.setattr(HeightOperator, "precond", None)
     plain = _pulse_run(16, 8)
-    for name in ("h", "w", "rho_a", "rho_i"):
+    for name in ("h", "rho_a", "rho_i"):
         a, b = getattr(pcg, name), getattr(plain, name)
         assert np.max(np.abs(a - b)) <= 1e-9 * np.max(np.abs(b))
 

@@ -86,7 +86,7 @@ def test_step_builds_one_height_operator(monkeypatch):
     heights = _counting(monkeypatch, dynamics.Operators, "height_matrix")
     g = grid.build_grid(8)
     state = dynamics.State(
-        h=np.zeros(g.num_nodes), w=np.zeros(g.num_nodes),
+        h=np.zeros(g.num_nodes),
         rho_a=np.ones(g.num_nodes), rho_i=np.zeros(g.num_nodes),
     )
     pressure = pressure_pulse(g, peak=50.0)
@@ -119,7 +119,7 @@ def test_ripping_steps_make_no_sparse_matrix(monkeypatch):
     params = ModelParams()
     bump = np.clip(1.0 - np.hypot(g.node_x - 0.5, g.node_y - 0.5) / 0.3, 0.0, None)
     state = dynamics.State(
-        h=2.0 * params.h_star * bump, w=np.zeros(g.num_nodes),
+        h=2.0 * params.h_star * bump,
         rho_a=np.ones(g.num_nodes), rho_i=np.zeros(g.num_nodes),
     )
     pressure = pressure_pulse(g, peak=410.0)
@@ -142,15 +142,20 @@ def test_density_matrix_exposes_dia_arrays():
 
 
 def test_import_leaves_heavy_modules_unloaded():
-    # set-up time and memory count every module the import pulls in; the
-    # worker pool is imported only when a sweep uses more than one worker
+    # set-up time and memory count every module the import pulls in; a sweep,
+    # whose range here crosses h_star so that points run in full, stays in
+    # one process
     src = str(Path(dynamics.__file__).resolve().parent.parent)
     code = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import blebsheet.cli; "
-        "print(' '.join(m for m in sys.modules if m.startswith(("
-        "'scipy.sparse.linalg', 'scipy.fft', 'multiprocessing', "
-        "'concurrent.futures.process'))))"
+        "import sys; sys.path.insert(0, sys.argv[1]); import blebsheet.cli as cli\n"
+        "def loaded(*prefixes): return ' '.join(m for m in sys.modules if m.startswith(prefixes))\n"
+        "heavy = ('multiprocessing', 'concurrent.futures.process')\n"
+        "print(loaded('scipy.sparse.linalg', 'scipy.fft', *heavy))\n"
+        "from blebsheet.config import parse_config_dict\n"
+        "rows, critical = cli.run_sweep(parse_config_dict({'scenario': 'pressure_sweep', 'n': 6}))\n"
+        "assert critical is not None\n"
+        "print(loaded(*heavy))\n"
     )
     done = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
                           text=True, timeout=120, check=True)
-    assert done.stdout.split() == []
+    assert done.stdout.splitlines() == ["", ""]
