@@ -2,10 +2,14 @@
 
 Exit codes: 0 success (including a sweep that finds no critical pressure in
 range), 1 solver failure, 2 configuration error.  Only the package's solver
-errors map to 1; any other exception propagates.  A ``run`` that fails at a
-time step still writes its diagnostics up to that step and a manifest with
-``"status": "failed"`` and the failing step; a ``sweep`` that fails writes a
-failed manifest with the error.  Every command runs in one process.
+errors map to 1; any other exception propagates, and a configuration error
+exits before any output directory exists.  ``run`` picks the command from
+the config's scenario, and ``sweep`` runs its config as a
+``pressure_sweep``.  Every command run from a config leaves a
+``manifest.json``, ``"status": "ok"`` or ``"failed"`` with the error; a run
+that fails at a time step also names the step and keeps its diagnostics up
+to it.  ``verify-geometry`` takes no config and writes only its CSV.  Every
+command runs in one process.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ScenarioConfig, parse_config
+from .config import ConfigError, ScenarioConfig, parse_config, parse_config_dict
 from .dynamics import Operators, StepError, build_pressure, initial_state, march, simulate
 from .energy import gamma_ladder
 from .geometry import verification_report
@@ -56,12 +60,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "verify-geometry":
-            return _cmd_geometry(Path(args.out))
-        config = parse_config(args.config)
-        config = _apply_overrides(config, args)
-        if args.command == "sweep" or config.scenario == "pressure_sweep":
-            return _cmd_sweep(config)
-        return _cmd_run(config)
+            out = Path(args.out)
+            out.mkdir(parents=True, exist_ok=True)
+            _cmd_geometry(None, out)
+            return 0
+        config = _apply_overrides(parse_config(args.config), args)
+        return _execute(_COMMANDS.get(config.scenario, _cmd_run), config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -71,9 +75,9 @@ def main(argv=None) -> int:
 
 
 def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
-    from .config import parse_config_dict
-
     doc = config.to_dict()
+    if args.command == "sweep":
+        doc["scenario"] = "pressure_sweep"
     # an explicit 0 must reach validation, not fall back to the config's value
     for key, arg in (("output_dir", "out"), ("n", "n"), ("tau", "tau")):
         value = getattr(args, arg, None)
@@ -82,32 +86,37 @@ def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
     return parse_config_dict(doc)
 
 
-def _outdir(config: ScenarioConfig) -> Path:
+def _execute(command, config: ScenarioConfig) -> int:
+    """Run ``command(config, out)`` in the output directory and write its manifest.
+
+    The one place that times a command, creates ``config.output_dir`` and
+    writes ``manifest.json``.  On success the manifest has ``"status":
+    "ok"`` and the extras the command returns.  On a solver error it has
+    ``"status": "failed"`` and ``error``, plus ``failed_step`` for a
+    :class:`StepError`, and the error propagates.
+    """
+    start = time.perf_counter()
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    try:
+        extra = command(config, out)
+    except _SOLVER_ERRORS as exc:
+        extra = {"error": str(exc)}
+        if isinstance(exc, StepError):
+            extra["failed_step"] = exc.step_index
+        write_manifest(out / "manifest.json", config, time.perf_counter() - start, extra,
+                       status="failed")
+        raise
+    write_manifest(out / "manifest.json", config, time.perf_counter() - start, extra)
+    return 0
 
 
-def _cmd_run(config: ScenarioConfig) -> int:
-    if config.scenario == "gamma_limit":
-        return _cmd_gamma(config)
-    if config.scenario == "geometry_verify":
-        return _cmd_geometry(_outdir(config))
-
-    start = time.perf_counter()
-    out = _outdir(config)
+def _cmd_run(config: ScenarioConfig, out: Path) -> dict:
     try:
         final_state, diagnostics, snapshots = simulate(config)
     except StepError as exc:
         # keep what the run got to: the diagnostics up to the failing step
         write_diagnostics(out / "diagnostics.csv", exc.diagnostics)
-        write_manifest(
-            out / "manifest.json",
-            config,
-            time.perf_counter() - start,
-            extra={"failed_step": exc.step_index, "error": str(exc)},
-            status="failed",
-        )
         raise
     write_diagnostics(out / "diagnostics.csv", diagnostics)
     grid = build_grid(config.n)
@@ -116,19 +125,13 @@ def _cmd_run(config: ScenarioConfig) -> int:
         name = f"snapshot_step{step_index}.csv"
         write_snapshot(out / name, grid, snap)
         snapshot_files.append(name)
-    write_manifest(
-        out / "manifest.json",
-        config,
-        time.perf_counter() - start,
-        extra={
-            "final_max_h": float(final_state.h.max()),
-            "decay_rate": diagnostics.decay_rate,
-            "decay_fit_r2": diagnostics.decay_fit_r2,
-            "snapshots": snapshot_files,
-        },
-    )
     print(f"wrote diagnostics and {len(snapshot_files)} snapshot(s) to {out}")
-    return 0
+    return {
+        "final_max_h": float(final_state.h.max()),
+        "decay_rate": diagnostics.decay_rate,
+        "decay_fit_r2": diagnostics.decay_fit_r2,
+        "snapshots": snapshot_files,
+    }
 
 
 def sweep_point(peak: float, config: ScenarioConfig, ops: Operators | None = None) -> float:
@@ -143,17 +146,13 @@ def _sweep_heights(peak: float, config: ScenarioConfig, ops: Operators | None) -
     """Max height after each of the ten steps of the sweep protocol.
 
     The load is the configured pulse with its peak replaced by ``peak``;
-    any other pressure kind raises :class:`ConfigError`.
+    a ``pressure_sweep`` config admits no other pressure kind.
     """
-    desc = config.pressure
-    if desc["kind"] != "pulse":
-        raise ConfigError(f"a pressure sweep varies a pulse's peak; "
-                          f"pressure.kind is {desc['kind']!r}")
     if ops is None:
         ops = Operators(build_grid(config.n))
     state, _ = initial_state(config, ops.grid)
-    pressure = pressure_pulse(ops.grid, peak=peak, center=tuple(desc["center"]),
-                              radius=desc["radius"])
+    pressure = pressure_pulse(ops.grid, peak=peak, center=tuple(config.pressure["center"]),
+                              radius=config.pressure["radius"])
     states = itertools.islice(march(state, config, ops, pressure), 10)
     return [float(s.h.max()) for s in states]
 
@@ -163,8 +162,7 @@ def run_sweep(config: ScenarioConfig):
 
     Returns (rows, critical_pressure or None).  The swept variable is the
     peak of the configured pressure pulse (``pressure.peak`` itself is not
-    read; ``center`` and ``radius`` are kept), and a pressure of another
-    kind raises :class:`ConfigError` before any run.  The detector bisects
+    read; ``center`` and ``radius`` are kept).  The detector bisects
     the indicator ``max_h(10 tau) > h_star`` between the first bracketing
     pair of samples, to the configured pressure tolerance or until the
     bracket's ends are adjacent floats, whichever comes first.
@@ -214,31 +212,17 @@ def run_sweep(config: ScenarioConfig):
     return rows, float(0.5 * (lo + hi))
 
 
-def _cmd_sweep(config: ScenarioConfig) -> int:
-    start = time.perf_counter()
-    try:
-        rows, critical = run_sweep(config)
-    except _SOLVER_ERRORS as exc:
-        write_manifest(_outdir(config) / "manifest.json", config,
-                       time.perf_counter() - start, extra={"error": str(exc)},
-                       status="failed")
-        raise
-    out = _outdir(config)
+def _cmd_sweep(config: ScenarioConfig, out: Path) -> dict:
+    rows, critical = run_sweep(config)
     write_csv(out / "sweep.csv", ["peak_pressure", "max_h"], rows)
-    extra = {
-        "critical_pressure": critical,
-        "critical_pressure_found": critical is not None,
-    }
-    write_manifest(out / "manifest.json", config, time.perf_counter() - start, extra)
     if critical is None:
         print("no critical pressure in range")
     else:
         print(f"critical pressure ~ {critical:.1f} Pa")
-    return 0
+    return {"critical_pressure": critical, "critical_pressure_found": critical is not None}
 
 
-def _cmd_gamma(config: ScenarioConfig) -> int:
-    start = time.perf_counter()
+def _cmd_gamma(config: ScenarioConfig, out: Path) -> dict:
     grid = build_grid(config.n)
     pressure = build_pressure(config, grid)
     # fixed supercritical bump test field for the gap ladder
@@ -247,33 +231,23 @@ def _cmd_gamma(config: ScenarioConfig) -> int:
         config.theta_ladder, 1.0, config.params, pressure, grid, h_test,
         config.solve_options(),
     )
-    out = _outdir(config)
-    write_csv(
-        out / "gamma_ladder.csv",
-        ["theta", "J_theta", "J0", "gap", "minimizer_distance"],
-        [(r["theta"], r["J_theta"], r["J0"], r["gap"], r["minimizer_distance"]) for r in rows],
-    )
-    write_manifest(out / "manifest.json", config, time.perf_counter() - start)
+    header = ["theta", "J_theta", "J0", "gap", "minimizer_distance"]
+    write_csv(out / "gamma_ladder.csv", header, ([r[k] for k in header] for r in rows))
     print(f"wrote gamma ladder ({len(rows)} rungs) to {out}")
-    return 0
+    return {}
 
 
-def _cmd_geometry(out: Path) -> int:
-    start = time.perf_counter()
+def _cmd_geometry(config: ScenarioConfig | None, out: Path) -> dict:
     rows = verification_report()
-    out.mkdir(parents=True, exist_ok=True)
-    write_csv(
-        out / "geometry_report.csv",
-        ["kind", "variant", "R", "l", "formula", "fd_value", "rel_err", "stability"],
-        [
-            (r["kind"], r["variant"], r["R"], r["l"], r["formula"],
-             r["fd_value"], r["rel_err"], r["stability"])
-            for r in rows
-        ],
-    )
-    print(f"wrote geometry report ({len(rows)} rows) to {out} "
-          f"in {time.perf_counter() - start:.2f}s")
-    return 0
+    header = ["kind", "variant", "R", "l", "formula", "fd_value", "rel_err", "stability"]
+    write_csv(out / "geometry_report.csv", header, ([r[k] for k in header] for r in rows))
+    print(f"wrote geometry report ({len(rows)} rows) to {out}")
+    return {}
+
+
+# the command of each scenario; every other scenario is a time-stepping run
+_COMMANDS = {"pressure_sweep": _cmd_sweep, "gamma_limit": _cmd_gamma,
+             "geometry_verify": _cmd_geometry}
 
 
 if __name__ == "__main__":

@@ -258,6 +258,9 @@ def _validate(cfg: ScenarioConfig):
         raise ConfigError("snapshot_steps must be positive integers")
     _check_center(cfg.disruption_center, "disruption_center")
     pressure = cfg.pressure
+    if cfg.scenario == "pressure_sweep" and pressure["kind"] != "pulse":
+        raise ConfigError(f"a pressure sweep varies a pulse's peak; "
+                          f"pressure.kind is {pressure['kind']!r}")
     if pressure["kind"] == "pulse":
         _check_center(pressure["center"], "pressure.center")
         if not pressure["radius"] > 0.0:

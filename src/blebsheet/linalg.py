@@ -96,7 +96,7 @@ def cg_solve(
     ``x``, ``r`` and ``p`` are updated in place through one work vector.
     """
     b = np.asarray(b, dtype=float)
-    nb = np.linalg.norm(b)
+    nb = _rhs_norm(b, "cg_solve")
     if nb == 0.0:
         return np.zeros_like(b)
 
@@ -144,15 +144,22 @@ def cg_solve(
         if residual_history is not None:
             residual_history.append(np.sqrt(rs))
         it += 1
-    # a NaN or Inf in b or x0 makes every comparison above false
-    if not (np.isfinite(nb) and np.isfinite(rs)):
-        raise LinearSolveError(
-            f"cg_solve: non-finite right-hand side or residual "
-            f"(|b| = {nb:.3e}, residual {np.sqrt(rs):.3e})",
-            x,
-            float(np.sqrt(rs)),
-        )
+    # a NaN or Inf in x0 makes every comparison above false
+    if not np.isfinite(rs):
+        raise LinearSolveError(f"cg_solve: non-finite residual {np.sqrt(rs):.3e}", x,
+                               float(np.sqrt(rs)))
     return x
+
+
+def _rhs_norm(b: np.ndarray, solver: str) -> float:
+    """``||b||``; a non-finite norm raises :class:`LinearSolveError`, with no numpy warning."""
+    with np.errstate(over="ignore"):
+        nb = float(np.linalg.norm(b))
+    if not np.isfinite(nb):
+        why = "a NaN or Inf entry" if not np.isfinite(b).all() else "entries whose norm overflows"
+        raise LinearSolveError(f"{solver}: non-finite right-hand side norm ({why})",
+                               np.zeros_like(b), nb)
+    return nb
 
 
 def gmres_solve(A, b: np.ndarray, precond: Callable[[np.ndarray], np.ndarray],
@@ -176,13 +183,13 @@ def gmres_solve(A, b: np.ndarray, precond: Callable[[np.ndarray], np.ndarray],
     floor of ``b - A x``.
     """
     b = np.asarray(b, dtype=float)
-    nb = np.linalg.norm(b)
+    nb = _rhs_norm(b, "gmres_solve")
     tol = opts.rel_tolerance * nb
     max_it = opts.max_iterations if opts.max_iterations is not None else 10 * b.size
     x, r, it, prev = np.zeros_like(b), b, 0, np.inf
     while True:
         beta = float(np.linalg.norm(r))
-        if not np.isfinite(beta):  # on the first pass, beta = ||b||
+        if not np.isfinite(beta):
             raise LinearSolveError(f"gmres_solve: non-finite residual {beta:.3e}", x, beta)
         if beta <= tol:
             return x

@@ -672,3 +672,104 @@ def test_cli_gamma_ladder(tmp_path):
     lines = (out / "gamma_ladder.csv").read_text().splitlines()
     assert lines[0] == "theta,J_theta,J0,gap,minimizer_distance"
     assert len(lines) == 3
+
+
+def test_cli_failed_gamma_ladder_writes_failed_manifest(tmp_path, capsys):
+    out = tmp_path / "gamma"
+    path = write_config(tmp_path, {"scenario": "gamma_limit", "n": 8, "max_iterations": 1,
+                                   "output_dir": str(out)})
+    assert main(["run", "--config", str(path)]) == 1
+    assert "solver failure: cg_solve: no convergence in 1" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["error"].startswith("cg_solve: no convergence in 1")
+    assert "failed_step" not in manifest
+    assert parse_config_dict(manifest["config"]).max_iterations == 1
+    assert not (out / "gamma_ladder.csv").exists()
+
+
+def test_cli_verify_geometry_writes_no_manifest(tmp_path):
+    out = tmp_path / "geo"
+    assert main(["verify-geometry", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["geometry_report.csv"]
+
+
+# a small, quick config of every scenario, and the CSV its command writes
+SMALL_RUNS = {
+    "stationary_state": ({"n": 4, "final_time": 3e-6}, "diagnostics.csv"),
+    "pressure_sweep": ({"n": 4, "sweep": {"samples": 3, "bisect_tol": 100.0}}, "sweep.csv"),
+    "disruption": ({"n": 4, "final_time": 3e-6, "snapshot_steps": [2]}, "snapshot_step2.csv"),
+    "gamma_limit": ({"n": 4, "theta_ladder": [1e-2]}, "gamma_ladder.csv"),
+    "geometry_verify": ({}, "geometry_report.csv"),
+}
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_every_scenario_leaves_a_manifest_that_reparses(tmp_path, scenario):
+    out = tmp_path / scenario
+    doc, csv = SMALL_RUNS[scenario]
+    path = write_config(tmp_path, {"scenario": scenario, **doc, "output_dir": str(out)})
+    assert main(["run", "--config", str(path)]) == 0
+    assert (out / csv).exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "ok"
+    assert parse_config_dict(manifest["config"]) == parse_config(path)
+
+
+def test_sweep_command_runs_its_config_as_a_pressure_sweep(tmp_path):
+    out = tmp_path / "sweep"
+    path = write_config(tmp_path, {"scenario": "stationary_state",
+                                   **SMALL_RUNS["pressure_sweep"][0], "output_dir": str(out)})
+    assert main(["sweep", "--config", str(path)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["scenario"] == "pressure_sweep"
+    assert manifest["critical_pressure_found"] is True
+    # the echo reruns the same sweep under ``run``
+    again = tmp_path / "again"
+    rerun = write_config(tmp_path, {**manifest["config"], "output_dir": str(again)},
+                         name="rerun.json")
+    assert main(["run", "--config", str(rerun)]) == 0
+    assert (again / "sweep.csv").read_bytes() == (out / "sweep.csv").read_bytes()
+
+
+def test_sweep_command_on_a_constant_pressure_config_exit_2(tmp_path, capsys):
+    # the disruption scenario defaults to a constant pressure
+    out = tmp_path / "sweep"
+    path = write_config(tmp_path, {"scenario": "disruption", "n": 4,
+                                   "output_dir": str(out)})
+    assert main(["sweep", "--config", str(path)]) == 2
+    assert "pulse" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_overflowing_sweep_fails_without_numpy_warnings(tmp_path, capsys):
+    import warnings
+
+    out = tmp_path / "sweep"
+    path = write_config(tmp_path, {"scenario": "pressure_sweep", "n": 4,
+                                   "sweep": {"max": 1e300}, "output_dir": str(out)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sweep", "--config", str(path)]) == 1
+    assert "right-hand side norm (entries whose norm overflows)" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["failed_step"] == 0
+
+
+def test_fully_implicit_large_tau_run_completes(tmp_path):
+    # the first step needs sub-steps of tau / 64; a cap of four halvings
+    # (tau / 16) made this run exit 1 at step 0
+    out = tmp_path / "fi"
+    path = write_config(tmp_path, {
+        "scenario": "stationary_state", "n": 32, "scheme": "FullyImplicit", "tau": 1e-4,
+        "final_time": 2e-3, "pressure": {"kind": "pulse", "peak": 400.0},
+        "output_dir": str(out),
+    })
+    assert main(["run", "--config", str(path)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "ok"
+    # the stationary height every tau reaches by this time
+    assert manifest["final_max_h"] == pytest.approx(2.84803389, rel=1e-8)
+    diag = (out / "diagnostics.csv").read_text().splitlines()
+    assert len(diag) == 1 + 20

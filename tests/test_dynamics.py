@@ -355,8 +355,10 @@ def test_fully_implicit_halving_stops_at_fixed_depth(monkeypatch):
         step(state, 1e-6, ModelParams(), pressure_pulse(grid, peak=400.0), grid,
              Scheme.FULLY_IMPLICIT)
     assert info.value.step_index == 7
-    # the first half of every level fails in turn, down to the last level
-    assert len(solves) == dyn._MAX_HALVINGS + 1
+    # the first half of every level fails in turn, down to the last level,
+    # whose half would be shorter than the floor: 1e-6 / 2**9 ~ 1.95e-9 s
+    assert 1e-6 / 2**10 < dyn._MIN_SUBSTEP <= 1e-6 / 2**9
+    assert len(solves) == 10
 
 
 def test_fully_implicit_step_halves_on_predictor_failure(monkeypatch):

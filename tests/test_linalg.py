@@ -116,6 +116,20 @@ def test_cg_nonfinite_rhs_raises(bad):
         gmres_solve(spm(np.eye(4)), b, identity)
 
 
+def test_overflowing_rhs_raises_without_numpy_warnings():
+    import warnings
+
+    b = np.full(4, 1e300)  # finite entries whose norm overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for solve in (lambda: cg_solve(spm(np.eye(4)), b),
+                      lambda: gmres_solve(spm(np.eye(4)), b, identity)):
+            with pytest.raises(LinearSolveError, match="entries whose norm overflows") as err:
+                solve()
+            assert err.value.residual_norm == np.inf
+            assert np.array_equal(err.value.iterate, np.zeros(4))
+
+
 def _reference_cg(A, b, rel_tolerance, x0, max_it, precond):
     """The textbook loop ``cg_solve`` must match bit for bit: it applies
     ``precond`` also to the first residual and after the last iteration,
