@@ -176,18 +176,27 @@ def run_sweep(config: ScenarioConfig):
     ``p * u10`` without a run.  Every other peak runs ``sweep_point`` in
     full, and so does every peak when the 1 Pa run itself passes ``h_star``.
     Superposed values match a full run to about 1e-12 relative.  Every
-    point runs in this process, on one set of operators built once.
+    point runs in this process, on one set of operators built once.  A
+    point that fails, the 1 Pa run included, names its peak in its error.
     """
     ops = Operators(build_grid(config.n))
     h_star = config.params.h_star
-    unit = _sweep_heights(1.0, config, ops)
+
+    def protocol(run, peak: float):
+        try:
+            return run(peak, config, ops)
+        except StepError as exc:
+            cause = str(exc).removeprefix(f"step {exc.step_index}: ")
+            raise StepError(f"peak {peak!r} Pa: {cause}", exc.step_index) from exc
+
+    unit = protocol(_sweep_heights, 1.0)
     u10, u_max = unit[-1], max(unit)
 
     def superposed(peak: float) -> bool:
         return u_max <= h_star and peak * u_max <= h_star
 
     def value(peak: float) -> float:
-        return peak * u10 if superposed(peak) else sweep_point(peak, config, ops)
+        return peak * u10 if superposed(peak) else protocol(sweep_point, peak)
 
     peaks = [float(p) for p in np.linspace(config.sweep_min, config.sweep_max,
                                            config.sweep_samples)]

@@ -14,7 +14,8 @@ Scheme variants
 ``ExplicitRipping``   ripping flux ``r(h^k) rho_a^k`` on the right-hand side.
 ``ImplicitRipping``   ripping applied to the unknown densities; the two
                       density equations couple and are solved as one linear
-                      system (block Gauss-Seidel, contraction ~ k*tau).
+                      system (block Gauss-Seidel, contraction ~ k*tau, to
+                      each block's CG tolerance; at most 80 sweeps).
 ``FullyImplicit``     ripping rate evaluated at ``h^{k+1}``; the coupled
                       nonlinear residual is solved by Newton with Armijo
                       control, each Newton system by one GMRES solve; a
@@ -293,9 +294,12 @@ def _solve_densities(
     Solves the inactive density first, then the active one, each CG from
     the previous time level.  Under implicit ripping (some ``rate > 0``)
     the equations couple through the flux on the unknown active density.
-    Block Gauss-Seidel then starts from :func:`_reaction_start` and
-    contracts about ``k * tau`` per sweep; after 80 sweeps it raises
-    :class:`LinearSolveError` with the last iterate ``[rho_a | rho_i]``.
+    Block Gauss-Seidel then starts from :func:`_reaction_start`, contracts
+    about ``k * tau`` per sweep, and stops once the active equation, like
+    the inactive one, meets ``cg_solve``'s test on its own right-hand side.
+    At ``tau`` >= 1e-3 it raises :class:`LinearSolveError` after 80 sweeps,
+    with the last iterate ``[rho_a | rho_i]`` and that residual; a coupled
+    Krylov solve is to replace the loop.
     """
     w = ops.grid.weights
     # mass conservation inherits the residual of these solves; run them tight
@@ -312,27 +316,20 @@ def _solve_densities(
 
     B_a = ops.density_matrix(params.eta_a, 1.0 / tau + rate)
     rho_a_new, rho_i_new = _reaction_start(params.k * tau, tau * rate, rho_a, rho_i)
-    scale = max(float(np.max(np.abs(rho_a))), float(np.max(np.abs(rho_i))), 1.0)
+    rhs_a = w * (rho_a / tau + params.k * rho_i_new)
     for _ in range(80):
-        rho_a_prev = rho_a_new
-        rho_a_new = cg_solve(
-            B_a, w * (rho_a / tau + params.k * rho_i_new), dopts, x0=rho_a_new
-        )
-        rho_i_new = cg_solve(
-            B_i, w * (rho_i / tau + rate * rho_a_new), dopts, x0=rho_i_new
-        )
-        increment = float(np.max(np.abs(rho_a_new - rho_a_prev)))
-        if increment <= 1e-13 * scale:
+        rho_a_new = cg_solve(B_a, rhs_a, dopts, x0=rho_a_new)
+        rho_i_new = cg_solve(B_i, w * (rho_i / tau + rate * rho_a_new), dopts, x0=rho_i_new)
+        rhs_a = w * (rho_a / tau + params.k * rho_i_new)
+        residual = float(np.linalg.norm(rhs_a - B_a @ rho_a_new))
+        target = dopts.rel_tolerance * float(np.linalg.norm(rhs_a))
+        if residual <= target:
             return rho_a_new, rho_i_new
-    residual = np.concatenate([
-        B_a @ rho_a_new - w * (rho_a / tau + params.k * rho_i_new),
-        B_i @ rho_i_new - w * (rho_i / tau + rate * rho_a_new),
-    ])
     raise LinearSolveError(
         f"implicit ripping coupling did not converge in 80 sweeps "
-        f"(last increment {increment:.3e})",
+        f"(active residual {residual:.3e}, target {target:.3e})",
         np.concatenate([rho_a_new, rho_i_new]),
-        float(np.linalg.norm(residual)),
+        residual,
     )
 
 
@@ -408,8 +405,8 @@ class FullyImplicitJacobian:
 
     Unknown layout: ``[h interior | rho_a | rho_i]``.  Supports ``J @ v`` and
     owns the Newton systems' preconditioner (:meth:`precond`); the height
-    block is ``tau * height``, the time step's height operator.  Only
-    :meth:`toarray`, the dense test oracle, assembles anything.
+    block is ``tau * height``, the time step's height operator.  Nothing
+    is assembled: the tests keep the dense oracle of this matrix.
     """
 
     def __init__(self, ops: Operators, params: ModelParams, tau: float,
@@ -455,26 +452,6 @@ class FullyImplicitJacobian:
         da, di = _reaction_start(self.k_tau, self.diag_ia_rate, b_a, b_i)
         dh = self.height.precond(b_h - self.diag_ha * da[self.interior]) / self.tau
         return np.concatenate([dh, da, di])
-
-    def toarray(self) -> np.ndarray:
-        ni, na = self.n_int, self.n_all
-        p, tau = self.params, self.tau
-        A = self.ops.A.toarray()
-        neumann = self.ops.LN.toarray() / self.ops.grid.weights[:, None]
-        J = np.zeros((ni + 2 * na, ni + 2 * na))
-        J[:ni, :ni] = tau * (np.diag(self.height.diag) + p.kappa * (A @ A) + p.gamma * A)
-        ha = np.zeros((ni, na))
-        ha[np.arange(ni), self.interior] = self.diag_ha
-        J[:ni, ni : ni + na] = ha
-        J[ni : ni + na, ni : ni + na] = np.eye(na) + tau * (p.eta_a * neumann + np.diag(self.rate))
-        ah = np.zeros((na, ni))
-        ah[self.interior, np.arange(ni)] = self.diag_ah
-        J[ni : ni + na, :ni] = ah
-        J[ni : ni + na, ni + na :] = -self.k_tau * np.eye(na)
-        J[ni + na :, :ni] = -ah
-        J[ni + na :, ni : ni + na] = -np.diag(self.diag_ia_rate)
-        J[ni + na :, ni + na :] = (1.0 + self.k_tau) * np.eye(na) + tau * p.eta_i * neumann
-        return J
 
 
 def _fully_implicit_residual(

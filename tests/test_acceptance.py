@@ -44,6 +44,7 @@ from blebsheet.stationary import (
     stationary_fixed_point,
     weighted_density_residual,
 )
+from test_dynamics import dense_jacobian
 
 
 def report(num: int, ok: bool, detail: str):
@@ -338,7 +339,7 @@ def test_criterion_10_gradient_checks():
     rho_a_z = rng.uniform(0.1, 2.0, grid.num_nodes)
     rho_i_z = rng.uniform(0.0, 1.0, grid.num_nodes)
     z = np.concatenate([h_z, rho_a_z, rho_i_z])
-    J = FullyImplicitJacobian(ops, params, tau, h_z, rho_a_z).toarray()
+    J = dense_jacobian(FullyImplicitJacobian(ops, params, tau, h_z, rho_a_z))
 
     def F(zz):
         return _fully_implicit_residual(zz, ops, params, tau, base, pressure)

@@ -464,7 +464,10 @@ def test_workers_flag_is_a_usage_error(tmp_path, capsys, command):
 
 
 def test_cli_failed_sweep_writes_failed_manifest(tmp_path, capsys, monkeypatch):
+    peaks = []
+
     def failing(peak, config, ops=None):
+        peaks.append(peak)
         raise dynamics.StepError("cg_solve: did not converge", 3)
 
     # the default range is supercritical at its top, so full runs are made
@@ -476,7 +479,7 @@ def test_cli_failed_sweep_writes_failed_manifest(tmp_path, capsys, monkeypatch):
     assert "solver failure: step 3" in capsys.readouterr().err
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "failed"
-    assert manifest["error"] == "step 3: cg_solve: did not converge"
+    assert manifest["error"] == f"step 3: peak {peaks[0]!r} Pa: cg_solve: did not converge"
     assert parse_config_dict(manifest["config"]).n == 6
     assert not (out / "sweep.csv").exists()
 
@@ -755,6 +758,35 @@ def test_overflowing_sweep_fails_without_numpy_warnings(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "failed"
     assert manifest["failed_step"] == 0
+    # the first sample above zero is the first point run in full
+    peak = float(np.linspace(0.0, 1e300, 26)[1])
+    assert manifest["error"].startswith(f"step 0: peak {peak!r} Pa: cg_solve: ")
+
+
+@pytest.mark.parametrize("where", ["unit", "sample", "midpoint"])
+def test_failed_sweep_point_names_its_peak(monkeypatch, where):
+    # the 1 Pa unit run, a full-run sample and a bisection midpoint each
+    # run the 10-step protocol through _sweep_heights
+    cfg = parse_config_dict({"scenario": "pressure_sweep", "n": 6})
+    samples = [float(p) for p in np.linspace(cfg.sweep_min, cfg.sweep_max, cfg.sweep_samples)]
+    fails = {"unit": lambda p: p == 1.0, "sample": lambda p: p in samples,
+             "midpoint": lambda p: p != 1.0 and p not in samples}[where]
+    heights = cli._sweep_heights
+    failed = []
+
+    def failing(peak, config, ops):
+        if fails(peak):
+            failed.append(peak)
+            raise dynamics.StepError("cg_solve: did not converge", 4)
+        return heights(peak, config, ops)
+
+    monkeypatch.setattr(cli, "_sweep_heights", failing)
+    with pytest.raises(dynamics.StepError) as err:
+        run_sweep(cfg)
+    assert len(failed) == 1
+    assert str(err.value) == f"step 4: peak {failed[0]!r} Pa: cg_solve: did not converge"
+    assert err.value.step_index == 4
+    assert str(err.value.__cause__) == "step 4: cg_solve: did not converge"
 
 
 def test_fully_implicit_large_tau_run_completes(tmp_path):

@@ -43,6 +43,28 @@ def fresh_state(grid, rho_a=1.0, rho_i=0.0):
     )
 
 
+def dense_jacobian(J):
+    """``J`` (a :class:`FullyImplicitJacobian`) assembled densely: the test oracle."""
+    ni, na = J.n_int, J.n_all
+    p, tau = J.params, J.tau
+    A = J.ops.A.toarray()
+    neumann = J.ops.LN.toarray() / J.ops.grid.weights[:, None]
+    M = np.zeros((ni + 2 * na, ni + 2 * na))
+    M[:ni, :ni] = tau * (np.diag(J.height.diag) + p.kappa * (A @ A) + p.gamma * A)
+    ha = np.zeros((ni, na))
+    ha[np.arange(ni), J.interior] = J.diag_ha
+    M[:ni, ni : ni + na] = ha
+    M[ni : ni + na, ni : ni + na] = np.eye(na) + tau * (p.eta_a * neumann + np.diag(J.rate))
+    ah = np.zeros((na, ni))
+    ah[J.interior, np.arange(ni)] = J.diag_ah
+    M[ni : ni + na, :ni] = ah
+    M[ni : ni + na, ni + na :] = -J.k_tau * np.eye(na)
+    M[ni + na :, :ni] = -ah
+    M[ni + na :, ni : ni + na] = -np.diag(J.diag_ia_rate)
+    M[ni + na :, ni + na :] = (1.0 + J.k_tau) * np.eye(na) + tau * p.eta_i * neumann
+    return M
+
+
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
 def test_zero_forcing_fixed_point(scheme):
     grid = build_grid(6)
@@ -227,7 +249,7 @@ def test_fully_implicit_jacobian_matches_finite_differences():
     rho_i = rng.uniform(0.0, 1.0, grid.num_nodes)
     z = np.concatenate([h, rho_a, rho_i])
 
-    J = FullyImplicitJacobian(ops, params, tau, h, rho_a).toarray()
+    J = dense_jacobian(FullyImplicitJacobian(ops, params, tau, h, rho_a))
 
     def F(zz):
         return _fully_implicit_residual(zz, ops, params, tau, state, pressure)
@@ -513,7 +535,7 @@ def height_system(n, kind, rho_a):
     h_int = np.linspace(0.0, 1.0, grid.num_interior)
     J = FullyImplicitJacobian(ops, params, tau, h_int, rho_a)
     ni = grid.num_interior
-    assert np.allclose(J.toarray()[:ni, :ni], mat.toarray(), rtol=1e-13, atol=0.0)
+    assert np.allclose(dense_jacobian(J)[:ni, :ni], mat.toarray(), rtol=1e-13, atol=0.0)
     x = np.random.default_rng(n).standard_normal(ni)
     v = np.concatenate([x, np.zeros(2 * grid.num_nodes)])
     assert np.allclose((J @ v)[:ni], mat @ x, rtol=1e-12, atol=1e-12 * np.abs(mat @ x).max())
@@ -745,7 +767,68 @@ def test_density_gauss_seidel_cap_raises():
         _solve_densities(ops, ModelParams(k=1e6), 1.0, rate, rho_a, rho_i, True,
                          SolveOptions())
     assert err.value.iterate.shape == (2 * grid.num_nodes,)
-    assert err.value.residual_norm > 0.0
+    _assert_active_residual_above_target(err.value, grid, ModelParams(k=1e6), 1.0, rate, rho_a)
+
+
+def _density_blocks(grid, params, tau, rate):
+    """``B_a`` and ``B_i`` of the coupled density step, from the plain assembly."""
+    w = grid.weights
+    L = assemble_laplacian(grid)
+    B_a = sp.diags(w * (1.0 / tau + rate)) + params.eta_a * L
+    B_i = sp.diags(w * (1.0 / tau + params.k)) + params.eta_i * L
+    return B_a, B_i
+
+
+def _assert_active_residual_above_target(exc, grid, params, tau, rate, rho_a):
+    """``exc`` reports the active equation's residual, above 1e-12 of its right-hand side."""
+    a, i = np.split(exc.iterate, 2)
+    B_a, _ = _density_blocks(grid, params, tau, rate)
+    rhs_a = grid.weights * (rho_a / tau + params.k * i)
+    assert exc.residual_norm == pytest.approx(np.linalg.norm(B_a @ a - rhs_a), rel=1e-6)
+    assert exc.residual_norm > 1e-12 * np.linalg.norm(rhs_a)
+
+
+def _coupled_density_case(grid):
+    """Random densities and a ripping disc of rate up to 1e8, as in the spsolve oracle."""
+    rng = np.random.default_rng(grid.n)
+    rho_a = rng.uniform(0.5, 1.5, grid.num_nodes)
+    rho_i = rng.uniform(0.0, 0.5, grid.num_nodes)
+    dist = np.hypot(grid.node_x - 0.5, grid.node_y - 0.5)
+    rate = np.where(dist < 0.3, 1e8 * (1.0 - dist / 0.3), 0.0)
+    return rho_a, rho_i, rate
+
+
+@pytest.mark.parametrize("tau", [1e-6, 1e-5, 1e-4, 3e-4])
+def test_coupled_density_solve_meets_each_block_tolerance(tau):
+    # a stop on the increment of rho_a leaves the active equation unconverged
+    # at tau >= 1e-4: coupled residuals of 1.1e-11 at 1e-4 and 4.9e-11 at 3e-4
+    grid = build_grid(16)
+    params = ModelParams(k=1e4)
+    rho_a, rho_i, rate = _coupled_density_case(grid)
+    a, i = _solve_densities(Operators(grid), params, tau, rate, rho_a, rho_i, True,
+                            SolveOptions())
+
+    w = grid.weights
+    B_a, B_i = _density_blocks(grid, params, tau, rate)
+    rhs_a = w * (rho_a / tau + params.k * i)
+    rhs_i = w * (rho_i / tau + rate * a)
+    assert np.linalg.norm(B_a @ a - rhs_a) <= 1e-12 * np.linalg.norm(rhs_a)
+    assert np.linalg.norm(B_i @ i - rhs_i) <= 1e-12 * np.linalg.norm(rhs_i)
+    coupled = sp.bmat([[B_a, -params.k * sp.diags(w)], [-sp.diags(w * rate), B_i]])
+    rhs = np.concatenate([w * rho_a / tau, w * rho_i / tau])
+    residual = coupled @ np.concatenate([a, i]) - rhs
+    assert np.linalg.norm(residual) <= 5e-12 * np.linalg.norm(rhs)
+
+
+def test_coupled_density_solve_raises_at_large_tau():
+    # at tau = 1e-3 the sweeps contract too slowly for the 80-sweep cap
+    grid = build_grid(16)
+    rho_a, rho_i, rate = _coupled_density_case(grid)
+    params = ModelParams(k=1e4)
+    with pytest.raises(LinearSolveError, match="80 sweeps") as err:
+        _solve_densities(Operators(grid), params, 1e-3, rate, rho_a, rho_i, True,
+                         SolveOptions())
+    _assert_active_residual_above_target(err.value, grid, params, 1e-3, rate, rho_a)
 
 
 # ---------------------------------------------------------------------------
@@ -780,7 +863,7 @@ def test_newton_solve_matches_dense_solve(n):
     assert np.count_nonzero(J.rate) > 1 and np.count_nonzero(J.diag_ah) > 1
     rhs = np.random.default_rng(n).standard_normal(grid.num_interior + 2 * grid.num_nodes)
     got = _newton_solve(J, rhs, SolveOptions())
-    want = np.linalg.solve(J.toarray(), rhs)
+    want = np.linalg.solve(dense_jacobian(J), rhs)
     assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
     assert np.linalg.norm(J @ got - rhs) <= 1e-12 * np.linalg.norm(rhs)
 

@@ -118,8 +118,6 @@ def test_fixed_point_validation():
     pressure = PressureField.constant(grid, 0.0)
     with pytest.raises(ValueError):
         stationary_fixed_point(ModelParams(eta_a=0.0), pressure, 1.0, grid)
-    with pytest.raises(ValueError):
-        stationary_fixed_point(ModelParams(), pressure, 1.0, grid, damping=0.0)
     cfg = parse_config_dict({"scenario": "stationary_state", "n": 8})
     with pytest.raises(ValueError):
         stationary_by_marching(cfg, stop_tol=0.0)
