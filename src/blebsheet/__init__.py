@@ -36,7 +36,6 @@ from .stationary import (
 )
 from .energy import (
     EnergyReport,
-    eval_J0,
     eval_J_theta,
     euler_lagrange_residual_J0,
     minimize_J,
@@ -76,7 +75,6 @@ __all__ = [
     "weighted_density_residual",
     "EnergyReport",
     "eval_J_theta",
-    "eval_J0",
     "minimize_J",
     "euler_lagrange_residual_J0",
     "PerturbedSphere",

@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
+from .dynamics import Scheme
 from .linalg import SolveOptions
 from .model import ModelParams
 
@@ -28,7 +29,7 @@ SCENARIOS = (
     "gamma_limit",
     "geometry_verify",
 )
-SCHEMES = ("ExplicitRipping", "ImplicitRipping", "FullyImplicit")
+SCHEMES = tuple(s.value for s in Scheme)
 
 
 class ConfigError(ValueError):
@@ -108,11 +109,11 @@ _SCENARIO_DEFAULTS = {
     # defaults to a coarse grid
     "n": {"gamma_limit": 8},
     "pressure": {
-        "stationary_state": {"kind": "pulse", "peak": 100.0, "center": [0.5, 0.5], "radius": 0.4},
-        "pressure_sweep": {"kind": "pulse", "peak": 100.0, "center": [0.5, 0.5], "radius": 0.4},
+        "stationary_state": {"kind": "pulse"},
+        "pressure_sweep": {"kind": "pulse"},
         "disruption": {"kind": "constant", "value": 1.0},
         # the ladder needs a supercritical load so the switch region is nonempty
-        "gamma_limit": {"kind": "pulse", "peak": 400.0, "center": [0.5, 0.5], "radius": 0.4},
+        "gamma_limit": {"kind": "pulse", "peak": 400.0},
         "geometry_verify": {"kind": "constant", "value": 0.0},
     },
     "snapshot_steps": {"stationary_state": (1, 2, 50, 100), "disruption": (1, 50, 75, 100)},

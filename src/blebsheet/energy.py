@@ -9,10 +9,12 @@ with ``a`` the bending/tension/zeroth-order bilinear form and
 ``Phi_theta(H) = int_0^H s g_theta(s) ds``.  For the positive-part ripping
 rate the inner integral has a closed form which is used everywhere (a
 quadrature cross-check lives in the tests).  As ``theta`` vanishes the
-density term converges to ``rho0/2 * min(h^2, h_star^2)``, the sharp-switch
-functional ``J_0``; its first-order condition carries the Heaviside factor
-``H(1 - h/h_star)`` with ``H(x) = 0`` for ``x <= 0``, so nodes at or above
-the critical height feel no spring.
+density term converges to ``rho0/2 * min(h, h_star)^2``, the sharp-switch
+functional ``J_0``; ``theta = 0`` is that limit throughout this module
+(:func:`density_primitive`, :func:`eval_J_theta`, :func:`minimize_J`).  Its
+first-order condition carries the Heaviside factor ``H(1 - h/h_star)`` with
+``H(x) = 0`` for ``x <= 0``, so nodes at or above the critical height feel
+no spring.
 
 Fields passed in and out are full-grid arrays respecting the zero Dirichlet
 boundary; all energies are discrete trapezoidal integrals.
@@ -43,14 +45,17 @@ def density_primitive(H, theta: float, rho0: float, params: ModelParams):
     """Closed form of ``int_0^H s g_theta(s) ds`` for the positive-part rate.
 
     Below the critical height the integrand is ``rho0 * s``; above it the
-    substitution ``u = s - h_star`` integrates to a logarithm.
+    substitution ``u = s - h_star`` integrates to a logarithm, which
+    vanishes at ``theta = 0``: the sharp limit ``rho0/2 * min(H, h_star)^2``.
     """
-    if theta <= 0.0:
-        raise ValueError("theta must be positive")
+    if theta < 0.0:
+        raise ValueError("theta must be nonnegative")
     H = np.asarray(H, dtype=float)
     hs = params.h_star
+    below = 0.5 * rho0 * np.minimum(H, hs)**2
+    if theta == 0.0:
+        return below
     ktheta = params.k * theta
-    below = np.where(H <= hs, 0.5 * rho0 * H**2, 0.5 * rho0 * hs**2)
     excess = np.maximum(H - hs, 0.0)
     above = params.k * rho0 * theta * (excess + (hs - ktheta) * np.log1p(excess / ktheta))
     return below + np.where(H > hs, above, 0.0)
@@ -62,10 +67,8 @@ def _action(h, density: float, params: ModelParams, pressure: PressureField, gri
     if ops is None:
         ops = Operators(grid)
     h_int = grid.restrict(h)
-    Ah = ops.A @ h_int
-    quadratic = grid.spacing**2 * float(
-        params.kappa * (Ah @ Ah) + params.gamma * (h_int @ Ah) + params.lam * (h_int @ h_int)
-    )
+    membrane = ops.height_operator(params, params.lam, np.zeros(grid.num_interior))
+    quadratic = grid.spacing**2 * float(h_int @ (membrane @ h_int))
     load = PASCAL * float(grid.weights @ (pressure.values * h))
     return 0.5 * quadratic + density - load
 
@@ -79,28 +82,19 @@ def eval_J_theta(
     grid: Grid,
     ops: Operators | None = None,
 ) -> float:
-    """Discrete action functional at sharpness ``theta > 0``."""
+    """Discrete action functional at sharpness ``theta``; ``theta = 0`` is ``J_0``."""
     density = float(grid.weights @ density_primitive(h, theta, rho0, params))
     return _action(h, density, params, pressure, grid, ops)
 
 
-def eval_J0(
-    h: np.ndarray,
-    rho0: float,
-    params: ModelParams,
-    pressure: PressureField,
-    grid: Grid,
-    ops: Operators | None = None,
-) -> float:
-    """Sharp-switch limit functional."""
-    density = 0.5 * rho0 * float(grid.weights @ np.minimum(h**2, params.h_star**2))
-    return _action(h, density, params, pressure, grid, ops)
+def _spring(theta, rho0, params, grid, h_int, hessian=False):
+    """Interior spring of the gradient, ``g``, or Hessian, ``g + h g'``.
 
-
-def _spring(theta, rho0, params, grid, h_int, active_mask=None, hessian=False):
-    """Interior spring of the gradient, ``g``, or Hessian, ``g + h g'`` (theta=0: rho0 mask)."""
+    At ``theta = 0`` both are ``rho0 H(1 - h/h_star)``, switched off at and
+    above the critical height.
+    """
     if theta == 0.0:
-        return rho0 * active_mask
+        return rho0 * (h_int < params.h_star)
     p_theta = params.with_(theta=theta)
     h_full = grid.embed(h_int)
     spring = g_theta(h_full, rho0, p_theta)
@@ -109,17 +103,16 @@ def _spring(theta, rho0, params, grid, h_int, active_mask=None, hessian=False):
     return grid.restrict(spring)
 
 
-def _gradient(theta, rho0, params, pressure, grid, ops, h_int, active_mask=None):
-    """Weighted gradient on interior nodes; mask freezes the theta=0 switch."""
-    membrane = ops.height_operator(params, params.lam,
-                                   _spring(theta, rho0, params, grid, h_int, active_mask))
+def _gradient(theta, rho0, params, pressure, grid, ops, h_int):
+    """Weighted gradient on interior nodes."""
+    membrane = ops.height_operator(params, params.lam, _spring(theta, rho0, params, grid, h_int))
     load = PASCAL * grid.restrict(pressure.values)
     return grid.spacing**2 * (membrane @ h_int - load)
 
 
-def _hessian(theta, rho0, params, grid, ops, h_int, active_mask=None) -> HeightOperator:
+def _hessian(theta, rho0, params, grid, ops, h_int) -> HeightOperator:
     """Membrane operator with spring ``g + h g'``: the Hessian over ``spacing^2``."""
-    spring = _spring(theta, rho0, params, grid, h_int, active_mask, hessian=True)
+    spring = _spring(theta, rho0, params, grid, h_int, hessian=True)
     return ops.height_operator(params, params.lam, spring)
 
 
@@ -129,49 +122,43 @@ def minimize_J(
     params: ModelParams,
     pressure: PressureField,
     grid: Grid,
-    h0: np.ndarray | None = None,
     opts: SolveOptions = SolveOptions(),
     ops: Operators | None = None,
     energy_history: list | None = None,
 ) -> EnergyReport:
     """Newton iteration on the discrete gradient with Armijo control on J.
 
-    ``theta = 0`` runs the semismooth variant: the Heaviside factor is frozen
-    per iteration using the previous iterate's active set (``h < h_star``).
-    Each Newton direction solves the unweighted Hessian system by CG with
-    the height operator's preconditioner.  Convergence is declared once
-    the gradient's sup norm is at most ``max(newton_grad_tol, 16 eps ||M||
-    sup|h|)``, the grid's roundoff floor where that is larger: ``M`` maps
-    ``h`` to the gradient, and ``||M|| = spacing^2 (kappa eig_max^2 + gamma
-    eig_max + max|diag|)`` bounds its sup norm, so the floor grows about
-    fourfold per halving of the spacing.  At the iteration cap, on a
-    direction that does not descend, or when the line search fails, it
-    raises :class:`NewtonError` with the last iterate (on the full grid)
-    and its gradient sup norm.
+    Newton starts from ``h = 0``; a negative ``theta`` raises ValueError.
+    ``theta = 0`` runs the semismooth variant: the Heaviside factor of the
+    gradient and Hessian is the current iterate's active set (``h <
+    h_star``).  Each Newton direction solves the unweighted Hessian system
+    by CG with the height operator's preconditioner.  Convergence is
+    declared once the gradient's sup norm is at most ``max(newton_grad_tol,
+    16 eps ||M|| sup|h|)``, the grid's roundoff floor where that is larger:
+    ``M`` maps ``h`` to the gradient, and ``||M|| = spacing^2 (kappa
+    eig_max^2 + gamma eig_max + max|diag|)`` bounds its sup norm, so the
+    floor grows about fourfold per halving of the spacing.  At the
+    iteration cap, on a direction that does not descend, or when the line
+    search fails, it raises :class:`NewtonError` with the last iterate (on
+    the full grid) and its gradient sup norm.
     """
-    if theta < 0.0:
-        raise ValueError("theta must be nonnegative")
     if ops is None:
         ops = Operators(grid)
-    h_int = np.zeros(grid.num_interior) if h0 is None else grid.restrict(np.asarray(h0, float))
-    # g and the theta = 0 mask never exceed rho0, which bounds max|diag|
+    h_int = np.zeros(grid.num_interior)
+    # the spring never exceeds rho0, which bounds max|diag|
     eig_max = float(ops.eig.max())
     floor_scale = 16.0 * np.finfo(float).eps * grid.spacing**2 * (
         params.kappa * eig_max**2 + params.gamma * eig_max + abs(params.lam) + rho0)
 
     def energy_at(hi):
-        h_full = grid.embed(hi)
-        if theta > 0.0:
-            return eval_J_theta(h_full, theta, rho0, params, pressure, grid, ops)
-        return eval_J0(h_full, rho0, params, pressure, grid, ops)
+        return eval_J_theta(grid.embed(hi), theta, rho0, params, pressure, grid, ops)
 
     energy = energy_at(h_int)
     if energy_history is not None:
         energy_history.append(energy)
     iterations = 0
     for iterations in range(opts.newton_max_iter + 1):
-        mask = (h_int < params.h_star).astype(float)  # read only at theta = 0
-        grad = _gradient(theta, rho0, params, pressure, grid, ops, h_int, mask)
+        grad = _gradient(theta, rho0, params, pressure, grid, ops, h_int)
         sup_grad = float(np.max(np.abs(grad)))
         floor = floor_scale * np.max(np.abs(h_int))
         if sup_grad <= max(opts.newton_grad_tol, floor):
@@ -183,7 +170,7 @@ def minimize_J(
                 grid.embed(h_int),
                 sup_grad,
             )
-        H = _hessian(theta, rho0, params, grid, ops, h_int, mask)
+        H = _hessian(theta, rho0, params, grid, ops, h_int)
         direction = cg_solve(H, -grad / grid.spacing**2, opts, precond=H.precond)
         slope = float(grad @ direction)
         if not slope < 0.0:
@@ -226,14 +213,13 @@ def euler_lagrange_residual_J0(
     """Nodewise strong-form residual of the sharp-limit first-order system.
 
     ``kappa lap^2 h - gamma lap h + lam h + rho0 h H(1 - h/h_star) - p0``
-    on interior nodes, zero on the boundary.
+    on interior nodes, zero on the boundary: the ``theta = 0`` gradient
+    over the node weight ``spacing^2``.
     """
     if ops is None:
         ops = Operators(grid)
-    h_int = grid.restrict(h)
-    heaviside = (h_int < params.h_star).astype(float)  # H(0) = 0 convention
-    res = ops.height_operator(params, params.lam, rho0 * heaviside) @ h_int
-    return grid.embed(res - PASCAL * grid.restrict(pressure.values))
+    grad = _gradient(0.0, rho0, params, pressure, grid, ops, grid.restrict(h))
+    return grid.embed(grad / grid.spacing**2)
 
 
 def gamma_ladder(
@@ -252,12 +238,12 @@ def gamma_ladder(
     minimizer.  Returns one row per theta.
     """
     ops = Operators(grid)
-    report0 = minimize_J(0.0, rho0, params, pressure, grid, None, opts, ops)
+    report0 = minimize_J(0.0, rho0, params, pressure, grid, opts, ops)
+    J_0 = eval_J_theta(h_test, 0.0, rho0, params, pressure, grid, ops)
     rows = []
     for theta in thetas:
         J_t = eval_J_theta(h_test, theta, rho0, params, pressure, grid, ops)
-        J_0 = eval_J0(h_test, rho0, params, pressure, grid, ops)
-        report = minimize_J(theta, rho0, params, pressure, grid, None, opts, ops)
+        report = minimize_J(theta, rho0, params, pressure, grid, opts, ops)
         rows.append(
             {
                 "theta": theta,

@@ -20,7 +20,6 @@ from blebsheet.dynamics import (
 )
 from blebsheet.energy import (
     _gradient,
-    eval_J0,
     eval_J_theta,
     euler_lagrange_residual_J0,
     minimize_J,
@@ -209,7 +208,7 @@ def test_criterion_7_gamma_convergence_probe():
         pressure = pressure_pulse(grid, peak=150.0)
         h_test = 0.8 * np.sin(np.pi * grid.node_x) * np.sin(np.pi * grid.node_y)
 
-        J0_test = eval_J0(h_test, rho0, params, pressure, grid)
+        J0_test = eval_J_theta(h_test, 0.0, rho0, params, pressure, grid)
         gaps = [
             abs(eval_J_theta(h_test, t, rho0, params, pressure, grid) - J0_test)
             for t in ladder

@@ -18,6 +18,7 @@ from blebsheet.dynamics import (
     _newton_solve,
     _reaction_start,
     _solve_densities,
+    initial_state,
     simulate,
     step,
 )
@@ -468,6 +469,43 @@ def test_explicit_ripping_supercritical_loses_positivity():
     _, diag, _ = simulate(cfg)
     assert min(diag.min_rho_a) < -0.1
     assert diag.total_mass[-1] == pytest.approx(diag.total_mass[0], rel=1e-10)
+
+
+# What each scheme does with five steps of tau at n = 16 under a 400 Pa pulse:
+# None completes, a string is part of the StepError raised at step 1.  Faster
+# or tighter density and Newton solves are expected to flip rows of this table.
+TAU_SCHEME_OUTCOMES = {
+    ("ExplicitRipping", 1e-5): "min rho_a",
+    ("ExplicitRipping", 1e-4): "min rho_a",
+    ("ExplicitRipping", 1e-3): "min rho_a",
+    ("ImplicitRipping", 1e-5): None,
+    ("ImplicitRipping", 1e-4): None,
+    ("ImplicitRipping", 1e-3): "80 sweeps",
+    ("FullyImplicit", 1e-5): None,
+    ("FullyImplicit", 1e-4): None,
+    ("FullyImplicit", 1e-3): None,
+}
+
+
+@pytest.mark.parametrize(("scheme", "tau"), list(TAU_SCHEME_OUTCOMES),
+                         ids=[f"{s}-{t:g}" for s, t in TAU_SCHEME_OUTCOMES])
+def test_tau_scheme_matrix(scheme, tau):
+    cfg = parse_config_dict({
+        "scenario": "stationary_state", "n": 16, "scheme": scheme, "tau": tau,
+        "final_time": 5 * tau, "pressure": {"kind": "pulse", "peak": 400.0},
+    })
+    expected_error = TAU_SCHEME_OUTCOMES[scheme, tau]
+    if expected_error is not None:
+        with pytest.raises(StepError, match=expected_error) as err:
+            simulate(cfg)
+        assert err.value.step_index == 1
+        return
+    grid = build_grid(cfg.n)
+    state0, _ = initial_state(cfg, grid)
+    mass0 = integrate(grid, state0.rho_a + state0.rho_i)
+    _, diag, _ = simulate(cfg)
+    assert len(diag.step) == 5
+    assert abs(diag.total_mass[-1] - mass0) <= 1e-10 * mass0
 
 
 def test_step_failure_flushes_partial_diagnostics():

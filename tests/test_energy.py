@@ -5,7 +5,6 @@ import scipy.sparse as sp
 from blebsheet.dynamics import Operators
 from blebsheet.energy import (
     density_primitive,
-    eval_J0,
     eval_J_theta,
     euler_lagrange_residual_J0,
     gamma_ladder,
@@ -52,7 +51,7 @@ def test_zero_field_zero_energy():
     p = pressure_pulse(grid, peak=100.0)
     zero = np.zeros(grid.num_nodes)
     assert eval_J_theta(zero, 1e-3, 1.0, PARAMS, p, grid) == 0.0
-    assert eval_J0(zero, 1.0, PARAMS, p, grid) == 0.0
+    assert eval_J_theta(zero, 0.0, 1.0, PARAMS, p, grid) == 0.0
 
 
 def test_functionals_agree_below_critical_height():
@@ -61,8 +60,36 @@ def test_functionals_agree_below_critical_height():
     h = bump(grid, amplitude=0.4)  # everywhere below h* = 0.5
     for theta in LADDER:
         assert eval_J_theta(h, theta, 1.3, PARAMS, p, grid) == pytest.approx(
-            eval_J0(h, 1.3, PARAMS, p, grid), rel=1e-14
+            eval_J_theta(h, 0.0, 1.3, PARAMS, p, grid), rel=1e-14
         )
+
+
+def test_sharp_functional_is_the_limit_below_minus_h_star():
+    grid = build_grid(8)
+    p = PressureField.constant(grid, 0.0)
+    h = -bump(grid)  # dips below -h_star, where J_0 keeps the full spring
+    assert h.min() < -PARAMS.h_star
+    J_0 = eval_J_theta(h, 0.0, 1.0, PARAMS, p, grid)
+    J_sharp = eval_J_theta(h, 1e-8, 1.0, PARAMS, p, grid)
+    assert abs(J_sharp - J_0) <= 1e-9 * abs(J_0)
+
+
+def test_sharp_gradient_matches_finite_differences_below_minus_h_star():
+    from blebsheet.energy import _gradient
+
+    grid = build_grid(8)
+    ops = Operators(grid)
+    p = PressureField.constant(grid, 0.0)
+    h_int = grid.restrict(-bump(grid))
+    j = int(np.argmin(h_int))
+    grad = _gradient(0.0, 1.0, PARAMS, p, grid, ops, h_int)
+    eps = 1e-4  # J_0 is quadratic near h = -0.8, so only roundoff remains
+    e = np.zeros(grid.num_interior)
+    e[j] = eps
+    J_plus = eval_J_theta(grid.embed(h_int + e), 0.0, 1.0, PARAMS, p, grid, ops)
+    J_minus = eval_J_theta(grid.embed(h_int - e), 0.0, 1.0, PARAMS, p, grid, ops)
+    fd = (J_plus - J_minus) / (2.0 * eps)
+    assert fd == pytest.approx(grad[j], rel=1e-8)
 
 
 def test_density_primitive_matches_quadrature():
@@ -81,6 +108,11 @@ def test_density_primitive_negative_height_branch():
     assert density_primitive(-0.3, 1e-3, rho0, PARAMS) == pytest.approx(
         0.5 * rho0 * 0.09, rel=1e-14
     )
+    # theta = 0 is the sharp limit rho0/2 min(H, h_star)^2: the spring stays
+    # on below -h_star and is cut off above h_star
+    H = np.array([-0.9, -0.3, 0.0, PARAMS.h_star, 0.8])
+    sharp = 0.5 * rho0 * np.minimum(H, PARAMS.h_star) ** 2
+    assert np.array_equal(density_primitive(H, 0.0, rho0, PARAMS), sharp)
 
 
 def test_gap_decreases_along_ladder():
@@ -88,7 +120,8 @@ def test_gap_decreases_along_ladder():
     p = pressure_pulse(grid, peak=100.0)
     h = bump(grid)  # max 0.8, supercritical region nonempty
     gaps = [
-        abs(eval_J_theta(h, t, 1.0, PARAMS, p, grid) - eval_J0(h, 1.0, PARAMS, p, grid))
+        abs(eval_J_theta(h, t, 1.0, PARAMS, p, grid)
+            - eval_J_theta(h, 0.0, 1.0, PARAMS, p, grid))
         for t in LADDER
     ]
     assert all(g1 > g2 for g1, g2 in zip(gaps, gaps[1:]))
@@ -109,7 +142,7 @@ def test_gamma_probe_linear_bound():
     for theta in LADDER:
         gap = abs(
             eval_J_theta(h, theta, rho0, PARAMS, p, grid)
-            - eval_J0(h, rho0, PARAMS, p, grid)
+            - eval_J_theta(h, 0.0, rho0, PARAMS, p, grid)
         )
         assert gap <= rho0 * k * theta * C * (1.0 + 1e-12)
 
@@ -233,19 +266,18 @@ def test_hessian_matches_assembled_matrix(theta):
     grid = build_grid(8)
     ops = Operators(grid)
     h_int = _random_heights(rng, grid, PARAMS)
-    mask = (h_int < PARAMS.h_star).astype(float)
     if theta > 0.0:
         p_theta = PARAMS.with_(theta=theta)
         h = grid.embed(h_int)
         spring = grid.restrict(g_theta(h, 1.0, p_theta) + h * g_theta_prime(h, 1.0, p_theta))
     else:
-        spring = mask
+        spring = (h_int < PARAMS.h_star).astype(float)
     A = ops.A
     ref = grid.spacing**2 * (
         PARAMS.kappa * (A @ A) + PARAMS.gamma * A
         + sp.diags(PARAMS.lam + spring)
     )
-    H = _hessian(theta, 1.0, PARAMS, grid, ops, h_int, mask)
+    H = _hessian(theta, 1.0, PARAMS, grid, ops, h_int)
     for _ in range(5):
         x = rng.standard_normal(grid.num_interior)
         expected = ref @ x
@@ -307,7 +339,7 @@ def test_eval_rejects_bad_theta():
     p = PressureField.constant(grid, 0.0)
     zero = np.zeros(grid.num_nodes)
     with pytest.raises(ValueError):
-        eval_J_theta(zero, 0.0, 1.0, PARAMS, p, grid)
+        eval_J_theta(zero, -1e-3, 1.0, PARAMS, p, grid)
     with pytest.raises(ValueError):
         minimize_J(-1.0, 1.0, PARAMS, p, grid)
 
