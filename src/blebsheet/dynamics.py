@@ -41,9 +41,8 @@ from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
-from .grid import Grid, assemble_laplacian, build_grid, integrate
+from .grid import DiaMatrix, Grid, assemble_laplacian, build_grid, integrate
 from .linalg import (
     LinearSolveError,
     NewtonError,
@@ -183,15 +182,17 @@ class Operators:
     density solves; ``LN @ x / grid.weights`` is its strong form.  ``A`` is
     its interior block with every entry divided by ``spacing**2``: the
     5-point clamped (Dirichlet) negative Laplacian of the height.  Both are
-    kept only in diagonal (DIA) storage: five constant diagonals at the
-    sorted offsets ``[-m, -1, 0, 1, m]``, ``m`` the grid-line length, with
-    zeros where a stencil leg leaves the grid.  Scipy's DIA product adds
+    assembled in CSR form, converted once by scipy's ``todia``, and kept
+    only as a :class:`~blebsheet.grid.DiaMatrix`: five constant diagonals at
+    the sorted offsets ``[-m, -1, 0, 1, m]``, ``m`` the grid-line length,
+    with zeros where a stencil leg leaves the grid.  The DIA kernel adds
     each row's terms one diagonal at a time, in offset order, which is the
     canonical CSR column order, and a stored zero adds exactly nothing to a
     finite sum; so every product ``@`` here is bitwise equal to the
-    canonical CSR one, at lower cost.  The membrane operator is never
-    assembled: every height solve and membrane residual applies it
-    matrix-free (:meth:`height_operator`).
+    canonical CSR one, at lower cost.  No scipy matrix outlives
+    ``__init__``.  The membrane operator is never assembled: every height
+    solve and membrane residual applies it matrix-free
+    (:meth:`height_operator`).
 
     ``sine`` is the orthonormal DST-I matrix ``S`` of one grid line
     (symmetric, ``S @ S = I``) and ``eig`` the eigenvalues of ``A`` on the
@@ -208,13 +209,14 @@ class Operators:
         self.eig = line[:, None] + line[None, :]
         L = assemble_laplacian(grid)
         inner = grid.interior_indices
-        self.A = L[inner][:, inner].todia()
+        A = L[inner][:, inner].todia()
         # elementwise: scipy's scalar division multiplies by the reciprocal,
         # which is not bitwise 4.0 / spacing**2 on every grid
-        self.A.data = self.A.data / grid.spacing ** 2
-        self.LN = L.todia()
-        self._main = int(np.flatnonzero(self.LN.offsets == 0)[0])
-        self._uniform_density: dict[tuple[float, float], sp.dia_matrix] = {}
+        self.A = DiaMatrix(A.data / grid.spacing ** 2, A.offsets, A.shape)
+        LN = L.todia()
+        self.LN = DiaMatrix(LN.data, LN.offsets, LN.shape)
+        self._main = int(np.flatnonzero(LN.offsets == 0)[0])
+        self._uniform_density: dict[tuple[float, float], DiaMatrix] = {}
 
     def height_operator(self, params: ModelParams, shift: float, spring: np.ndarray,
                         scale: float = 1.0) -> HeightOperator:
@@ -236,11 +238,12 @@ class Operators:
         return self.height_operator(params, params.lam, self.grid.restrict(rho_a),
                                     params.xi * MICROGRAM)
 
-    def density_matrix(self, eta: float, diag_extra: float | np.ndarray) -> sp.dia_matrix:
+    def density_matrix(self, eta: float, diag_extra: float | np.ndarray) -> DiaMatrix:
         """Weighted form ``W diag(extra) + eta LN`` (symmetric positive definite).
 
-        ``eta LN`` with ``W extra`` added to its main diagonal, in ``LN``'s
-        diagonal storage and offsets.  Each entry is computed as the CSR
+        ``eta LN`` with ``W extra`` added to its main diagonal: a
+        :class:`~blebsheet.grid.DiaMatrix` with ``LN``'s offsets, built
+        without a scipy object.  Each entry is computed as the CSR
         assembly computes it, so the matrix and its products are bitwise
         equal to that assembly's; it is exactly symmetric because ``LN`` is.
 
@@ -256,7 +259,7 @@ class Operators:
             return self._uniform_density[eta, diag_extra]
         data = eta * self.LN.data
         data[self._main] += self.grid.weights * diag_extra
-        B = sp.dia_matrix((data, self.LN.offsets), shape=self.LN.shape)
+        B = DiaMatrix(data, self.LN.offsets, self.LN.shape)
         if uniform:
             B.data.flags.writeable = False
             self._uniform_density[eta, diag_extra] = B

@@ -19,10 +19,43 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import dia_matvec
 
 
 class GridError(ValueError):
     """Raised for invalid grid sizes or mismatched field lengths."""
+
+
+class DiaMatrix:
+    """A matrix stored by diagonals, with a product and nothing else.
+
+    ``data[k, j]`` is the entry in column ``j`` of the diagonal at
+    ``offsets[k]``, as in ``scipy.sparse.dia_matrix((data, offsets),
+    shape)``.  ``A @ x`` on a float64 vector calls ``dia_matvec``, the
+    compiled kernel that scipy's DIA product reaches after its Python
+    dispatch, so it is bitwise that product without the dispatch.  The
+    kernel is private to scipy; the tests pin the product to scipy's
+    public one.
+    """
+
+    __slots__ = ("data", "offsets", "shape")
+
+    def __init__(self, data: np.ndarray, offsets: np.ndarray, shape: tuple[int, int]):
+        self.data = data
+        self.offsets = offsets
+        self.shape = shape
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        rows, cols = self.shape
+        # the kernel reads cols floats from x unchecked, and writes a float32 x's
+        # product into a copy, so anything but a float64 vector is refused
+        if x.shape != (cols,) or x.dtype != np.float64:
+            raise ValueError(f"need a float64 vector of length {cols}, "
+                             f"got {x.dtype} of shape {x.shape}")
+        y = np.zeros(rows)
+        dia_matvec(rows, cols, len(self.offsets), self.data.shape[1], self.offsets,
+                   self.data, x, y)
+        return y
 
 
 class SparseMatrix(sp.csr_matrix):

@@ -1,8 +1,8 @@
 """Conjugate-gradient and GMRES solves and a damped Newton method.
 
-The solvers take any operator that supports ``A @ x``: a scipy sparse
-matrix (a grid Laplacian or a density matrix, both stored by diagonals), a
-matrix-free height operator, or a Newton Jacobian.
+The solvers take any operator that supports ``A @ x``: a
+:class:`~blebsheet.grid.DiaMatrix` (a grid Laplacian or a density matrix),
+a matrix-free height operator, or a Newton Jacobian.
 Failures raise instead of returning silently wrong vectors, and the raised
 errors carry the last iterate so callers can inspect partial progress.
 """

@@ -41,14 +41,14 @@ def write_diagnostics(path, diag: Diagnostics) -> None:
 def write_snapshot(path, grid: Grid, state: State) -> None:
     """One CSV row per node, with the bytes :func:`fmt` gives every value.
 
-    Each line is joined up front by ``"{:.17g}".format``, which writes what
-    :func:`fmt` writes for a float without its type tests per value, and
-    :func:`write_csv` passes the joined line through as it is.
+    The whole body is formatted by one ``%`` on a template of ``%.17g``
+    fields, which writes what :func:`fmt` writes for a float, and
+    :func:`write_csv` writes it after the header as one string.
     """
     header = ["x", "y", "h", "rho_a", "rho_i"]
     columns = np.column_stack([grid.node_x, grid.node_y, state.h, state.rho_a, state.rho_i])
-    lines = ([",".join(map("{:.17g}".format, row))] for row in columns.tolist())
-    write_csv(path, header, lines)
+    template = "\n".join([",".join(["%.17g"] * len(header))] * len(columns))
+    write_csv(path, header, [[template % tuple(columns.ravel().tolist())]])
 
 
 def write_manifest(path, config, wall_time: float, extra: dict | None = None,

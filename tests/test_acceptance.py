@@ -43,6 +43,7 @@ from blebsheet.stationary import (
     stationary_fixed_point,
     weighted_density_residual,
 )
+from dia_forms import as_scipy
 from test_dynamics import dense_jacobian
 
 
@@ -138,7 +139,7 @@ def _linear_oracle_critical_pressure(n=64, steps=10):
     """Ten ripping-free steps at unit peak via a direct sparse solver."""
     grid = build_grid(n)
     params = ModelParams()
-    A = Operators(grid).A
+    A = as_scipy(Operators(grid).A)
     B = (
         (params.c / 1e-6) * sp.identity(grid.num_interior)
         + params.kappa * (A @ A)

@@ -639,6 +639,23 @@ def test_snapshot_bytes_equal_the_fmt_path(tmp_path):
     assert b"-0," in fast and b"4.9406564584124654e-324" in fast and b"1e+300" in fast
 
 
+@pytest.mark.parametrize("value", [-0.0, 5e-324, 1e308, 0.1, 1.0])
+def test_snapshot_template_writes_the_bytes_of_fmt(tmp_path, value):
+    # write_snapshot formats its body by one %-template; every field must
+    # read as fmt writes it
+    from blebsheet.dynamics import State
+    from blebsheet.grid import build_grid
+    from blebsheet.output import fmt, write_snapshot
+
+    grid = build_grid(2)
+    state = State(h=np.full(grid.num_nodes, value), rho_a=np.full(grid.num_nodes, -value),
+                  rho_i=np.full(grid.num_nodes, value))
+    write_snapshot(tmp_path / "snap.csv", grid, state)
+    rows = zip(grid.node_x, grid.node_y, state.h, state.rho_a, state.rho_i)
+    want = "x,y,h,rho_a,rho_i\n" + "".join(",".join(map(fmt, row)) + "\n" for row in rows)
+    assert (tmp_path / "snap.csv").read_bytes() == want.encode()
+
+
 def test_stationary_result_serializes_like_snapshots(tmp_path):
     from blebsheet.grid import build_grid
     from blebsheet.model import ModelParams, pressure_pulse

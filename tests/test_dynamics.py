@@ -22,7 +22,7 @@ from blebsheet.dynamics import (
     simulate,
     step,
 )
-from blebsheet.grid import SparseMatrix, assemble_laplacian, build_grid, integrate
+from blebsheet.grid import DiaMatrix, SparseMatrix, assemble_laplacian, build_grid, integrate
 from blebsheet.linalg import LinearSolveError, SolveOptions, cg_solve
 from blebsheet.model import (
     MICROGRAM,
@@ -32,6 +32,8 @@ from blebsheet.model import (
     pressure_pulse,
     ripping_rate,
 )
+
+from dia_forms import as_scipy
 
 ALL_SCHEMES = [Scheme.EXPLICIT_RIPPING, Scheme.IMPLICIT_RIPPING, Scheme.FULLY_IMPLICIT]
 
@@ -48,8 +50,8 @@ def dense_jacobian(J):
     """``J`` (a :class:`FullyImplicitJacobian`) assembled densely: the test oracle."""
     ni, na = J.n_int, J.n_all
     p, tau = J.params, J.tau
-    A = J.ops.A.toarray()
-    neumann = J.ops.LN.toarray() / J.ops.grid.weights[:, None]
+    A = as_scipy(J.ops.A).toarray()
+    neumann = as_scipy(J.ops.LN).toarray() / J.ops.grid.weights[:, None]
     M = np.zeros((ni + 2 * na, ni + 2 * na))
     M[:ni, :ni] = tau * (np.diag(J.height.diag) + p.kappa * (A @ A) + p.gamma * A)
     ha = np.zeros((ni, na))
@@ -156,7 +158,7 @@ def test_block_form_equivalence_oracle():
 
     ops = Operators(grid)
     N = grid.num_interior
-    A = ops.A.toarray()
+    A = as_scipy(ops.A).toarray()
     I = np.eye(N)
     spring = params.xi * MICROGRAM * 1.2
     # rows: height equation with w kept, then the splitting constraint
@@ -290,7 +292,7 @@ def test_fully_implicit_residual_matches_assembled_reference():
     F = _fully_implicit_residual(np.concatenate([h, rho_a, rho_i]), ops, params, tau,
                                  state, pressure)
 
-    A = ops.A
+    A = as_scipy(ops.A)
     neumann = sp.diags(1.0 / grid.weights) @ assemble_laplacian(grid)
     flux = ripping_rate(grid.embed(h), params) * rho_a
     ref_h = params.c * (h - grid.restrict(state.h)) + tau * (
@@ -546,7 +548,7 @@ def test_simulate_records_snapshots_and_fit():
 
 def assembled_height_matrix(ops, params, shift, rho_a):
     """``shift I + kappa A@A + gamma A + diag(spring)``, assembled from ``ops.A``."""
-    A = ops.A
+    A = as_scipy(ops.A)
     spring = params.xi * MICROGRAM * ops.grid.restrict(rho_a)
     return sp.csr_matrix(
         shift * sp.identity(A.shape[0]) + params.kappa * (A @ A) + params.gamma * A
@@ -1033,11 +1035,11 @@ def test_density_matrix_matches_sparse_sum(n, spread):
     else:
         extra = np.full(grid.num_nodes, 1e6 + 1e4)
     got = ops.density_matrix(0.2, extra)
-    assert got.format == "dia" and np.array_equal(got.offsets, ops.LN.offsets)
+    assert type(got) is DiaMatrix and np.array_equal(got.offsets, ops.LN.offsets)
     LN = assemble_laplacian(grid)
     want = sp.csr_matrix(sp.diags(grid.weights * extra) + 0.2 * LN)
     want.sum_duplicates()
-    got = got.tocsr()
+    got = as_scipy(got).tocsr()
     assert got.shape == want.shape
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
@@ -1050,8 +1052,8 @@ def test_diagonal_storage_products_equal_csr_products(n):
     # CSR product adds it: the results are bitwise equal, not merely close
     grid = build_grid(n)
     ops = Operators(grid)
-    # ops.A.tocsr() is the canonical 5-point stencil (test_grid pins it)
-    A = ops.A.tocsr()
+    # ops.A in CSR form is the canonical 5-point stencil (test_grid pins it)
+    A = as_scipy(ops.A).tocsr()
     LN = assemble_laplacian(grid)
     rng = np.random.default_rng(n)
     for name, M, want in (("A", ops.A, A), ("LN", ops.LN, LN)):
@@ -1068,10 +1070,60 @@ def test_diagonal_storage_products_equal_csr_products(n):
         assert np.array_equal(B @ x, B_csr @ x)
 
 
+def _signed_zero_vectors(rng, size):
+    """Random vectors with +0.0 and -0.0 entries, the last one a strided view."""
+    for _ in range(3):
+        x = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 8)
+        x[rng.random(size) < 0.3] = 0.0
+        x[rng.random(size) < 0.3] = -0.0
+        yield x
+    wide = rng.standard_normal(2 * size)
+    wide[::4] = -0.0
+    yield wide[::2]
+
+
+@pytest.mark.parametrize("n", [2, 8, 12, 64])
+def test_dia_matrix_product_equals_scipy_dia_product(n):
+    # DiaMatrix calls scipy's private DIA kernel directly; its product must
+    # stay bitwise scipy's public one, including the sign of a zero
+    grid = build_grid(n)
+    ops = Operators(grid)
+    params = ModelParams()
+    rate = ripping_rate(2.0 * params.h_star * np.hypot(grid.node_x, grid.node_y), params)
+    assert np.any(rate > 0.0)
+    B = ops.density_matrix(0.2, 1e6 + rate)
+    rng = np.random.default_rng(n)
+    for name, M in (("A", ops.A), ("LN", ops.LN), ("B", B)):
+        want = sp.dia_matrix((M.data, M.offsets), shape=M.shape)
+        for x in _signed_zero_vectors(rng, M.shape[1]):
+            got = M @ x
+            assert got.dtype == np.float64 and got.shape == (M.shape[0],), name
+            assert np.array_equal(got, want @ x), name
+            assert np.array_equal(np.signbit(got), np.signbit(want @ x)), name
+
+
+def test_dia_matrix_refuses_what_its_kernel_cannot_read():
+    ops = Operators(build_grid(4))
+    n = ops.LN.shape[1]
+    for x in (np.ones(n - 1), np.ones((n, 1)), np.ones(n, dtype=np.float32)):
+        with pytest.raises(ValueError, match="float64 vector of length"):
+            ops.LN @ x
+
+
+def test_operators_hold_no_scipy_matrix():
+    ops = Operators(build_grid(8))
+    ops.density_matrix(0.2, 1e6)
+    ops.density_matrix(0.2, np.full(ops.grid.num_nodes, 1e6))
+    held = [*vars(ops).values(), *ops._uniform_density.values()]
+    assert not any(sp.issparse(value) for value in held)
+    assert type(ops.A) is DiaMatrix and type(ops.LN) is DiaMatrix
+    assert all(type(B) is DiaMatrix for B in ops._uniform_density.values())
+
+
 @pytest.mark.parametrize("n", [*range(2, 41), 64, 128])
 def test_weighted_neumann_operator_exactly_symmetric(n):
     # density_matrix is symmetric only because LN is; nothing re-symmetrizes
-    LN = Operators(build_grid(n)).LN
+    LN = as_scipy(Operators(build_grid(n)).LN)
     assert (LN - LN.T).count_nonzero() == 0
 
 
@@ -1081,7 +1133,7 @@ def test_weighted_neumann_operator_stores_every_diagonal(n):
     LN = Operators(build_grid(n)).LN
     main = LN.data[LN.offsets.tolist().index(0)]
     assert main.shape == (LN.shape[0],)
-    assert np.array_equal(main, LN.diagonal())
+    assert np.array_equal(main, as_scipy(LN).diagonal())
     assert np.all(main > 0.0)
 
 
@@ -1130,13 +1182,12 @@ def test_non_ripping_step_reuses_its_density_matrices(monkeypatch):
     params = ModelParams()
     pressure = pressure_pulse(grid, peak=100.0)
     built = []
-    dia_matrix = dyn.sp.dia_matrix
 
     def counted(*args, **kwargs):
         built.append(None)
-        return dia_matrix(*args, **kwargs)
+        return DiaMatrix(*args, **kwargs)
 
-    monkeypatch.setattr(dyn.sp, "dia_matrix", counted)
+    monkeypatch.setattr(dyn, "DiaMatrix", counted)
     state = fresh_state(grid)
     for expected in (2, 0, 0):
         assert not np.any(ripping_rate(state.h, params) > 0.0)

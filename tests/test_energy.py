@@ -20,6 +20,8 @@ from blebsheet.model import (
     pressure_pulse,
 )
 
+from dia_forms import as_scipy
+
 PARAMS = ModelParams()
 LADDER = (1e-2, 1e-3, 1e-4, 1e-5)
 
@@ -272,7 +274,7 @@ def test_hessian_matches_assembled_matrix(theta):
         spring = grid.restrict(g_theta(h, 1.0, p_theta) + h * g_theta_prime(h, 1.0, p_theta))
     else:
         spring = (h_int < PARAMS.h_star).astype(float)
-    A = ops.A
+    A = as_scipy(ops.A)
     ref = grid.spacing**2 * (
         PARAMS.kappa * (A @ A) + PARAMS.gamma * A
         + sp.diags(PARAMS.lam + spring)

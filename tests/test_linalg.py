@@ -16,6 +16,8 @@ from blebsheet.linalg import (
     newton_armijo,
 )
 
+from dia_forms import as_scipy
+
 
 def spm(dense):
     return SparseMatrix.from_scipy(sp.csr_matrix(np.asarray(dense, float)))
@@ -63,7 +65,7 @@ def test_cg_error_monotone_in_operator_norm():
     # (the plain residual 2-norm oscillates, even on 1D Laplacians)
     g = build_grid(10)
     A = Operators(g).A
-    Ad = A.toarray()
+    Ad = as_scipy(A).toarray()
     b = np.ones(g.num_interior)
     x_star = np.linalg.solve(Ad, b)
 
