@@ -17,7 +17,8 @@ Scheme variants
                       system (block Gauss-Seidel, contraction ~ k*tau, to
                       each block's CG tolerance; at most 80 sweeps).
 ``FullyImplicit``     ripping rate evaluated at ``h^{k+1}``; the coupled
-                      nonlinear residual is solved by Newton with Armijo
+                      nonlinear residual (:func:`stationary_terms` in
+                      backward Euler form) is solved by Newton with Armijo
                       control, each Newton system by one GMRES solve; a
                       step whose Newton solve fails is retried as two half
                       steps.
@@ -141,19 +142,21 @@ class HeightOperator:
 
     Applies ``diag * x + kappa A^2 x + gamma A x`` with ``diag = shift +
     scale * spring`` as ``diag * x + A (kappa A x + gamma x)``: two products
-    with the 5-point ``A``, nothing assembled.  Every solve and residual of
-    the package that holds the membrane operator applies it through this
-    class, and every height solve passes :meth:`precond` to ``cg_solve``.
-    Symmetric positive definite for a positive ``diag``.
+    with the 5-point ``A``, nothing assembled.  ``spring`` is given on the
+    interior nodes; the linkers' spring is ``restrict(rho_a)`` with ``scale
+    = xi * MICROGRAM``.  Every solve and residual of the package that holds
+    the membrane operator applies it through this class, and every height
+    solve passes :meth:`precond` to ``cg_solve``.  Symmetric positive
+    definite for a positive ``diag``.
     """
 
-    def __init__(self, ops: Operators, shift: float, spring: np.ndarray,
-                 scale: float, kappa: float, gamma: float):
+    def __init__(self, ops: Operators, params: ModelParams, shift: float,
+                 spring: np.ndarray, scale: float = 1.0):
         self.ops = ops
         self.diag = shift + scale * spring
         self.mean_diag = shift + scale * float(np.mean(spring))
-        self.kappa = kappa
-        self.gamma = gamma
+        self.kappa = params.kappa
+        self.gamma = params.gamma
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         Ax = self.ops.A @ x
@@ -192,7 +195,7 @@ class Operators:
     canonical CSR one, at lower cost.  No scipy matrix outlives
     ``__init__``.  The membrane operator is never assembled: every height
     solve and membrane residual applies it matrix-free
-    (:meth:`height_operator`).
+    (:class:`HeightOperator`).
 
     ``sine`` is the orthonormal DST-I matrix ``S`` of one grid line
     (symmetric, ``S @ S = I``) and ``eig`` the eigenvalues of ``A`` on the
@@ -218,25 +221,15 @@ class Operators:
         self._main = int(np.flatnonzero(LN.offsets == 0)[0])
         self._uniform_density: dict[tuple[float, float], DiaMatrix] = {}
 
-    def height_operator(self, params: ModelParams, shift: float, spring: np.ndarray,
-                        scale: float = 1.0) -> HeightOperator:
-        """``shift I + kappa A^2 + gamma A + diag(scale * spring)`` on the interior.
-
-        Matrix-free, with its own preconditioner.  ``spring`` is given on
-        the interior nodes; the linkers' spring is ``restrict(rho_a)``
-        with ``scale = xi``.
-        """
-        return HeightOperator(self, shift, spring, scale, params.kappa, params.gamma)
-
     def height_matrix(self, params: ModelParams, tau: float, rho_a: np.ndarray) -> HeightOperator:
         """Height operator of a time step: shift ``c/tau + lam``."""
-        return self.height_operator(params, params.c / tau + params.lam,
-                                    self.grid.restrict(rho_a), params.xi * MICROGRAM)
+        return HeightOperator(self, params, params.c / tau + params.lam,
+                              self.grid.restrict(rho_a), params.xi * MICROGRAM)
 
     def stationary_height_matrix(self, params: ModelParams, rho_a: np.ndarray) -> HeightOperator:
         """Height operator of a Picard iteration: shift ``lam``."""
-        return self.height_operator(params, params.lam, self.grid.restrict(rho_a),
-                                    params.xi * MICROGRAM)
+        return HeightOperator(self, params, params.lam, self.grid.restrict(rho_a),
+                              params.xi * MICROGRAM)
 
     def density_matrix(self, eta: float, diag_extra: float | np.ndarray) -> DiaMatrix:
         """Weighted form ``W diag(extra) + eta LN`` (symmetric positive definite).
@@ -457,6 +450,27 @@ class FullyImplicitJacobian:
         return np.concatenate([dh, da, di])
 
 
+def stationary_terms(ops: Operators, params: ModelParams, pressure: PressureField,
+                     h_int: np.ndarray, rho_a: np.ndarray,
+                     rho_i: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(membrane, load, diff_a, diff_i, recon, rip)``, the stationary equations' terms.
+
+    The equations are ``membrane = load`` on the interior (the membrane
+    operator applied to ``h_int``, and ``p``), ``diff_a - recon + rip = 0``
+    and ``diff_i + recon - rip = 0``, with ``diff = eta LN rho / weights``,
+    ``recon = k rho_i`` and ``rip = r(h) rho_a``.
+    """
+    grid = ops.grid
+    membrane = HeightOperator(ops, params, params.lam, grid.restrict(rho_a),
+                              params.xi * MICROGRAM) @ h_int
+    load = PASCAL * grid.restrict(pressure.values)
+    diff_a = params.eta_a * (ops.LN @ rho_a / grid.weights)
+    diff_i = params.eta_i * (ops.LN @ rho_i / grid.weights)
+    recon = params.k * rho_i
+    rip = ripping_rate(grid.embed(h_int), params) * rho_a
+    return membrane, load, diff_a, diff_i, recon, rip
+
+
 def _fully_implicit_residual(
     z: np.ndarray,
     ops: Operators,
@@ -472,21 +486,11 @@ def _fully_implicit_residual(
     h_int = z[:ni]
     rho_a = z[ni : ni + na]
     rho_i = z[ni + na :]
-    h_full = grid.embed(h_int)
-    rate = ripping_rate(h_full, params)
-    flux = rate * rho_a
-
-    membrane = ops.height_operator(params, params.lam, grid.restrict(rho_a),
-                                   params.xi * MICROGRAM)
-    F_h = params.c * (h_int - grid.restrict(state.h)) + tau * (
-        membrane @ h_int - PASCAL * grid.restrict(pressure.values)
-    )
-    F_a = (rho_a - state.rho_a) + tau * (
-        params.eta_a * (ops.LN @ rho_a / grid.weights) - params.k * rho_i + flux
-    )
-    F_i = (rho_i - state.rho_i) + tau * (
-        params.eta_i * (ops.LN @ rho_i / grid.weights) + params.k * rho_i - flux
-    )
+    membrane, load, diff_a, diff_i, recon, rip = stationary_terms(
+        ops, params, pressure, h_int, rho_a, rho_i)
+    F_h = params.c * (h_int - grid.restrict(state.h)) + tau * (membrane - load)
+    F_a = (rho_a - state.rho_a) + tau * (diff_a - recon + rip)
+    F_i = (rho_i - state.rho_i) + tau * (diff_i + recon - rip)
     return np.concatenate([F_h, F_a, F_i])
 
 
@@ -526,8 +530,8 @@ def _step_fully_implicit(
         return FullyImplicitJacobian(ops, params, tau, z[:ni], z[ni : ni + na])
 
     try:
-        # semi-implicit predictor: O(tau)-accurate start keeps Newton on the
-        # right side of the ripping switch even at sharpness 1e-8
+        # semi-implicit predictor: O(tau)-accurate start keeps Newton on the right
+        # side of the ripping switch even at sharpness 1e-8, and selects the root
         pred = _step_semi_implicit(state, tau, params, pressure, grid, opts, ops, True)
         z0 = np.concatenate([grid.restrict(pred.h), pred.rho_a, pred.rho_i])
         z = newton_armijo(residual, jacobian, z0, opts,

@@ -67,7 +67,7 @@ def _action(h, density: float, params: ModelParams, pressure: PressureField, gri
     if ops is None:
         ops = Operators(grid)
     h_int = grid.restrict(h)
-    membrane = ops.height_operator(params, params.lam, np.zeros(grid.num_interior))
+    membrane = HeightOperator(ops, params, params.lam, np.zeros(grid.num_interior))
     quadratic = grid.spacing**2 * float(h_int @ (membrane @ h_int))
     load = PASCAL * float(grid.weights @ (pressure.values * h))
     return 0.5 * quadratic + density - load
@@ -105,7 +105,7 @@ def _spring(theta, rho0, params, grid, h_int, hessian=False):
 
 def _gradient(theta, rho0, params, pressure, grid, ops, h_int):
     """Weighted gradient on interior nodes."""
-    membrane = ops.height_operator(params, params.lam, _spring(theta, rho0, params, grid, h_int))
+    membrane = HeightOperator(ops, params, params.lam, _spring(theta, rho0, params, grid, h_int))
     load = PASCAL * grid.restrict(pressure.values)
     return grid.spacing**2 * (membrane @ h_int - load)
 
@@ -113,7 +113,7 @@ def _gradient(theta, rho0, params, pressure, grid, ops, h_int):
 def _hessian(theta, rho0, params, grid, ops, h_int) -> HeightOperator:
     """Membrane operator with spring ``g + h g'``: the Hessian over ``spacing^2``."""
     spring = _spring(theta, rho0, params, grid, h_int, hessian=True)
-    return ops.height_operator(params, params.lam, spring)
+    return HeightOperator(ops, params, params.lam, spring)
 
 
 def minimize_J(

@@ -307,6 +307,18 @@ def test_fully_implicit_residual_matches_assembled_reference():
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def test_fully_implicit_lands_on_the_predictor_root():
+    # near the ripping switch the backward Euler system has more than one
+    # root: Newton from the semi-implicit predictor ends here, and Newton
+    # from the previous state ends at max_h 1.406461348, 2.8e-4 away
+    cfg = parse_config_dict({
+        "scenario": "stationary_state", "n": 16, "scheme": "FullyImplicit",
+        "final_time": 2e-5, "pressure": {"kind": "pulse", "peak": 400.0},
+    })
+    _, diag, _ = simulate(cfg)
+    assert diag.max_h[-1] == pytest.approx(1.4068620870454505, rel=1e-8)
+
+
 def test_fully_implicit_sweep_takes_supercritical_peaks():
     # at n = 8 the 350 and 450 Pa runs lose their Newton solution at full
     # tau (the steps from index 6 and 9) and finish only through step halving
@@ -653,7 +665,7 @@ def test_height_operator_symmetric():
     grid = build_grid(n)
     ops = Operators(grid)
     spring = grid.restrict(rng.uniform(0.0, 3.0, grid.num_nodes))
-    B = ops.height_operator(ModelParams(), 3.0, spring)
+    B = HeightOperator(ops, ModelParams(), 3.0, spring)
     for _ in range(20):
         x, y = rng.standard_normal((2, grid.num_interior))
         By = B @ y

@@ -1,16 +1,80 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from blebsheet.config import parse_config_dict
-from blebsheet.dynamics import simulate
-from blebsheet.grid import build_grid
-from blebsheet.model import ModelParams, PressureField, pressure_pulse
+from blebsheet.dynamics import Operators, simulate, stationary_terms
+from blebsheet.grid import assemble_laplacian, build_grid
+from blebsheet.model import (
+    MICROGRAM,
+    PASCAL,
+    ModelParams,
+    PressureField,
+    pressure_pulse,
+    ripping_rate,
+)
 from blebsheet.stationary import (
     StationaryError,
+    _residuals,
     stationary_by_marching,
     stationary_fixed_point,
     weighted_density_residual,
 )
+
+from dia_forms import as_scipy
+
+
+def _relative_sup(residual, *terms):
+    return np.max(np.abs(residual)) / max(np.max(np.abs(t)) for t in terms)
+
+
+def test_stationary_terms_match_assembled_reference():
+    rng = np.random.default_rng(17)
+    grid = build_grid(8)
+    ops = Operators(grid)
+    params = ModelParams()
+    pressure = pressure_pulse(grid, peak=400.0)
+    h = grid.embed(rng.uniform(0.0, 1.2, grid.num_interior))
+    rho_a = rng.uniform(0.1, 2.0, grid.num_nodes)
+    rho_i = rng.uniform(0.0, 1.0, grid.num_nodes)
+    terms = stationary_terms(ops, params, pressure, grid.restrict(h), rho_a, rho_i)
+
+    # the strong-form stationary equations with assembled scipy matrices
+    A = as_scipy(ops.A)
+    neumann = sp.diags(1.0 / grid.weights) @ assemble_laplacian(grid)
+    h_int = grid.restrict(h)
+    membrane = (params.kappa * ((A @ A) @ h_int) + params.gamma * (A @ h_int)
+                + params.lam * h_int + params.xi * MICROGRAM * grid.restrict(rho_a) * h_int)
+    load = PASCAL * grid.restrict(pressure.values)
+    diff_a = params.eta_a * (neumann @ rho_a)
+    diff_i = params.eta_i * (neumann @ rho_i)
+    recon = params.k * rho_i
+    rip = ripping_rate(h, params) * rho_a
+    for got, ref in zip(terms, (membrane, load, diff_a, diff_i, recon, rip), strict=True):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    expected = (
+        _relative_sup(membrane - load, membrane, load),
+        _relative_sup(diff_a - recon + rip, diff_a, recon, rip, params.k * rho_a),
+        _relative_sup(diff_i + recon - rip, diff_i, recon, rip, params.k * rho_a),
+    )
+    got = _residuals(grid, ops, params, pressure, h, rho_a, rho_i)
+    assert got == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("peak", [100.0, 400.0])
+def test_residuals_small_at_converged_fixed_point(peak):
+    # Picard stops on its increment, not on these residuals: at the default
+    # tol of 1e-10 the 400 Pa density residuals read 4.9e-9, at 1e-11 7.5e-10
+    grid = build_grid(8)
+    params = ModelParams()
+    pressure = pressure_pulse(grid, peak=peak)
+    result = stationary_fixed_point(params, pressure, m0=1.0, grid=grid, tol=1e-11)
+    residuals = _residuals(grid, Operators(grid), params, pressure,
+                           result.h, result.rho_a, result.rho_i)
+    assert residuals == (result.residual_height, result.residual_rho_a,
+                         result.residual_rho_i)
+    assert max(residuals) < 1e-9
 
 
 def test_zero_pressure_fixed_point():
