@@ -150,7 +150,7 @@ def _sweep_heights(peak: float, config: ScenarioConfig, ops: Operators | None) -
     """
     if ops is None:
         ops = Operators(build_grid(config.n))
-    state, _ = initial_state(config, ops.grid)
+    state = initial_state(config, ops.grid)
     pressure = pressure_pulse(ops.grid, peak=peak, center=tuple(config.pressure["center"]),
                               radius=config.pressure["radius"])
     states = itertools.islice(march(state, config, ops, pressure), 10)

@@ -146,8 +146,9 @@ class HeightOperator:
     interior nodes; the linkers' spring is ``restrict(rho_a)`` with ``scale
     = xi * MICROGRAM``.  Every solve and residual of the package that holds
     the membrane operator applies it through this class, and every height
-    solve passes :meth:`precond` to ``cg_solve``.  Symmetric positive
-    definite for a positive ``diag``.
+    solve passes :meth:`precond` to ``cg_solve``.  A time step's height
+    solve also starts at ``precond(b)``, which is its answer while the
+    spring is uniform.  Symmetric positive definite for a positive ``diag``.
     """
 
     def __init__(self, ops: Operators, params: ModelParams, shift: float,
@@ -164,8 +165,7 @@ class HeightOperator:
 
     @functools.cached_property
     def _inverse_symbol(self) -> np.ndarray:
-        eig = self.ops.eig
-        return 1.0 / (self.mean_diag + eig * (self.kappa * eig + self.gamma))
+        return 1.0 / (self.mean_diag + self.ops.membrane_symbol(self.kappa, self.gamma))
 
     def precond(self, r: np.ndarray) -> np.ndarray:
         """``(mean(diag) + kappa A^2 + gamma A)^-1 r``, by two sine transforms.
@@ -201,7 +201,8 @@ class Operators:
     (symmetric, ``S @ S = I``) and ``eig`` the eigenvalues of ``A`` on the
     interior nodes laid out as an ``(n-1, n-1)`` array: with ``R`` a
     field reshaped that way, ``A`` acts as ``S ((S R S) * eig) S``.  The
-    height operator's preconditioner is built from them.
+    height operator's preconditioner is built from them and from
+    :meth:`membrane_symbol`.
     """
 
     def __init__(self, grid: Grid):
@@ -220,6 +221,20 @@ class Operators:
         self.LN = DiaMatrix(LN.data, LN.offsets, LN.shape)
         self._main = int(np.flatnonzero(LN.offsets == 0)[0])
         self._uniform_density: dict[tuple[float, float], DiaMatrix] = {}
+        self._membrane_symbol: dict[tuple[float, float], np.ndarray] = {}
+
+    def membrane_symbol(self, kappa: float, gamma: float) -> np.ndarray:
+        """``eig * (kappa * eig + gamma)``, the eigenvalues of ``kappa A^2 + gamma A``.
+
+        Built on first use for each ``(kappa, gamma)``, read-only, and the
+        same array on every later call: one per run, since a run keeps its
+        parameters.
+        """
+        if (kappa, gamma) not in self._membrane_symbol:
+            symbol = self.eig * (kappa * self.eig + gamma)
+            symbol.flags.writeable = False
+            self._membrane_symbol[kappa, gamma] = symbol
+        return self._membrane_symbol[kappa, gamma]
 
     def height_matrix(self, params: ModelParams, tau: float, rho_a: np.ndarray) -> HeightOperator:
         """Height operator of a time step: shift ``c/tau + lam``."""
@@ -367,16 +382,22 @@ def _step_semi_implicit(
     ops: Operators,
     implicit_ripping: bool,
 ) -> State:
-    """Densities with the ripping rate of ``state.h``, then the height."""
+    """Densities with the ripping rate of ``state.h``, then the height.
+
+    The height CG starts at ``P b``, the preconditioner applied to its
+    right-hand side.  ``P`` is the exact inverse while the spring ``xi
+    rho_a`` is uniform, that is at every step before ripping, so such a
+    step passes CG's first stop test and runs no iteration.  After ripping
+    starts, ``P b`` is still a closer start than the previous height.
+    """
     rate = ripping_rate(state.h, params)
     rho_a_new, rho_i_new = _solve_densities(
         ops, params, tau, rate, state.rho_a, state.rho_i, implicit_ripping, opts,
     )
     B_h = ops.height_matrix(params, tau, rho_a_new)
-    h_int = grid.restrict(state.h)
-    rhs = (params.c / tau) * h_int + PASCAL * grid.restrict(pressure.values)
+    rhs = (params.c / tau) * grid.restrict(state.h) + PASCAL * grid.restrict(pressure.values)
     try:
-        h_new_int = cg_solve(B_h, rhs, opts, x0=h_int, precond=B_h.precond)
+        h_new_int = cg_solve(B_h, rhs, opts, x0=B_h.precond(rhs), precond=B_h.precond)
     except LinearSolveError as exc:
         if rho_a_new.min() >= 0.0:
             raise  # else the spring xi rho_a makes the height operator indefinite
@@ -559,8 +580,8 @@ def _step_fully_implicit(
 # scenario driver
 
 
-def initial_state(config, grid: Grid) -> tuple[State, PressureField]:
-    """Initial fields and pressure for a dynamics scenario config."""
+def initial_state(config, grid: Grid) -> State:
+    """Initial fields of a dynamics scenario config; its load is :func:`build_pressure`'s."""
     from .model import disruption_initial
 
     if config.scenario == "disruption":
@@ -574,8 +595,7 @@ def initial_state(config, grid: Grid) -> tuple[State, PressureField]:
     else:
         rho_a0 = np.ones(grid.num_nodes)
         rho_i0 = np.zeros(grid.num_nodes)
-    pressure = build_pressure(config, grid)
-    return State(h=np.zeros(grid.num_nodes), rho_a=rho_a0, rho_i=rho_i0), pressure
+    return State(h=np.zeros(grid.num_nodes), rho_a=rho_a0, rho_i=rho_i0)
 
 
 def build_pressure(config, grid: Grid) -> PressureField:
@@ -619,7 +639,8 @@ def simulate(config) -> tuple[State, Diagnostics, dict[int, State]]:
     propagate as :class:`StepError` with the partial diagnostics attached.
     """
     ops = Operators(build_grid(config.n))
-    state, pressure = initial_state(config, ops.grid)
+    state = initial_state(config, ops.grid)
+    pressure = build_pressure(config, ops.grid)
     n_steps = int(round(config.final_time / config.tau))
     diagnostics = Diagnostics()
     snapshots: dict[int, State] = {}

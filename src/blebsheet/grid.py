@@ -96,14 +96,20 @@ class Grid:
         return (self.n - 1) ** 2
 
     def restrict(self, full: np.ndarray) -> np.ndarray:
-        """Interior values of a full-grid field."""
-        return full[self.interior_indices]
+        """Interior values of a full-grid field, as a new array.
+
+        The same values as ``full[interior_indices]``, by slicing the
+        row-major ``(n+1, n+1)`` layout.
+        """
+        m = self.n + 1
+        return full.reshape(m, m)[1:-1, 1:-1].flatten()
 
     def embed(self, interior: np.ndarray) -> np.ndarray:
         """Full-grid field with the given interior values and zero boundary."""
-        full = np.zeros(self.num_nodes)
-        full[self.interior_indices] = interior
-        return full
+        m = self.n + 1
+        full = np.zeros((m, m))
+        full[1:-1, 1:-1] = interior.reshape(m - 2, m - 2)
+        return full.ravel()
 
 
 def build_grid(n: int) -> Grid:

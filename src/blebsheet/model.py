@@ -49,6 +49,8 @@ class ModelParams:
         # written so that NaN fails every check
         if not all(np.isfinite(getattr(self, f.name)) for f in fields(self)):
             raise ValueError("parameters must be finite")
+        if not self.c >= 0.0:
+            raise ValueError("damping c must be nonnegative")
         if not self.kappa > 0.0:
             raise ValueError("bending rigidity kappa must be positive")
         if not self.theta > 0.0:

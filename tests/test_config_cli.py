@@ -221,6 +221,8 @@ _UNRUNNABLE = [
     {"pressure": {"kind": "custom", "values": [0.0, 1.0]}},
     {"snapshot_steps": "ab"},
     {"fit_window": ["a", "b"]},
+    # negative damping makes the height operator indefinite at the first step
+    {"params": {"c": -1.0}},
 ]
 
 

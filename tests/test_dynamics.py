@@ -425,9 +425,9 @@ def test_fully_implicit_step_halves_on_predictor_failure(monkeypatch):
 
 
 def test_step_failure_carries_step_index():
-    # with a uniform spring and no ripping the preconditioned height solve
-    # is exact in one iteration; after four steps of a 400 Pa pulse the
-    # ripping switches on and a budget of two iterations is too small
+    # with a uniform spring and no ripping the height solve starts at its
+    # answer; after four steps of a 400 Pa pulse the ripping switches on
+    # and a budget of two iterations is too small
     grid = build_grid(8)
     params = ModelParams()
     pressure = pressure_pulse(grid, peak=400.0)
@@ -515,7 +515,7 @@ def test_tau_scheme_matrix(scheme, tau):
         assert err.value.step_index == 1
         return
     grid = build_grid(cfg.n)
-    state0, _ = initial_state(cfg, grid)
+    state0 = initial_state(cfg, grid)
     mass0 = integrate(grid, state0.rho_a + state0.rho_i)
     _, diag, _ = simulate(cfg)
     assert len(diag.step) == 5
@@ -524,7 +524,7 @@ def test_tau_scheme_matrix(scheme, tau):
 
 def test_step_failure_flushes_partial_diagnostics():
     # a tiny iteration budget starves the solves once ripping switches on
-    # (step 4 at this peak); before that, one iteration solves each step
+    # (step 4 at this peak); before that, no solve needs more than one iteration
     cfg = parse_config_dict({
         "scenario": "stationary_state", "n": 8, "final_time": 1e-5,
         "max_iterations": 2,
@@ -672,9 +672,9 @@ def test_height_operator_symmetric():
         assert abs(x @ By - (B @ x) @ y) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(By)
 
 
-def _pulse_run(n, n_steps, peak=400.0):
-    grid = build_grid(n)
-    ops = Operators(grid)
+def _pulse_run(n, n_steps, peak=400.0, ops=None):
+    ops = Operators(build_grid(n)) if ops is None else ops
+    grid = ops.grid
     params = ModelParams()
     pressure = pressure_pulse(grid, peak=peak, center=(0.5, 0.5), radius=0.4)
     state = fresh_state(grid)
@@ -685,18 +685,36 @@ def _pulse_run(n, n_steps, peak=400.0):
 
 def test_preconditioned_step_matches_plain_cg(monkeypatch):
     # ripping starts within these steps, so the spring is no longer uniform
+    import blebsheet.dynamics as dyn
+
     pcg = _pulse_run(16, 8)
     assert pcg.h.max() > ModelParams().h_star
     assert np.ptp(pcg.rho_a) > 1e-3
-    monkeypatch.setattr(HeightOperator, "precond", None)
-    plain = _pulse_run(16, 8)
+
+    # plain CG: no preconditioner, and each height solve starts from the
+    # previous height instead of the preconditioned right-hand side
+    grid = build_grid(16)
+    params = ModelParams()
+    pressure = pressure_pulse(grid, peak=400.0, center=(0.5, 0.5), radius=0.4)
+    ops = Operators(grid)
+    plain = fresh_state(grid)
+
+    def plain_cg(A, b, opts, x0=None, precond=None, **kwargs):
+        if isinstance(A, HeightOperator):
+            x0 = grid.restrict(plain.h)
+        return cg_solve(A, b, opts, x0=x0, **kwargs)
+
+    monkeypatch.setattr(dyn, "cg_solve", plain_cg)
+    for _ in range(8):
+        plain = step(plain, 1e-6, params, pressure, grid, Scheme.IMPLICIT_RIPPING, ops=ops)
     for name in ("h", "rho_a", "rho_i"):
         a, b = getattr(pcg, name), getattr(plain, name)
         assert np.max(np.abs(a - b)) <= 1e-9 * np.max(np.abs(b))
 
 
 def test_step_height_solves_take_few_iterations(monkeypatch):
-    # plain CG needs about 620 iterations per height solve here
+    # plain CG needs about 620 iterations per height solve here; started at
+    # P b, the five solves before ripping take none and the five after 3 to 4
     import blebsheet.dynamics as dyn
 
     n = 64
@@ -713,7 +731,61 @@ def test_step_height_solves_take_few_iterations(monkeypatch):
     state = _pulse_run(n, 10, peak=410.0)
     assert state.h.max() > ModelParams().h_star
     assert len(iterations) == 10
-    assert max(iterations) <= 20
+    assert max(iterations) <= 5
+    assert sum(iterations) <= 20
+
+
+@pytest.mark.parametrize(("n", "scheme"), [*((16, s) for s in ALL_SCHEMES),
+                                          (64, Scheme.IMPLICIT_RIPPING)])
+def test_height_solves_before_ripping_take_no_iteration(monkeypatch, n, scheme):
+    # before ripping the spring xi rho_a is uniform, so the preconditioner is
+    # the height operator's inverse and each solve starts at its answer
+    import blebsheet.dynamics as dyn
+
+    histories = []
+
+    def counted(A, b, *args, **kwargs):
+        history = []
+        x = cg_solve(A, b, *args, residual_history=history, **kwargs)
+        if isinstance(A, HeightOperator):
+            histories.append(history)
+        return x
+
+    monkeypatch.setattr(dyn, "cg_solve", counted)
+    grid = build_grid(n)
+    ops = Operators(grid)
+    params = ModelParams()
+    pressure = pressure_pulse(grid, peak=410.0, center=(0.5, 0.5), radius=0.4)
+    state = fresh_state(grid)
+    calm_steps = 0
+    while state.h.max() <= params.h_star and calm_steps < 20:
+        histories.clear()
+        state = step(state, 1e-6, params, pressure, grid, scheme, ops=ops)
+        assert histories and all(len(history) == 1 for history in histories)
+        calm_steps += 1
+    assert 3 <= calm_steps < 20
+    # the first ripping step's spring varies: its height solve iterates
+    histories.clear()
+    step(state, 1e-6, params, pressure, grid, scheme, ops=ops)
+    assert max(len(history) for history in histories) > 1
+
+
+def test_a_run_builds_one_membrane_symbol():
+    # the symbol depends on kappa and gamma only: every height operator of
+    # the run adds its own mean diagonal to the same array
+    params = ModelParams()
+    ops = Operators(build_grid(16))
+    state = _pulse_run(16, 100, ops=ops)
+    assert state.h.max() > params.h_star
+    assert np.ptp(state.rho_a) > 1e-3
+    assert len(ops._membrane_symbol) == 1
+    symbol = ops.membrane_symbol(params.kappa, params.gamma)
+    assert not symbol.flags.writeable
+    B = ops.height_matrix(params, 1e-6, state.rho_a)
+    eig = ops.eig
+    assert np.array_equal(B._inverse_symbol,
+                          1.0 / (B.mean_diag + eig * (params.kappa * eig + params.gamma)))
+    assert len(ops._membrane_symbol) == 1
 
 
 def test_every_height_solve_is_preconditioned(monkeypatch):

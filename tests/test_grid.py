@@ -172,6 +172,19 @@ def test_embed_restrict_roundtrip():
     assert np.all(full[g.boundary_mask] == 0.0)
 
 
+@pytest.mark.parametrize("n", [2, 3, 8, 64])
+def test_embed_restrict_match_index_form(n):
+    g = build_grid(n)
+    rng = np.random.default_rng(n)
+    full = rng.standard_normal(g.num_nodes)
+    inner = g.restrict(full)
+    assert np.array_equal(inner, full[g.interior_indices])
+    assert not np.shares_memory(inner, full)  # a new array, as indexing gives
+    expected = np.zeros(g.num_nodes)
+    expected[g.interior_indices] = inner
+    assert np.array_equal(g.embed(inner), expected)
+
+
 def _dirichlet_reference(grid):
     """The node-by-node loop the vectorized assembly replaced."""
     n = grid.n

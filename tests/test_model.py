@@ -164,6 +164,9 @@ def test_params_validation():
         ModelParams(k=-1.0)
     with pytest.raises(ValueError):
         ModelParams(lam=1.0)  # nonzero lam with zero spontaneous curvature
+    with pytest.raises(ValueError, match="damping"):
+        ModelParams(c=-1.0)
+    assert ModelParams(c=0.0).c == 0.0  # no damping is a valid model
 
 
 def test_mass_of_disruption_data():
