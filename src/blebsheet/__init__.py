@@ -8,7 +8,7 @@ finite-difference verifier for sphere shape-derivative formulas.
 
 __version__ = "0.1.0"
 
-from .grid import Grid, SparseMatrix, assemble_laplacian, build_grid, integrate
+from .grid import Grid, assemble_laplacian, build_grid, integrate
 from .linalg import (
     LinearSolveError,
     NewtonError,
@@ -45,7 +45,6 @@ from .config import ConfigError, ScenarioConfig, parse_config
 
 __all__ = [
     "Grid",
-    "SparseMatrix",
     "build_grid",
     "assemble_laplacian",
     "integrate",

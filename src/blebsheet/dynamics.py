@@ -43,7 +43,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .grid import DiaMatrix, Grid, assemble_laplacian, build_grid, integrate
+from .grid import DiaMatrix, Grid, assemble_dirichlet, assemble_laplacian, build_grid, integrate
 from .linalg import (
     LinearSolveError,
     NewtonError,
@@ -180,22 +180,19 @@ class HeightOperator:
 class Operators:
     """Grid-bound discrete operators shared by all steps of one run.
 
-    ``LN`` is the grid's one assembled Laplacian (:func:`assemble_laplacian`):
-    the symmetric weak-form no-flux operator on all nodes, used in the
-    density solves; ``LN @ x / grid.weights`` is its strong form.  ``A`` is
-    its interior block with every entry divided by ``spacing**2``: the
-    5-point clamped (Dirichlet) negative Laplacian of the height.  Both are
-    assembled in CSR form, converted once by scipy's ``todia``, and kept
-    only as a :class:`~blebsheet.grid.DiaMatrix`: five constant diagonals at
-    the sorted offsets ``[-m, -1, 0, 1, m]``, ``m`` the grid-line length,
-    with zeros where a stencil leg leaves the grid.  The DIA kernel adds
+    ``LN`` is the grid's no-flux Laplacian (:func:`assemble_laplacian`): the
+    symmetric weak-form operator on all nodes, used in the density solves;
+    ``LN @ x / grid.weights`` is its strong form.  ``A`` is the 5-point
+    clamped (Dirichlet) negative Laplacian of the height
+    (:func:`assemble_dirichlet`).  Both are built from their diagonals, as
+    :class:`~blebsheet.grid.DiaMatrix` instances with the sorted offsets
+    ``[-m, -1, 0, 1, m]``, ``m`` the grid-line length.  The DIA kernel adds
     each row's terms one diagonal at a time, in offset order, which is the
     canonical CSR column order, and a stored zero adds exactly nothing to a
     finite sum; so every product ``@`` here is bitwise equal to the
-    canonical CSR one, at lower cost.  No scipy matrix outlives
-    ``__init__``.  The membrane operator is never assembled: every height
-    solve and membrane residual applies it matrix-free
-    (:class:`HeightOperator`).
+    canonical CSR one, at lower cost.  The membrane operator is never
+    assembled: every height solve and membrane residual applies it
+    matrix-free (:class:`HeightOperator`).
 
     ``sine`` is the orthonormal DST-I matrix ``S`` of one grid line
     (symmetric, ``S @ S = I``) and ``eig`` the eigenvalues of ``A`` on the
@@ -211,15 +208,9 @@ class Operators:
         self.sine = np.sqrt(2.0 / grid.n) * np.sin(np.pi * np.outer(k, k) / grid.n)
         line = (2.0 * np.sin(0.5 * np.pi * k / grid.n) / grid.spacing) ** 2
         self.eig = line[:, None] + line[None, :]
-        L = assemble_laplacian(grid)
-        inner = grid.interior_indices
-        A = L[inner][:, inner].todia()
-        # elementwise: scipy's scalar division multiplies by the reciprocal,
-        # which is not bitwise 4.0 / spacing**2 on every grid
-        self.A = DiaMatrix(A.data / grid.spacing ** 2, A.offsets, A.shape)
-        LN = L.todia()
-        self.LN = DiaMatrix(LN.data, LN.offsets, LN.shape)
-        self._main = int(np.flatnonzero(LN.offsets == 0)[0])
+        self.A = assemble_dirichlet(grid)
+        self.LN = assemble_laplacian(grid)
+        self._main = int(np.flatnonzero(self.LN.offsets == 0)[0])
         self._uniform_density: dict[tuple[float, float], DiaMatrix] = {}
         self._membrane_symbol: dict[tuple[float, float], np.ndarray] = {}
 
@@ -250,10 +241,10 @@ class Operators:
         """Weighted form ``W diag(extra) + eta LN`` (symmetric positive definite).
 
         ``eta LN`` with ``W extra`` added to its main diagonal: a
-        :class:`~blebsheet.grid.DiaMatrix` with ``LN``'s offsets, built
-        without a scipy object.  Each entry is computed as the CSR
-        assembly computes it, so the matrix and its products are bitwise
-        equal to that assembly's; it is exactly symmetric because ``LN`` is.
+        :class:`~blebsheet.grid.DiaMatrix` with ``LN``'s offsets.  Each
+        entry is computed as a CSR assembly of the same sum computes it, so
+        the matrix and its products are bitwise equal to that assembly's;
+        it is exactly symmetric because ``LN`` is.
 
         A float ``diag_extra`` is a uniform reaction term, bitwise the same
         as the array ``np.full(num_nodes, diag_extra)``.  Its matrix is
@@ -443,7 +434,6 @@ class FullyImplicitJacobian:
         self.diag_ah = tau * grid.restrict(rate_prime * rho_a)  # dF_a/dh on interior cols
         self.k_tau = tau * params.k
         self.diag_ia_rate = tau * self.rate
-        self.interior = grid.interior_indices
 
     def split(self, v: np.ndarray):
         ni, na = self.n_int, self.n_all
@@ -451,12 +441,14 @@ class FullyImplicitJacobian:
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         dh, da, di = self.split(v)
-        p, tau, LN, w = self.params, self.tau, self.ops.LN, self.ops.grid.weights
-        out_h = tau * (self.height @ dh) + self.diag_ha * da[self.interior]
+        p, tau, LN, grid = self.params, self.tau, self.ops.LN, self.ops.grid
+        w, m = grid.weights, grid.n + 1
+        out_h = tau * (self.height @ dh) + self.diag_ha * grid.restrict(da)
         out_a = da + tau * (p.eta_a * (LN @ da / w)) + self.diag_ia_rate * da - self.k_tau * di
-        out_a[self.interior] += self.diag_ah * dh
         out_i = (1.0 + self.k_tau) * di + tau * (p.eta_i * (LN @ di / w)) - self.diag_ia_rate * da
-        out_i[self.interior] -= self.diag_ah * dh
+        couple = (self.diag_ah * dh).reshape(m - 2, m - 2)  # onto the density rows' interior
+        out_a.reshape(m, m)[1:-1, 1:-1] += couple
+        out_i.reshape(m, m)[1:-1, 1:-1] -= couple
         return np.concatenate([out_h, out_a, out_i])
 
     def precond(self, r: np.ndarray) -> np.ndarray:
@@ -467,7 +459,7 @@ class FullyImplicitJacobian:
         """
         b_h, b_a, b_i = self.split(r)
         da, di = _reaction_start(self.k_tau, self.diag_ia_rate, b_a, b_i)
-        dh = self.height.precond(b_h - self.diag_ha * da[self.interior]) / self.tau
+        dh = self.height.precond(b_h - self.diag_ha * self.ops.grid.restrict(da)) / self.tau
         return np.concatenate([dh, da, di])
 
 

@@ -6,20 +6,35 @@ Conventions used throughout the package:
   sits at ``(i * spacing, j * spacing)``.
 - Quadrature weights are trapezoidal: ``spacing**2`` in the interior, half of
   that on edges, a quarter in corners.  They sum to the unit-square area.
-- The one Laplacian assembly, :func:`assemble_laplacian`, stores the
-  NEGATIVE Laplacian in weak form on all nodes, so every operator built
-  from it is positive (semi)definite.  The no-flux (Neumann) density
-  operators use it whole; the clamped (Dirichlet) height operator uses its
-  interior block.
+- :func:`assemble_laplacian` (weak form, all nodes, no-flux edges) and
+  :func:`assemble_dirichlet` (clamped 5-point stencil, interior nodes) build
+  the NEGATIVE Laplacian from its five diagonals, so every operator built
+  from them is positive (semi)definite.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse._sparsetools import dia_matvec
+
+
+def _load_sparsetools():
+    """scipy's ``sparse/_sparsetools`` extension by path: no scipy ``__init__`` runs."""
+    found = importlib.util.find_spec("scipy")
+    where = os.path.join(found.submodule_search_locations[0], "sparse") if found else "scipy"
+    spec = importlib.machinery.PathFinder.find_spec("_sparsetools", [where] if found else [])
+    if spec is None:
+        raise ImportError(f"scipy's DIA kernel, the extension _sparsetools, is not in {where}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_sparsetools = _load_sparsetools()
 
 
 class GridError(ValueError):
@@ -35,7 +50,7 @@ class DiaMatrix:
     compiled kernel that scipy's DIA product reaches after its Python
     dispatch, so it is bitwise that product without the dispatch.  The
     kernel is private to scipy; the tests pin the product to scipy's
-    public one.
+    public one, and the kernel to the file scipy itself loads.
     """
 
     __slots__ = ("data", "offsets", "shape")
@@ -53,24 +68,20 @@ class DiaMatrix:
             raise ValueError(f"need a float64 vector of length {cols}, "
                              f"got {x.dtype} of shape {x.shape}")
         y = np.zeros(rows)
-        dia_matvec(rows, cols, len(self.offsets), self.data.shape[1], self.offsets,
-                   self.data, x, y)
+        _sparsetools.dia_matvec(rows, cols, len(self.offsets), self.data.shape[1],
+                                self.offsets, self.data, x, y)
         return y
 
 
-class SparseMatrix(sp.csr_matrix):
-    """A scipy CSR matrix, with nothing added but its constructor.
-
-    :meth:`from_scipy` is the package's one canonicalizing constructor: its
-    result has strictly increasing column indices within each row (sorted,
-    no duplicates).  The grid Laplacian is built through it.  Scipy
-    arithmetic on an instance (``A @ A``, ``0.5 * A``) also returns this
-    class, without that guarantee.
-    """
+class SparseMatrix:
+    """Holder of :meth:`from_scipy`, unused by the package: the benchmark runner wraps it."""
 
     @classmethod
-    def from_scipy(cls, mat) -> "SparseMatrix":
-        csr = cls(mat)
+    def from_scipy(cls, mat):
+        """``mat`` in scipy CSR form, with sorted, unique column indices in each row."""
+        import scipy.sparse as sp
+
+        csr = sp.csr_matrix(mat)
         csr.sum_duplicates()  # also sorts the column indices of each row
         return csr
 
@@ -85,7 +96,6 @@ class Grid:
     node_y: np.ndarray
     boundary_mask: np.ndarray
     weights: np.ndarray
-    interior_indices: np.ndarray
 
     @property
     def num_nodes(self) -> int:
@@ -96,11 +106,7 @@ class Grid:
         return (self.n - 1) ** 2
 
     def restrict(self, full: np.ndarray) -> np.ndarray:
-        """Interior values of a full-grid field, as a new array.
-
-        The same values as ``full[interior_indices]``, by slicing the
-        row-major ``(n+1, n+1)`` layout.
-        """
+        """Interior values of a full-grid field, row-major, as a new array."""
         m = self.n + 1
         return full.reshape(m, m)[1:-1, 1:-1].flatten()
 
@@ -134,49 +140,52 @@ def build_grid(n: int) -> Grid:
     w[:, 0] *= 0.5
     w[:, -1] *= 0.5
 
-    bmask = boundary.ravel()
     return Grid(
         n=n,
         spacing=spacing,
         node_x=X.ravel(),
         node_y=Y.ravel(),
-        boundary_mask=bmask,
+        boundary_mask=boundary.ravel(),
         weights=w.ravel(),
-        interior_indices=np.flatnonzero(~bmask),
     )
 
 
-def assemble_laplacian(grid: Grid) -> SparseMatrix:
-    """Assemble the finite-volume negative Laplacian on all nodes.
+def _five_point(conduct: np.ndarray, scale: float) -> DiaMatrix:
+    """5-point negative Laplacian of an ``(l, l)`` node block, over ``scale``.
 
-    The weak form of ``-lap`` with no-flux edges: each cell face between two
-    neighbouring nodes adds its conductance (face length over node distance,
-    ``1`` inside and ``1/2`` along the boundary) to both diagonals and
-    subtracts it from both couplings.  The matrix is exactly symmetric, and
-    constants span both its null spaces (``L @ 1 == 0 == 1 @ L``), which makes
-    the discrete linker mass conserved exactly by the time stepping.  Divided
-    by the node weights it is the strong-form Neumann operator; its interior
-    block divided by ``spacing**2`` is the 5-point Dirichlet stencil, with
-    ``4`` on the diagonal and ``-1`` for each interior neighbour.
+    The edge from node ``(p, q)`` to ``(p+1, q)`` has conductance
+    ``conduct[q]``, the edge to ``(p, q+1)`` has ``conduct[p]``.  Offsets
+    ``[-l, -1, 0, 1, l]`` (only ``0`` for one node), with ``+0.0`` where a
+    leg leaves the block; each entry is one division by ``scale``.
     """
-    n = grid.n
-    m = n + 1
+    l = conduct.size
+    data = np.zeros((5, l, l))
+    data[0, :-1] = data[4, 1:] = -conduct  # to and from the next node along x
+    data[1, :, :-1] = data[3, :, 1:] = -conduct[:, None]  # along y
+    # a node's edges sum to 4 c_p c_q: every c is 1, or 1/2 on the end lines
+    data[2] = 4.0 * np.outer(conduct, conduct)
+    data /= scale
+    keep = [2] if l == 1 else [0, 1, 2, 3, 4]  # a single node stores its main diagonal alone
+    offsets = np.array([-l, -1, 0, 1, l], dtype=np.int32)[keep]
+    return DiaMatrix(data[keep].reshape(len(keep), l * l), offsets, (l * l, l * l))
 
-    # per node, the edge to +x then the edge to +y, each as four entries
-    # (a,a), (b,b), (a,b), (b,a) with symmetric conductance
-    a = np.arange(m * m)
-    i, j = np.divmod(a, m)
-    b = np.stack([a + m, a + 1], axis=1)
-    conduct = np.stack([np.where((0 < j) & (j < n), 1.0, 0.5),
-                        np.where((0 < i) & (i < n), 1.0, 0.5)], axis=1)
-    exists = np.stack([i < n, j < n], axis=1)
-    aa = np.broadcast_to(a[:, None], b.shape)
-    rows = np.stack([aa, b, aa, b], axis=2)[exists]
-    cols = np.stack([aa, b, b, aa], axis=2)[exists]
-    vals = (conduct[:, :, None] * np.array([1.0, 1.0, -1.0, -1.0]))[exists]
 
-    L = sp.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(m * m, m * m))
-    return SparseMatrix.from_scipy(L)
+def assemble_laplacian(grid: Grid) -> DiaMatrix:
+    """The finite-volume (weak-form) negative Laplacian on all nodes, no-flux edges.
+
+    Edge conductance is face length over node distance: 1 inside, 1/2 along
+    the boundary.  Exactly symmetric, with constants spanning both null
+    spaces (``L @ 1 == 0 == 1 @ L``), which keeps the discrete linker mass
+    exact; divided by the node weights it is the strong-form operator.
+    """
+    conduct = np.ones(grid.n + 1)
+    conduct[[0, -1]] = 0.5
+    return _five_point(conduct, 1.0)
+
+
+def assemble_dirichlet(grid: Grid) -> DiaMatrix:
+    """Clamped 5-point negative Laplacian of the interior nodes, over ``spacing**2``."""
+    return _five_point(np.ones(grid.n - 1), grid.spacing ** 2)
 
 
 def integrate(grid: Grid, field: np.ndarray) -> float:

@@ -199,11 +199,11 @@ def gmres_solve(A, b: np.ndarray, precond: Callable[[np.ndarray], np.ndarray],
                                    f"target {tol:.3e})", x, beta)
         prev = beta
         m = min(GMRES_RESTART, max_it - it)
-        V, Z, H = np.zeros((m + 1, b.size)), np.zeros((m, b.size)), np.zeros((m + 1, m))
+        V, Z, H = [r / beta], [], np.zeros((m + 1, m))  # the basis grows as it is built
         g = np.zeros(m + 1)
-        g[0], V[0] = beta, r / beta
+        g[0] = beta
         for j in range(m):
-            Z[j] = precond(V[j])
+            Z.append(precond(V[j]))
             v = A @ Z[j]
             v_norm = np.linalg.norm(v)
             for _ in range(2):  # modified Gram-Schmidt, twice
@@ -219,8 +219,8 @@ def gmres_solve(A, b: np.ndarray, precond: Callable[[np.ndarray], np.ndarray],
             exhausted = H[j + 1, j] <= GMRES_BREAKDOWN * v_norm
             if exhausted or np.linalg.norm(g[: j + 2] - H[: j + 2, : j + 1] @ y) <= tol:
                 break
-            V[j + 1] = v / H[j + 1, j]
-        x = x + Z[: j + 1].T @ y
+            V.append(v / H[j + 1, j])
+        x = x + np.array(Z).T @ y
         r = b - A @ x
 
 

@@ -22,7 +22,7 @@ from blebsheet.dynamics import (
     simulate,
     step,
 )
-from blebsheet.grid import DiaMatrix, SparseMatrix, assemble_laplacian, build_grid, integrate
+from blebsheet.grid import DiaMatrix, assemble_laplacian, build_grid, integrate
 from blebsheet.linalg import LinearSolveError, SolveOptions, cg_solve
 from blebsheet.model import (
     MICROGRAM,
@@ -33,7 +33,7 @@ from blebsheet.model import (
     ripping_rate,
 )
 
-from dia_forms import as_scipy
+from dia_forms import as_scipy, canonical_csr
 
 ALL_SCHEMES = [Scheme.EXPLICIT_RIPPING, Scheme.IMPLICIT_RIPPING, Scheme.FULLY_IMPLICIT]
 
@@ -50,16 +50,15 @@ def dense_jacobian(J):
     """``J`` (a :class:`FullyImplicitJacobian`) assembled densely: the test oracle."""
     ni, na = J.n_int, J.n_all
     p, tau = J.params, J.tau
+    # column k of the embedding: interior node k in the full-grid layout
+    embed = np.stack([J.ops.grid.embed(e) for e in np.eye(ni)], axis=1)
     A = as_scipy(J.ops.A).toarray()
     neumann = as_scipy(J.ops.LN).toarray() / J.ops.grid.weights[:, None]
     M = np.zeros((ni + 2 * na, ni + 2 * na))
     M[:ni, :ni] = tau * (np.diag(J.height.diag) + p.kappa * (A @ A) + p.gamma * A)
-    ha = np.zeros((ni, na))
-    ha[np.arange(ni), J.interior] = J.diag_ha
-    M[:ni, ni : ni + na] = ha
+    M[:ni, ni : ni + na] = J.diag_ha[:, None] * embed.T
     M[ni : ni + na, ni : ni + na] = np.eye(na) + tau * (p.eta_a * neumann + np.diag(J.rate))
-    ah = np.zeros((na, ni))
-    ah[J.interior, np.arange(ni)] = J.diag_ah
+    ah = embed * J.diag_ah
     M[ni : ni + na, :ni] = ah
     M[ni : ni + na, ni + na :] = -J.k_tau * np.eye(na)
     M[ni + na :, :ni] = -ah
@@ -130,8 +129,8 @@ def test_single_interior_node_matches_scalar_update():
         + params.xi * MICROGRAM * 1.5
     )
     expected = (params.c / tau * 0.0 + PASCAL * peak_pa) / denom
-    center = grid.interior_indices[0]
-    assert new.h[center] == pytest.approx(expected, rel=1e-12)
+    (center,) = grid.restrict(new.h)
+    assert center == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
@@ -293,7 +292,7 @@ def test_fully_implicit_residual_matches_assembled_reference():
                                  state, pressure)
 
     A = as_scipy(ops.A)
-    neumann = sp.diags(1.0 / grid.weights) @ assemble_laplacian(grid)
+    neumann = sp.diags(1.0 / grid.weights) @ canonical_csr(assemble_laplacian(grid))
     flux = ripping_rate(grid.embed(h), params) * rho_a
     ref_h = params.c * (h - grid.restrict(state.h)) + tau * (
         params.kappa * ((A @ A) @ h) + params.gamma * (A @ h) + params.lam * h
@@ -897,7 +896,7 @@ def test_density_gauss_seidel_cap_raises():
 def _density_blocks(grid, params, tau, rate):
     """``B_a`` and ``B_i`` of the coupled density step, from the plain assembly."""
     w = grid.weights
-    L = assemble_laplacian(grid)
+    L = canonical_csr(assemble_laplacian(grid))
     B_a = sp.diags(w * (1.0 / tau + rate)) + params.eta_a * L
     B_i = sp.diags(w * (1.0 / tau + params.k)) + params.eta_i * L
     return B_a, B_i
@@ -1120,9 +1119,8 @@ def test_density_matrix_matches_sparse_sum(n, spread):
         extra = np.full(grid.num_nodes, 1e6 + 1e4)
     got = ops.density_matrix(0.2, extra)
     assert type(got) is DiaMatrix and np.array_equal(got.offsets, ops.LN.offsets)
-    LN = assemble_laplacian(grid)
-    want = sp.csr_matrix(sp.diags(grid.weights * extra) + 0.2 * LN)
-    want.sum_duplicates()
+    LN = canonical_csr(assemble_laplacian(grid))
+    want = canonical_csr(sp.diags(grid.weights * extra) + 0.2 * LN)
     got = as_scipy(got).tocsr()
     assert got.shape == want.shape
     for name in ("indptr", "indices", "data"):
@@ -1138,7 +1136,7 @@ def test_diagonal_storage_products_equal_csr_products(n):
     ops = Operators(grid)
     # ops.A in CSR form is the canonical 5-point stencil (test_grid pins it)
     A = as_scipy(ops.A).tocsr()
-    LN = assemble_laplacian(grid)
+    LN = canonical_csr(assemble_laplacian(grid))
     rng = np.random.default_rng(n)
     for name, M, want in (("A", ops.A, A), ("LN", ops.LN, LN)):
         assert np.all(np.diff(M.offsets) > 0), name
@@ -1147,7 +1145,7 @@ def test_diagonal_storage_products_equal_csr_products(n):
             assert np.array_equal(M @ x, want @ x), name
     extra = rng.permutation(np.logspace(0.0, 8.0, grid.num_nodes))
     B = ops.density_matrix(0.2, extra)
-    B_csr = SparseMatrix.from_scipy(sp.diags(grid.weights * extra) + 0.2 * LN)
+    B_csr = canonical_csr(sp.diags(grid.weights * extra) + 0.2 * LN)
     assert np.all(np.diff(B.offsets) > 0)
     for _ in range(3):
         x = rng.standard_normal(grid.num_nodes)
@@ -1301,7 +1299,7 @@ def test_coupled_density_solve_matches_direct_solve(n):
 
     w = grid.weights
     W = sp.diags(w)
-    L = assemble_laplacian(grid)
+    L = canonical_csr(assemble_laplacian(grid))
     B_a = sp.diags(w * (1.0 / tau + rate)) + params.eta_a * L
     B_i = sp.diags(w * (1.0 / tau + params.k)) + params.eta_i * L
     coupled = sp.bmat([[B_a, -params.k * W], [-W @ sp.diags(rate), B_i]], format="csc")

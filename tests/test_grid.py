@@ -8,12 +8,13 @@ from blebsheet.grid import (
     Grid,
     GridError,
     SparseMatrix,
+    assemble_dirichlet,
     assemble_laplacian,
     build_grid,
     integrate,
 )
 
-from dia_forms import as_scipy
+from dia_forms import as_scipy, canonical_csr
 
 
 def _columns_strictly_increasing(M) -> bool:
@@ -39,8 +40,7 @@ def test_counting_n4():
 def test_single_interior_node_n2():
     g = build_grid(2)
     assert g.num_interior == 1
-    idx = g.interior_indices[0]
-    assert (g.node_x[idx], g.node_y[idx]) == (0.5, 0.5)
+    assert (*g.restrict(g.node_x), *g.restrict(g.node_y)) == (0.5, 0.5)
 
 
 @pytest.mark.parametrize("n", [2, 3, 7, 16, 33])
@@ -68,7 +68,7 @@ def test_neumann_weighted_left_nullspace(n):
     # the strong form diag(1/w) L has the weights as its left null vector,
     # because w @ diag(1/w) L = 1 @ L, which vanishes exactly
     g = build_grid(n)
-    L = assemble_laplacian(g)
+    L = as_scipy(assemble_laplacian(g))
     assert np.array_equal(np.ones(g.num_nodes) @ L, np.zeros(g.num_nodes))
     assert np.abs(g.weights @ (sp.diags(1.0 / g.weights) @ L)).max() <= 1e-12
 
@@ -83,7 +83,7 @@ def test_neumann_constant_kernel(n):
 def test_neumann_weighted_self_adjoint():
     # the strong form diag(1/w) L is self-adjoint in the weighted inner
     # product because W diag(1/w) L = L is exactly symmetric
-    L = assemble_laplacian(build_grid(9))
+    L = as_scipy(assemble_laplacian(build_grid(9)))
     assert (L - L.T).count_nonzero() == 0
 
 
@@ -142,17 +142,22 @@ def test_assembled_operators_are_canonical(n):
     # every product runs scipy's DIA kernel, which adds a row's terms one
     # diagonal at a time in offset order; sorted offsets make that the
     # canonical CSR column order, and nothing re-sorts or re-symmetrizes the
-    # operators after assembly.  A, the interior block of the one assembly
-    # divided by spacing**2 entry by entry, is bitwise the 5-point stencil
-    # with entries 4 / spacing**2 and -1 / spacing**2
+    # operators after they are built.  Both are built from their diagonals,
+    # and the node-by-node loop references are their oracles: A is bitwise
+    # the 5-point stencil with entries 4 / spacing**2 and -1 / spacing**2
     grid = build_grid(n)
     ops = Operators(grid)
-    csr = {"A": _dirichlet_reference(grid), "LN": assemble_laplacian(grid)}
+    csr = {"A": _dirichlet_reference(grid), "LN": _neumann_reference(grid)}
+    built = {"A": assemble_dirichlet(grid), "LN": assemble_laplacian(grid)}
     for name, line in (("A", n - 1), ("LN", n + 1)):
         M = getattr(ops, name)
         assert type(M) is DiaMatrix, name
         offsets = [0] if M.shape[0] == 1 else [-line, -1, 0, 1, line]
         assert M.offsets.tolist() == offsets, name
+        assert M.data.shape == (len(offsets), M.shape[1]), name
+        assert built[name].data.tobytes() == M.data.tobytes(), name
+        # a leg that leaves the grid stores +0.0, which adds nothing to any sum
+        assert not np.any(np.signbit(M.data[M.data == 0.0])), name
         # the stored diagonals hold exactly the canonical assembly's entries
         back = as_scipy(M).tocsr()
         assert _columns_strictly_increasing(back), name
@@ -161,6 +166,17 @@ def test_assembled_operators_are_canonical(n):
     for name in ("A", "LN"):
         M = as_scipy(getattr(ops, name))
         assert (M - M.T).count_nonzero() == 0, name
+
+
+def test_dia_kernel_is_the_one_scipy_loads():
+    # the package loads scipy's _sparsetools extension by path, without
+    # importing scipy; the bitwise pin of its product to scipy's public DIA
+    # product (test_dynamics) holds for the kernel that runs only if both
+    # come from the same file
+    from blebsheet import grid
+    from scipy.sparse import _sparsetools
+
+    assert grid._sparsetools.__file__ == _sparsetools.__file__
 
 
 def test_embed_restrict_roundtrip():
@@ -177,41 +193,44 @@ def test_embed_restrict_match_index_form(n):
     g = build_grid(n)
     rng = np.random.default_rng(n)
     full = rng.standard_normal(g.num_nodes)
+    interior_indices = np.flatnonzero(~g.boundary_mask)
     inner = g.restrict(full)
-    assert np.array_equal(inner, full[g.interior_indices])
+    assert np.array_equal(inner, full[interior_indices])
     assert not np.shares_memory(inner, full)  # a new array, as indexing gives
     expected = np.zeros(g.num_nodes)
-    expected[g.interior_indices] = inner
+    expected[interior_indices] = inner
     assert np.array_equal(g.embed(inner), expected)
 
 
 def _dirichlet_reference(grid):
-    """The node-by-node loop the vectorized assembly replaced."""
+    """The 5-point clamped stencil, node by node, in canonical CSR form."""
     n = grid.n
-    m = n + 1
+
+    def interior(i, j):
+        """Index of node (i, j) among the interior nodes, or None on the boundary."""
+        return (i - 1) * (n - 1) + (j - 1) if 0 < i < n and 0 < j < n else None
+
     h2 = grid.spacing ** 2
-    full_to_int = -np.ones(grid.num_nodes, dtype=np.int64)
-    full_to_int[grid.interior_indices] = np.arange(grid.num_interior)
     rows, cols, vals = [], [], []
-    for full in grid.interior_indices:
-        k = full_to_int[full]
-        rows.append(k)
-        cols.append(k)
-        vals.append(4.0 / h2)
-        for nb in (full - m, full + m, full - 1, full + 1):
-            knb = full_to_int[nb]
-            if knb >= 0:
-                rows.append(k)
-                cols.append(knb)
-                vals.append(-1.0 / h2)
+    for i in range(1, n):
+        for j in range(1, n):
+            k = interior(i, j)
+            rows.append(k)
+            cols.append(k)
+            vals.append(4.0 / h2)
+            for knb in (interior(i - 1, j), interior(i + 1, j), interior(i, j - 1),
+                        interior(i, j + 1)):
+                if knb is not None:
+                    rows.append(k)
+                    cols.append(knb)
+                    vals.append(-1.0 / h2)
     N = grid.num_interior
     mat = sp.csr_matrix((vals, (rows, cols)), shape=(N, N))
-    return SparseMatrix.from_scipy(mat)
+    return canonical_csr(mat)
 
 
 def _neumann_reference(grid):
-    """The node-by-node loop the vectorized assembly replaced, without the
-    division of each row by its node weight that it once ended with."""
+    """The no-flux weak-form Laplacian, edge by edge, in canonical CSR form."""
     n = grid.n
     m = n + 1
     rows, cols, vals = [], [], []
@@ -229,17 +248,16 @@ def _neumann_reference(grid):
             if j < n:
                 add_edge(a, a + 1, 1.0 if 0 < i < n else 0.5)
     L = sp.csr_matrix((vals, (rows, cols)), shape=(m * m, m * m))
-    return SparseMatrix.from_scipy(L)
+    return canonical_csr(L)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 @pytest.mark.parametrize("bc, reference", [("dirichlet0", _dirichlet_reference),
                                            ("neumann0", _neumann_reference)])
 def test_assembly_matches_loop_reference(bc, reference, n):
-    # the clamped (Dirichlet) stencil is Operators.A, taken from the no-flux
-    # (Neumann) assembly
+    # the clamped (Dirichlet) stencil is Operators.A
     g = build_grid(n)
-    got = as_scipy(Operators(g).A).tocsr() if bc == "dirichlet0" else assemble_laplacian(g)
+    got = canonical_csr(Operators(g).A if bc == "dirichlet0" else assemble_laplacian(g))
     want = reference(g)
     for name in ("indptr", "indices", "data"):
         a, b = getattr(got, name), getattr(want, name)

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from blebsheet.dynamics import Operators
-from blebsheet.grid import SparseMatrix, build_grid
+from blebsheet.grid import build_grid
 from blebsheet.linalg import (
     LinearSolveError,
     NewtonError,
@@ -16,11 +16,11 @@ from blebsheet.linalg import (
     newton_armijo,
 )
 
-from dia_forms import as_scipy
+from dia_forms import as_scipy, canonical_csr
 
 
 def spm(dense):
-    return SparseMatrix.from_scipy(sp.csr_matrix(np.asarray(dense, float)))
+    return canonical_csr(sp.csr_matrix(np.asarray(dense, float)))
 
 
 def cg(J, rhs):

@@ -142,15 +142,24 @@ def test_density_matrix_exposes_dia_arrays():
 
 
 def test_import_leaves_heavy_modules_unloaded():
-    # set-up time and memory count every module the import pulls in; a sweep,
-    # whose range here crosses h_star so that points run in full, stays in
-    # one process
+    # set-up time and memory count every module the import pulls in: no part
+    # of scipy (the DIA kernel is loaded from its file alone), neither on
+    # import nor on a time step, nor on a sweep, whose range here crosses
+    # h_star so that points run in full and which stays in one process
     src = str(Path(dynamics.__file__).resolve().parent.parent)
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import blebsheet.cli as cli\n"
         "def loaded(*prefixes): return ' '.join(m for m in sys.modules if m.startswith(prefixes))\n"
-        "heavy = ('multiprocessing', 'concurrent.futures.process')\n"
-        "print(loaded('scipy.sparse.linalg', 'scipy.fft', *heavy))\n"
+        "heavy = ('scipy', 'multiprocessing', 'concurrent.futures.process')\n"
+        "print(loaded(*heavy))\n"
+        "import numpy as np\n"
+        "from blebsheet import dynamics, grid, model\n"
+        "g = grid.build_grid(8)\n"
+        "state = dynamics.State(h=np.zeros(g.num_nodes), rho_a=np.ones(g.num_nodes),\n"
+        "                       rho_i=np.zeros(g.num_nodes))\n"
+        "dynamics.step(state, 1e-6, model.ModelParams(), model.pressure_pulse(g, peak=400.0),\n"
+        "              g, ops=dynamics.Operators(g))\n"
+        "print(loaded(*heavy))\n"
         "from blebsheet.config import parse_config_dict\n"
         "rows, critical = cli.run_sweep(parse_config_dict({'scenario': 'pressure_sweep', 'n': 6}))\n"
         "assert critical is not None\n"
@@ -158,4 +167,4 @@ def test_import_leaves_heavy_modules_unloaded():
     )
     done = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
                           text=True, timeout=120, check=True)
-    assert done.stdout.splitlines() == ["", ""]
+    assert done.stdout.splitlines() == ["", "", ""]
