@@ -21,7 +21,6 @@ from .model import (
     MICROGRAM,
     PASCAL,
     ModelParams,
-    PressureField,
     disruption_initial,
     g_theta,
     pressure_pulse,
@@ -55,7 +54,6 @@ __all__ = [
     "gmres_solve",
     "newton_armijo",
     "ModelParams",
-    "PressureField",
     "PASCAL",
     "MICROGRAM",
     "ripping_rate",

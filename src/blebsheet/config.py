@@ -258,6 +258,8 @@ def _validate(cfg: ScenarioConfig):
     if not all(s > 0 for s in cfg.snapshot_steps):
         raise ConfigError("snapshot_steps must be positive integers")
     _check_center(cfg.disruption_center, "disruption_center")
+    if cfg.scenario == "gamma_limit" and not cfg.params.k > 0.0:
+        raise ConfigError("gamma_limit needs a positive reconnection rate params.k")
     pressure = cfg.pressure
     if cfg.scenario == "pressure_sweep" and pressure["kind"] != "pulse":
         raise ConfigError(f"a pressure sweep varies a pulse's peak; "

@@ -52,7 +52,7 @@ from .linalg import (
     gmres_solve,
     newton_armijo,
 )
-from .model import MICROGRAM, PASCAL, ModelParams, PressureField, ripping_rate
+from .model import MICROGRAM, PASCAL, ModelParams, ripping_rate
 
 
 class Scheme(str, enum.Enum):
@@ -339,7 +339,7 @@ def step(
     state: State,
     tau: float,
     params: ModelParams,
-    pressure: PressureField,
+    pressure: np.ndarray,
     grid: Grid,
     scheme: Scheme = Scheme.IMPLICIT_RIPPING,
     opts: SolveOptions = SolveOptions(),
@@ -347,7 +347,7 @@ def step(
 ) -> State:
     """Advance the state by one step of size ``tau``; ``state`` is not modified.
 
-    ``ops`` caches the assembled operators across steps.
+    ``pressure`` is in Pa per node; ``ops`` caches the assembled operators across steps.
     """
     if tau <= 0.0:
         raise ValueError("time step tau must be positive")
@@ -367,7 +367,7 @@ def _step_semi_implicit(
     state: State,
     tau: float,
     params: ModelParams,
-    pressure: PressureField,
+    pressure: np.ndarray,
     grid: Grid,
     opts: SolveOptions,
     ops: Operators,
@@ -386,7 +386,7 @@ def _step_semi_implicit(
         ops, params, tau, rate, state.rho_a, state.rho_i, implicit_ripping, opts,
     )
     B_h = ops.height_matrix(params, tau, rho_a_new)
-    rhs = (params.c / tau) * grid.restrict(state.h) + PASCAL * grid.restrict(pressure.values)
+    rhs = (params.c / tau) * grid.restrict(state.h) + PASCAL * grid.restrict(pressure)
     try:
         h_new_int = cg_solve(B_h, rhs, opts, x0=B_h.precond(rhs), precond=B_h.precond)
     except LinearSolveError as exc:
@@ -408,6 +408,12 @@ def _step_semi_implicit(
 # fully implicit scheme
 
 
+def _split(grid: Grid, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Views ``(h_int, rho_a, rho_i)`` of a fully implicit iterate ``[h_int | rho_a | rho_i]``."""
+    ni, na = grid.num_interior, grid.num_nodes
+    return z[:ni], z[ni : ni + na], z[ni + na :]
+
+
 class FullyImplicitJacobian:
     """Block Jacobian of the tau-scaled fully implicit residual.
 
@@ -423,8 +429,6 @@ class FullyImplicitJacobian:
         self.ops = ops
         self.tau = tau
         self.params = params
-        self.n_int = grid.num_interior
-        self.n_all = grid.num_nodes
         h_full = grid.embed(h_int)
         self.rate = ripping_rate(h_full, params)
         # subgradient of the positive part: zero at the kink
@@ -435,13 +439,9 @@ class FullyImplicitJacobian:
         self.k_tau = tau * params.k
         self.diag_ia_rate = tau * self.rate
 
-    def split(self, v: np.ndarray):
-        ni, na = self.n_int, self.n_all
-        return v[:ni], v[ni : ni + na], v[ni + na :]
-
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        dh, da, di = self.split(v)
         p, tau, LN, grid = self.params, self.tau, self.ops.LN, self.ops.grid
+        dh, da, di = _split(grid, v)
         w, m = grid.weights, grid.n + 1
         out_h = tau * (self.height @ dh) + self.diag_ha * grid.restrict(da)
         out_a = da + tau * (p.eta_a * (LN @ da / w)) + self.diag_ia_rate * da - self.k_tau * di
@@ -457,26 +457,26 @@ class FullyImplicitJacobian:
         The densities by the node-wise reaction inverse (:func:`_reaction_start`),
         then the height by :meth:`HeightOperator.precond`; no inner solve.
         """
-        b_h, b_a, b_i = self.split(r)
+        b_h, b_a, b_i = _split(self.ops.grid, r)
         da, di = _reaction_start(self.k_tau, self.diag_ia_rate, b_a, b_i)
         dh = self.height.precond(b_h - self.diag_ha * self.ops.grid.restrict(da)) / self.tau
         return np.concatenate([dh, da, di])
 
 
-def stationary_terms(ops: Operators, params: ModelParams, pressure: PressureField,
+def stationary_terms(ops: Operators, params: ModelParams, pressure: np.ndarray,
                      h_int: np.ndarray, rho_a: np.ndarray,
                      rho_i: np.ndarray) -> tuple[np.ndarray, ...]:
     """``(membrane, load, diff_a, diff_i, recon, rip)``, the stationary equations' terms.
 
     The equations are ``membrane = load`` on the interior (the membrane
-    operator applied to ``h_int``, and ``p``), ``diff_a - recon + rip = 0``
-    and ``diff_i + recon - rip = 0``, with ``diff = eta LN rho / weights``,
-    ``recon = k rho_i`` and ``rip = r(h) rho_a``.
+    operator applied to ``h_int``, and ``PASCAL * pressure``, pressure in Pa
+    per node), ``diff_a - recon + rip = 0`` and ``diff_i + recon - rip = 0``,
+    with ``diff = eta LN rho / weights``, ``recon = k rho_i`` and ``rip = r(h) rho_a``.
     """
     grid = ops.grid
     membrane = HeightOperator(ops, params, params.lam, grid.restrict(rho_a),
                               params.xi * MICROGRAM) @ h_int
-    load = PASCAL * grid.restrict(pressure.values)
+    load = PASCAL * grid.restrict(pressure)
     diff_a = params.eta_a * (ops.LN @ rho_a / grid.weights)
     diff_i = params.eta_i * (ops.LN @ rho_i / grid.weights)
     recon = params.k * rho_i
@@ -490,15 +490,11 @@ def _fully_implicit_residual(
     params: ModelParams,
     tau: float,
     state: State,
-    pressure: PressureField,
+    pressure: np.ndarray,
 ) -> np.ndarray:
     """tau-scaled residual of the backward Euler system with implicit rate."""
     grid = ops.grid
-    ni = grid.num_interior
-    na = grid.num_nodes
-    h_int = z[:ni]
-    rho_a = z[ni : ni + na]
-    rho_i = z[ni + na :]
+    h_int, rho_a, rho_i = _split(grid, z)
     membrane, load, diff_a, diff_i, recon, rip = stationary_terms(
         ops, params, pressure, h_int, rho_a, rho_i)
     F_h = params.c * (h_int - grid.restrict(state.h)) + tau * (membrane - load)
@@ -523,7 +519,7 @@ def _step_fully_implicit(
     state: State,
     tau: float,
     params: ModelParams,
-    pressure: PressureField,
+    pressure: np.ndarray,
     grid: Grid,
     opts: SolveOptions,
     ops: Operators,
@@ -533,14 +529,12 @@ def _step_fully_implicit(
     A failed attempt is retried as two half steps, recursively, down to
     sub-steps of ``_MIN_SUBSTEP``; a ``tau`` below twice that is never halved.
     """
-    ni = grid.num_interior
-    na = grid.num_nodes
-
     def residual(z):
         return _fully_implicit_residual(z, ops, params, tau, state, pressure)
 
     def jacobian(z):
-        return FullyImplicitJacobian(ops, params, tau, z[:ni], z[ni : ni + na])
+        h_int, rho_a, _ = _split(grid, z)
+        return FullyImplicitJacobian(ops, params, tau, h_int, rho_a)
 
     try:
         # semi-implicit predictor: O(tau)-accurate start keeps Newton on the right
@@ -559,10 +553,11 @@ def _step_fully_implicit(
         end = _step_fully_implicit(mid, tau / 2, params, pressure, grid, opts, ops)
         end.t, end.step_index = state.t + tau, state.step_index + 1
         return end
+    h_int, rho_a, rho_i = _split(grid, z)
     return State(
-        h=grid.embed(z[:ni]),
-        rho_a=z[ni : ni + na],
-        rho_i=z[ni + na :],
+        h=grid.embed(h_int),
+        rho_a=rho_a,
+        rho_i=rho_i,
         t=state.t + tau,
         step_index=state.step_index + 1,
     )
@@ -590,7 +585,8 @@ def initial_state(config, grid: Grid) -> State:
     return State(h=np.zeros(grid.num_nodes), rho_a=rho_a0, rho_i=rho_i0)
 
 
-def build_pressure(config, grid: Grid) -> PressureField:
+def build_pressure(config, grid: Grid) -> np.ndarray:
+    """The config's load in Pa on every node, as a ``float64`` array."""
     from .model import pressure_pulse
 
     desc = config.pressure
@@ -600,17 +596,17 @@ def build_pressure(config, grid: Grid) -> PressureField:
             grid, peak=desc["peak"], center=tuple(desc["center"]), radius=desc["radius"]
         )
     if kind == "constant":
-        return PressureField.constant(grid, desc["value"])
+        return np.full(grid.num_nodes, float(desc["value"]))
     if kind == "custom":
         values = np.asarray(desc["values"], dtype=float)
         if values.size != grid.num_nodes:
             raise ValueError("custom pressure length does not match the grid")
-        return PressureField.custom(values)
+        return values
     raise ValueError(f"unknown pressure kind {kind!r}")
 
 
-def march(state: State, config, ops: Operators, pressure: PressureField) -> Iterator[State]:
-    """Yield the state after each step of ``config.tau``, without end.
+def march(state: State, config, ops: Operators, pressure: np.ndarray) -> Iterator[State]:
+    """Yield the state after each step of ``config.tau`` under ``pressure``, without end.
 
     The one time loop of the package: ``simulate``, stationary marching and
     the sweep protocol take from it as many steps as they need.  No step

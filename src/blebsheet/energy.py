@@ -29,7 +29,7 @@ import numpy as np
 from .dynamics import HeightOperator, Operators
 from .grid import Grid
 from .linalg import ARMIJO_C1, BACKTRACK_FACTOR, NewtonError, SolveOptions, cg_solve
-from .model import PASCAL, ModelParams, PressureField, g_theta, g_theta_prime
+from .model import PASCAL, ModelParams, g_theta, g_theta_prime
 
 
 @dataclass
@@ -47,6 +47,7 @@ def density_primitive(H, theta: float, rho0: float, params: ModelParams):
     Below the critical height the integrand is ``rho0 * s``; above it the
     substitution ``u = s - h_star`` integrates to a logarithm, which
     vanishes at ``theta = 0``: the sharp limit ``rho0/2 * min(H, h_star)^2``.
+    A positive ``theta`` requires a positive ``k``, as :func:`g_theta` does.
     """
     if theta < 0.0:
         raise ValueError("theta must be nonnegative")
@@ -55,22 +56,12 @@ def density_primitive(H, theta: float, rho0: float, params: ModelParams):
     below = 0.5 * rho0 * np.minimum(H, hs)**2
     if theta == 0.0:
         return below
+    if params.k <= 0.0:
+        raise ValueError("density_primitive requires a positive reconnection rate k")
     ktheta = params.k * theta
     excess = np.maximum(H - hs, 0.0)
     above = params.k * rho0 * theta * (excess + (hs - ktheta) * np.log1p(excess / ktheta))
     return below + np.where(H > hs, above, 0.0)
-
-
-def _action(h, density: float, params: ModelParams, pressure: PressureField, grid: Grid,
-            ops: Operators | None) -> float:
-    """``1/2 a(h, h) + density - int p0 h``, ``a`` with interior weights spacing^2."""
-    if ops is None:
-        ops = Operators(grid)
-    h_int = grid.restrict(h)
-    membrane = HeightOperator(ops, params, params.lam, np.zeros(grid.num_interior))
-    quadratic = grid.spacing**2 * float(h_int @ (membrane @ h_int))
-    load = PASCAL * float(grid.weights @ (pressure.values * h))
-    return 0.5 * quadratic + density - load
 
 
 def eval_J_theta(
@@ -78,13 +69,19 @@ def eval_J_theta(
     theta: float,
     rho0: float,
     params: ModelParams,
-    pressure: PressureField,
+    pressure: np.ndarray,
     grid: Grid,
     ops: Operators | None = None,
 ) -> float:
-    """Discrete action functional at sharpness ``theta``; ``theta = 0`` is ``J_0``."""
+    """Discrete ``J_theta`` under ``pressure`` (Pa per node); ``theta = 0`` is ``J_0``."""
+    if ops is None:
+        ops = Operators(grid)
+    h_int = grid.restrict(h)
+    membrane = HeightOperator(ops, params, params.lam, np.zeros(grid.num_interior))
+    quadratic = grid.spacing**2 * float(h_int @ (membrane @ h_int))  # a(h, h)
     density = float(grid.weights @ density_primitive(h, theta, rho0, params))
-    return _action(h, density, params, pressure, grid, ops)
+    load = PASCAL * float(grid.weights @ (pressure * h))
+    return 0.5 * quadratic + density - load
 
 
 def _spring(theta, rho0, params, grid, h_int, hessian=False):
@@ -106,7 +103,7 @@ def _spring(theta, rho0, params, grid, h_int, hessian=False):
 def _gradient(theta, rho0, params, pressure, grid, ops, h_int):
     """Weighted gradient on interior nodes."""
     membrane = HeightOperator(ops, params, params.lam, _spring(theta, rho0, params, grid, h_int))
-    load = PASCAL * grid.restrict(pressure.values)
+    load = PASCAL * grid.restrict(pressure)
     return grid.spacing**2 * (membrane @ h_int - load)
 
 
@@ -120,13 +117,13 @@ def minimize_J(
     theta: float,
     rho0: float,
     params: ModelParams,
-    pressure: PressureField,
+    pressure: np.ndarray,
     grid: Grid,
     opts: SolveOptions = SolveOptions(),
     ops: Operators | None = None,
     energy_history: list | None = None,
 ) -> EnergyReport:
-    """Newton iteration on the discrete gradient with Armijo control on J.
+    """Newton on the discrete gradient with Armijo control on J; ``pressure`` in Pa per node.
 
     Newton starts from ``h = 0``; a negative ``theta`` raises ValueError.
     ``theta = 0`` runs the semismooth variant: the Heaviside factor of the
@@ -206,15 +203,15 @@ def euler_lagrange_residual_J0(
     h: np.ndarray,
     rho0: float,
     params: ModelParams,
-    pressure: PressureField,
+    pressure: np.ndarray,
     grid: Grid,
     ops: Operators | None = None,
 ) -> np.ndarray:
     """Nodewise strong-form residual of the sharp-limit first-order system.
 
     ``kappa lap^2 h - gamma lap h + lam h + rho0 h H(1 - h/h_star) - p0``
-    on interior nodes, zero on the boundary: the ``theta = 0`` gradient
-    over the node weight ``spacing^2``.
+    on interior nodes (``p0`` the ``pressure``, Pa per node), zero on the boundary:
+    the ``theta = 0`` gradient over the node weight ``spacing^2``.
     """
     if ops is None:
         ops = Operators(grid)
@@ -226,7 +223,7 @@ def gamma_ladder(
     thetas,
     rho0: float,
     params: ModelParams,
-    pressure: PressureField,
+    pressure: np.ndarray,
     grid: Grid,
     h_test: np.ndarray,
     opts: SolveOptions = SolveOptions(),
@@ -234,8 +231,8 @@ def gamma_ladder(
     """Gap and minimizer-distance ladder used by the gamma-limit scenario.
 
     For each theta: evaluates both functionals at the fixed test field and
-    minimizes J_theta; distances are measured against the theta = 0
-    minimizer.  Returns one row per theta.
+    minimizes J_theta under ``pressure`` (Pa per node); distances are
+    measured against the theta = 0 minimizer.  Returns one row per theta.
     """
     ops = Operators(grid)
     report0 = minimize_J(0.0, rho0, params, pressure, grid, opts, ops)

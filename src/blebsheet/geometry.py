@@ -51,12 +51,8 @@ def surface_functional(kind: str, surf: PerturbedSphere) -> float:
     coeff = np.zeros(surf.mode + 1)
     coeff[surf.mode] = 1.0
     P = legendre.legval(x, coeff)
-    dP = legendre.legval(x, legendre.legder(coeff)) if surf.mode > 0 else np.zeros_like(x)
-    d2P = (
-        legendre.legval(x, legendre.legder(coeff, 2))
-        if surf.mode > 1
-        else np.zeros_like(x)
-    )
+    dP = legendre.legval(x, legendre.legder(coeff))
+    d2P = legendre.legval(x, legendre.legder(coeff, 2))
 
     sin2 = 1.0 - x * x
     sinth = np.sqrt(sin2)

@@ -66,21 +66,6 @@ class ModelParams:
         return replace(self, **kwargs)
 
 
-@dataclass(frozen=True)
-class PressureField:
-    """Per-node pressure values in Pa."""
-
-    values: np.ndarray
-
-    @classmethod
-    def constant(cls, grid: Grid, value: float) -> "PressureField":
-        return cls(values=np.full(grid.num_nodes, float(value)))
-
-    @classmethod
-    def custom(cls, values: np.ndarray) -> "PressureField":
-        return cls(values=np.asarray(values, dtype=float))
-
-
 def ripping_rate(h_value, params: ModelParams):
     """Linker disconnection rate ``max(0, (h - h_star) / theta)``.
 
@@ -118,8 +103,8 @@ def pressure_pulse(
     peak: float = 100.0,
     center: tuple[float, float] = (0.5, 0.5),
     radius: float = 0.4,
-) -> PressureField:
-    """Compactly supported pressure pulse ``peak * |R - |x-m||^2 / R^2``.
+) -> np.ndarray:
+    """Compactly supported pressure pulse ``peak * |R - |x-m||^2 / R^2``, per node in Pa.
 
     The pulse attains ``peak`` at the center ``m`` and vanishes on and
     outside the ball of the given radius.
@@ -129,8 +114,7 @@ def pressure_pulse(
     if not (0.0 <= center[0] <= 1.0 and 0.0 <= center[1] <= 1.0):
         raise ValueError("pulse center must lie inside the unit square")
     dist = np.hypot(grid.node_x - center[0], grid.node_y - center[1])
-    values = np.where(dist < radius, peak * (radius - dist) ** 2 / radius**2, 0.0)
-    return PressureField(values=values)
+    return np.where(dist < radius, peak * (radius - dist) ** 2 / radius**2, 0.0)
 
 
 def disruption_initial(

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .dynamics import Diagnostics, State
 from .grid import Grid
 
@@ -56,16 +57,10 @@ def write_manifest(path, config, wall_time: float, extra: dict | None = None,
     """Config echo, version, wall time and ``status`` (``"ok"`` or ``"failed"``)."""
     doc = {
         "config": config.to_dict(),
-        "library_version": _version(),
+        "library_version": __version__,
         "status": status,
         "wall_time_seconds": wall_time,
     }
     if extra:
         doc.update(extra)
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def _version() -> str:
-    from . import __version__
-
-    return __version__

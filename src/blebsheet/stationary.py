@@ -20,7 +20,7 @@ from .dynamics import Operators, build_pressure, initial_state, march, stationar
 from .dynamics import weighted_density_residual  # noqa: F401  re-exported
 from .grid import Grid, build_grid, integrate
 from .linalg import SolveOptions, cg_solve
-from .model import PASCAL, ModelParams, PressureField, ripping_rate
+from .model import PASCAL, ModelParams, ripping_rate
 
 #: Weight of the new iterate in each Picard update.  Undamped, n = 64 at 410 Pa
 #: takes 21 iterations, not 61; 1.0 waits for the benchmark runner to stop
@@ -59,7 +59,7 @@ def _relative_sup(residual: np.ndarray, *terms: np.ndarray) -> float:
 
 
 def _residuals(
-    grid: Grid, ops: Operators, params: ModelParams, pressure: PressureField,
+    grid: Grid, ops: Operators, params: ModelParams, pressure: np.ndarray,
     h: np.ndarray, rho_a: np.ndarray, rho_i: np.ndarray,
 ) -> tuple[float, float, float]:
     """Relative sup norms of the stationary equations (:func:`stationary_terms`).
@@ -77,7 +77,7 @@ def _residuals(
 
 
 def _result(
-    ops: Operators, params: ModelParams, pressure: PressureField,
+    ops: Operators, params: ModelParams, pressure: np.ndarray,
     h: np.ndarray, rho_a: np.ndarray, rho_i: np.ndarray, iterations: int,
 ) -> StationaryResult:
     """The fields with their residuals, mass and weighted density."""
@@ -98,14 +98,14 @@ def _result(
 
 def stationary_fixed_point(
     params: ModelParams,
-    pressure: PressureField,
+    pressure: np.ndarray,
     m0: float,
     grid: Grid,
     opts: SolveOptions = SolveOptions(),
     max_iterations: int = 500,
     tol: float = 1e-10,
 ) -> StationaryResult:
-    """Damped Picard iteration on the fixed-point map of the reduced problem.
+    """Damped Picard iteration of the reduced problem under ``pressure`` (Pa per node).
 
     Requires positive diffusivities; damped by ``DAMPING``.  Converges on
     ``max(|h - F_h|, |rho_a - F_rho|)_inf <= tol``; non-convergence, or a
@@ -126,7 +126,7 @@ def stationary_fixed_point(
 
     ops = Operators(grid)
     w = grid.weights
-    p_int = PASCAL * grid.restrict(pressure.values)
+    p_int = PASCAL * grid.restrict(pressure)
     ratio = params.eta_a / params.eta_i
 
     def result_at(iterations: int) -> StationaryResult:

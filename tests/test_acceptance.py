@@ -34,7 +34,6 @@ from blebsheet.model import (
     MICROGRAM,
     PASCAL,
     ModelParams,
-    PressureField,
     pressure_pulse,
     ripping_rate,
 )
@@ -147,7 +146,7 @@ def _linear_oracle_critical_pressure(n=64, steps=10):
         + params.xi * MICROGRAM * sp.identity(grid.num_interior)
     ).tocsc()
     solve = spla.factorized(B)
-    p = PASCAL * grid.restrict(pressure_pulse(grid, peak=1.0).values)
+    p = PASCAL * grid.restrict(pressure_pulse(grid, peak=1.0))
     h = np.zeros(grid.num_interior)
     for _ in range(steps):
         h = solve((params.c / 1e-6) * h + p)

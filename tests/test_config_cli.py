@@ -448,6 +448,17 @@ def test_sweep_of_non_pulse_pressure_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gamma_limit_with_zero_reconnection_rate_exit_2(tmp_path, capsys):
+    # the ladder's g_theta divides by k; other scenarios run with k = 0
+    assert parse_config_dict({"scenario": "stationary_state", "params": {"k": 0.0}}).params.k == 0
+    out = tmp_path / "gamma"
+    path = write_config(tmp_path, {"scenario": "gamma_limit", "params": {"k": 0.0},
+                                   "output_dir": str(out)})
+    assert main(["run", "--config", str(path)]) == 2
+    assert "positive reconnection rate params.k" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_workers_other_than_one_rejected():
     with pytest.raises(ConfigError, match="one process"):
         parse_config_dict({"scenario": "pressure_sweep", "workers": 2})

@@ -18,6 +18,7 @@ from blebsheet.dynamics import (
     _newton_solve,
     _reaction_start,
     _solve_densities,
+    build_pressure,
     initial_state,
     simulate,
     step,
@@ -28,7 +29,6 @@ from blebsheet.model import (
     MICROGRAM,
     PASCAL,
     ModelParams,
-    PressureField,
     pressure_pulse,
     ripping_rate,
 )
@@ -48,7 +48,7 @@ def fresh_state(grid, rho_a=1.0, rho_i=0.0):
 
 def dense_jacobian(J):
     """``J`` (a :class:`FullyImplicitJacobian`) assembled densely: the test oracle."""
-    ni, na = J.n_int, J.n_all
+    ni, na = J.ops.grid.num_interior, J.ops.grid.num_nodes
     p, tau = J.params, J.tau
     # column k of the embedding: interior node k in the full-grid layout
     embed = np.stack([J.ops.grid.embed(e) for e in np.eye(ni)], axis=1)
@@ -72,7 +72,7 @@ def test_zero_forcing_fixed_point(scheme):
     grid = build_grid(6)
     params = ModelParams()
     state = fresh_state(grid, rho_a=2.0)
-    pressure = PressureField.constant(grid, 0.0)
+    pressure = np.zeros(grid.num_nodes)
     new = step(state, 1e-6, params, pressure, grid, scheme)
     assert np.max(np.abs(new.h)) == 0.0
     assert np.max(np.abs(new.rho_a - 2.0)) == 0.0
@@ -119,7 +119,7 @@ def test_single_interior_node_matches_scalar_update():
     params = ModelParams()
     tau = 1e-6
     peak_pa = 7.0
-    pressure = PressureField.constant(grid, peak_pa)
+    pressure = np.full(grid.num_nodes, peak_pa)
     state = fresh_state(grid, rho_a=1.5)
     new = step(state, tau, params, pressure, grid, Scheme.IMPLICIT_RIPPING)
     denom = (
@@ -165,7 +165,7 @@ def test_block_form_equivalence_oracle():
     bottom = np.hstack([-A, I])
     block = np.vstack([top, bottom])
     rhs = np.concatenate([
-        params.c / tau * grid.restrict(state.h) + PASCAL * grid.restrict(pressure.values),
+        params.c / tau * grid.restrict(state.h) + PASCAL * grid.restrict(pressure),
         np.zeros(N),
     ])
     sol = np.linalg.solve(block, rhs)
@@ -224,7 +224,7 @@ def test_height_bounded_by_linear_static_gain():
 
     gain_matrix = ops.stationary_height_matrix(params, np.ones(grid.num_nodes))
     unit = pressure_pulse(grid, peak=1.0)
-    h_gain = cg_solve(gain_matrix, PASCAL * grid.restrict(unit.values), SolveOptions())
+    h_gain = cg_solve(gain_matrix, PASCAL * grid.restrict(unit), SolveOptions())
     bound = peak * float(h_gain.max()) * 1.05
 
     state = fresh_state(grid)
@@ -239,7 +239,7 @@ def test_fully_implicit_jacobian_matches_finite_differences():
     ops = Operators(grid)
     params = ModelParams(theta=0.1)
     tau = 1e-6
-    pressure = PressureField.constant(grid, 3.0)
+    pressure = np.full(grid.num_nodes, 3.0)
     state = State(
         h=grid.embed(rng.uniform(0.0, 1.0, grid.num_interior)),
         rho_a=rng.uniform(0.1, 2.0, grid.num_nodes),
@@ -297,7 +297,7 @@ def test_fully_implicit_residual_matches_assembled_reference():
     ref_h = params.c * (h - grid.restrict(state.h)) + tau * (
         params.kappa * ((A @ A) @ h) + params.gamma * (A @ h) + params.lam * h
         + params.xi * MICROGRAM * grid.restrict(rho_a) * h
-        - PASCAL * grid.restrict(pressure.values)
+        - PASCAL * grid.restrict(pressure)
     )
     ref_a = rho_a - state.rho_a + tau * (params.eta_a * (neumann @ rho_a) - params.k * rho_i + flux)
     ref_i = rho_i - state.rho_i + tau * (params.eta_i * (neumann @ rho_i) + params.k * rho_i - flux)
@@ -445,7 +445,7 @@ def test_step_failure_carries_step_index():
 def test_invalid_tau_rejected():
     grid = build_grid(4)
     with pytest.raises(ValueError):
-        step(fresh_state(grid), 0.0, ModelParams(), PressureField.constant(grid, 0.0), grid)
+        step(fresh_state(grid), 0.0, ModelParams(), np.zeros(grid.num_nodes), grid)
 
 
 def test_diagnostics_fit_recovers_synthetic_decay():
@@ -519,6 +519,30 @@ def test_tau_scheme_matrix(scheme, tau):
     _, diag, _ = simulate(cfg)
     assert len(diag.step) == 5
     assert abs(diag.total_mass[-1] - mass0) <= 1e-10 * mass0
+
+
+def test_build_pressure_returns_the_load_in_pa_per_node():
+    grid = build_grid(8)
+    values = [float(i) for i in range(grid.num_nodes)]
+    cases = [
+        ({"kind": "pulse", "peak": 250.0, "center": [0.3, 0.6], "radius": 0.3},
+         pressure_pulse(grid, peak=250.0, center=(0.3, 0.6), radius=0.3)),
+        ({"kind": "constant", "value": 5.0}, np.full(grid.num_nodes, 5.0)),
+        ({"kind": "custom", "values": values}, np.array(values)),
+    ]
+    for desc, expected in cases:
+        cfg = parse_config_dict({"scenario": "stationary_state", "n": 8, "pressure": desc})
+        pressure = build_pressure(cfg, grid)
+        assert type(pressure) is np.ndarray, desc["kind"]
+        assert pressure.dtype == np.float64 and pressure.shape == (grid.num_nodes,)
+        assert np.array_equal(pressure, expected), desc["kind"]
+
+
+def test_build_pressure_rejects_a_custom_pressure_of_another_grid():
+    cfg = parse_config_dict({"scenario": "stationary_state", "n": 8,
+                             "pressure": {"kind": "custom", "values": [0.0] * 81}})
+    with pytest.raises(ValueError, match="does not match the grid"):
+        build_pressure(cfg, build_grid(4))
 
 
 def test_step_failure_flushes_partial_diagnostics():

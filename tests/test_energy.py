@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -15,7 +17,6 @@ from blebsheet.linalg import NewtonError, SolveOptions
 from blebsheet.model import (
     PASCAL,
     ModelParams,
-    PressureField,
     g_theta,
     pressure_pulse,
 )
@@ -68,7 +69,7 @@ def test_functionals_agree_below_critical_height():
 
 def test_sharp_functional_is_the_limit_below_minus_h_star():
     grid = build_grid(8)
-    p = PressureField.constant(grid, 0.0)
+    p = np.zeros(grid.num_nodes)
     h = -bump(grid)  # dips below -h_star, where J_0 keeps the full spring
     assert h.min() < -PARAMS.h_star
     J_0 = eval_J_theta(h, 0.0, 1.0, PARAMS, p, grid)
@@ -81,7 +82,7 @@ def test_sharp_gradient_matches_finite_differences_below_minus_h_star():
 
     grid = build_grid(8)
     ops = Operators(grid)
-    p = PressureField.constant(grid, 0.0)
+    p = np.zeros(grid.num_nodes)
     h_int = grid.restrict(-bump(grid))
     j = int(np.argmin(h_int))
     grad = _gradient(0.0, 1.0, PARAMS, p, grid, ops, h_int)
@@ -115,6 +116,17 @@ def test_density_primitive_negative_height_branch():
     H = np.array([-0.9, -0.3, 0.0, PARAMS.h_star, 0.8])
     sharp = 0.5 * rho0 * np.minimum(H, PARAMS.h_star) ** 2
     assert np.array_equal(density_primitive(H, 0.0, rho0, PARAMS), sharp)
+
+
+def test_density_primitive_needs_positive_k_above_the_sharp_limit():
+    params = PARAMS.with_(k=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for H in (0.3, 0.8):
+            with pytest.raises(ValueError, match="positive reconnection rate k"):
+                density_primitive(H, 1e-3, 1.0, params)
+        # the sharp limit does not involve k
+        assert density_primitive(0.8, 0.0, 2.0, params) == PARAMS.h_star**2
 
 
 def test_gap_decreases_along_ladder():
@@ -151,7 +163,7 @@ def test_gamma_probe_linear_bound():
 
 def test_minimize_zero_pressure_returns_zero():
     grid = build_grid(8)
-    p = PressureField.constant(grid, 0.0)
+    p = np.zeros(grid.num_nodes)
     report = minimize_J(1e-3, 1.0, PARAMS, p, grid)
     assert report.energy == 0.0
     assert np.max(np.abs(report.minimizer)) == 0.0
@@ -175,7 +187,7 @@ def test_minimizer_solves_reduced_equation():
         + PARAMS.gamma * lap
         + grid.restrict(g_theta(report.minimizer, rho0, PARAMS.with_(theta=theta)))
         * h_int
-        - PASCAL * grid.restrict(p.values)
+        - PASCAL * grid.restrict(p)
     )
     assert np.max(np.abs(residual)) <= 1e-8
 
@@ -200,7 +212,7 @@ def test_sharp_limit_minimizer_satisfies_euler_lagrange():
 
 def test_euler_lagrange_zero_case_and_heaviside():
     grid = build_grid(8)
-    zero_p = PressureField.constant(grid, 0.0)
+    zero_p = np.zeros(grid.num_nodes)
     zero = np.zeros(grid.num_nodes)
     assert np.max(np.abs(euler_lagrange_residual_J0(zero, 1.0, PARAMS, zero_p, grid))) == 0.0
 
@@ -338,7 +350,7 @@ def test_monotone_pointwise_convergence_of_g():
 
 def test_eval_rejects_bad_theta():
     grid = build_grid(4)
-    p = PressureField.constant(grid, 0.0)
+    p = np.zeros(grid.num_nodes)
     zero = np.zeros(grid.num_nodes)
     with pytest.raises(ValueError):
         eval_J_theta(zero, -1e-3, 1.0, PARAMS, p, grid)
@@ -392,7 +404,7 @@ def test_minimize_J_stops_at_the_grid_roundoff_floor(n, theta):
     assert report.iterations <= 5
     assert report.gradient_sup_norm > SolveOptions().newton_grad_tol
     # it is still small against the load's share of the gradient
-    load = grid.spacing**2 * PASCAL * np.max(np.abs(p.values))
+    load = grid.spacing**2 * PASCAL * np.max(np.abs(p))
     assert report.gradient_sup_norm <= 1e-10 * load
 
 

@@ -78,10 +78,10 @@ def test_pressure_pulse_values():
     g = build_grid(10)
     p = pressure_pulse(g, peak=100.0, center=(0.5, 0.5), radius=0.4)
     center = np.flatnonzero((g.node_x == 0.5) & (g.node_y == 0.5))[0]
-    assert p.values[center] == 100.0
+    assert p[center] == 100.0
     dist = np.hypot(g.node_x - 0.5, g.node_y - 0.5)
-    assert np.all(p.values[dist >= 0.4] == 0.0)
-    assert np.all(p.values >= 0.0)
+    assert np.all(p[dist >= 0.4] == 0.0)
+    assert np.all(p >= 0.0)
 
 
 def test_pressure_pulse_validation():

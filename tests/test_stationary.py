@@ -9,7 +9,6 @@ from blebsheet.model import (
     MICROGRAM,
     PASCAL,
     ModelParams,
-    PressureField,
     pressure_pulse,
     ripping_rate,
 )
@@ -45,7 +44,7 @@ def test_stationary_terms_match_assembled_reference():
     h_int = grid.restrict(h)
     membrane = (params.kappa * ((A @ A) @ h_int) + params.gamma * (A @ h_int)
                 + params.lam * h_int + params.xi * MICROGRAM * grid.restrict(rho_a) * h_int)
-    load = PASCAL * grid.restrict(pressure.values)
+    load = PASCAL * grid.restrict(pressure)
     diff_a = params.eta_a * (neumann @ rho_a)
     diff_i = params.eta_i * (neumann @ rho_i)
     recon = params.k * rho_i
@@ -81,7 +80,7 @@ def test_zero_pressure_fixed_point():
     grid = build_grid(8)
     params = ModelParams()
     result = stationary_fixed_point(
-        params, PressureField.constant(grid, 0.0), m0=1.0, grid=grid
+        params, np.zeros(grid.num_nodes), m0=1.0, grid=grid
     )
     assert np.max(np.abs(result.h)) == 0.0
     assert result.rho_a == pytest.approx(np.ones(grid.num_nodes), abs=1e-10)
@@ -179,7 +178,7 @@ def test_marching_step_cap_failure():
 
 def test_fixed_point_validation():
     grid = build_grid(8)
-    pressure = PressureField.constant(grid, 0.0)
+    pressure = np.zeros(grid.num_nodes)
     with pytest.raises(ValueError):
         stationary_fixed_point(ModelParams(eta_a=0.0), pressure, 1.0, grid)
     cfg = parse_config_dict({"scenario": "stationary_state", "n": 8})
