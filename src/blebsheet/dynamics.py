@@ -38,7 +38,7 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 import numpy as np
@@ -227,6 +227,19 @@ class Operators:
             self._membrane_symbol[kappa, gamma] = symbol
         return self._membrane_symbol[kappa, gamma]
 
+    def membrane_norm(self, params: ModelParams, spring_max: float) -> float:
+        """``kappa eig_max^2 + gamma eig_max + |lam| + spring_max``.
+
+        Bounds the sup norm of the membrane operator ``kappa A^2 + gamma A
+        + lam + diag(spring)`` for a spring of at most ``spring_max``, so
+        ``16 eps`` times it times ``sup|h|`` is the roundoff floor of a
+        membrane residual: the Picard height residual and the gradient of
+        ``energy.minimize_J`` stop there.  It grows about sixteenfold per
+        halving of the spacing.
+        """
+        eig_max = float(self.eig.max())
+        return params.kappa * eig_max**2 + params.gamma * eig_max + abs(params.lam) + spring_max
+
     def height_matrix(self, params: ModelParams, tau: float, rho_a: np.ndarray) -> HeightOperator:
         """Height operator of a time step: shift ``c/tau + lam``."""
         return HeightOperator(self, params, params.c / tau + params.lam,
@@ -305,7 +318,7 @@ def _solve_densities(
     """
     w = ops.grid.weights
     # mass conservation inherits the residual of these solves; run them tight
-    dopts = replace(opts, rel_tolerance=min(opts.rel_tolerance, 1e-12))
+    dopts = opts.tight()
     B_i = ops.density_matrix(params.eta_i, 1.0 / tau + params.k)
 
     if not implicit_ripping or not np.any(rate > 0.0):
@@ -506,8 +519,7 @@ def _fully_implicit_residual(
 def _newton_solve(J: FullyImplicitJacobian, rhs: np.ndarray,
                   opts: SolveOptions) -> np.ndarray:
     """Solve ``J d = rhs`` by GMRES, preconditioned by :meth:`FullyImplicitJacobian.precond`."""
-    return gmres_solve(J, rhs, J.precond,
-                       replace(opts, rel_tolerance=min(opts.rel_tolerance, 1e-12)))
+    return gmres_solve(J, rhs, J.precond, opts.tight())
 
 
 # a fully implicit step whose Newton solve fails is split in two, down to

@@ -132,20 +132,19 @@ def minimize_J(
     by CG with the height operator's preconditioner.  Convergence is
     declared once the gradient's sup norm is at most ``max(newton_grad_tol,
     16 eps ||M|| sup|h|)``, the grid's roundoff floor where that is larger:
-    ``M`` maps ``h`` to the gradient, and ``||M|| = spacing^2 (kappa
-    eig_max^2 + gamma eig_max + max|diag|)`` bounds its sup norm, so the
-    floor grows about fourfold per halving of the spacing.  At the
-    iteration cap, on a direction that does not descend, or when the line
-    search fails, it raises :class:`NewtonError` with the last iterate (on
-    the full grid) and its gradient sup norm.
+    ``M`` maps ``h`` to the gradient, and ``||M||``, ``spacing^2`` times
+    :meth:`Operators.membrane_norm` with the spring bound ``rho0``, bounds
+    its sup norm, so the floor grows about fourfold per halving of the
+    spacing.  At the iteration cap, on a direction that does not descend,
+    or when the line search fails, it raises :class:`NewtonError` with the
+    last iterate (on the full grid) and its gradient sup norm.
     """
     if ops is None:
         ops = Operators(grid)
     h_int = np.zeros(grid.num_interior)
     # the spring never exceeds rho0, which bounds max|diag|
-    eig_max = float(ops.eig.max())
-    floor_scale = 16.0 * np.finfo(float).eps * grid.spacing**2 * (
-        params.kappa * eig_max**2 + params.gamma * eig_max + abs(params.lam) + rho0)
+    floor_scale = (16.0 * np.finfo(float).eps * grid.spacing**2
+                   * ops.membrane_norm(params, rho0))
 
     def energy_at(hi):
         return eval_J_theta(grid.embed(hi), theta, rho0, params, pressure, grid, ops)

@@ -9,7 +9,7 @@ errors carry the last iterate so callers can inspect partial progress.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -28,6 +28,9 @@ GMRES_BREAKDOWN = 1e-10
 #: than ``STALL_FACTOR`` over the last ``STALL_WINDOW`` iterations.
 STALL_WINDOW = 5
 STALL_FACTOR = 2.0
+#: Relative tolerance of the solves whose residual a conserved mass or an
+#: outer iteration inherits (:meth:`SolveOptions.tight`).
+TIGHT_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -51,6 +54,15 @@ class SolveOptions:
             raise ValueError(f"rel_tolerance must lie in (0, 1), got {self.rel_tolerance!r}")
         if not self.newton_grad_tol > 0.0:
             raise ValueError("newton_grad_tol must be positive")
+
+    def tight(self) -> "SolveOptions":
+        """These options with ``rel_tolerance`` at most ``TIGHT_TOLERANCE``.
+
+        For the density solves of a time step, whose residual the linker
+        mass inherits, the Newton systems of a fully implicit step, and the
+        last Picard iterations of a stationary solve.
+        """
+        return replace(self, rel_tolerance=min(self.rel_tolerance, TIGHT_TOLERANCE))
 
 
 class LinearSolveError(RuntimeError):

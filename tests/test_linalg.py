@@ -371,6 +371,13 @@ def test_solve_options_validation():
         SolveOptions(newton_grad_tol=0.0)
 
 
+def test_tight_options_lower_only_the_tolerance():
+    opts = SolveOptions(max_iterations=7, newton_grad_tol=1e-8, newton_max_iter=3)
+    assert opts.tight() == replace(opts, rel_tolerance=1e-12)
+    tighter = SolveOptions(rel_tolerance=1e-14)
+    assert tighter.tight() == tighter
+
+
 def test_newton_linear_one_step():
     b = np.array([3.0, -1.0, 2.0])
     x = newton_armijo(
