@@ -3,9 +3,10 @@
 Exit codes: 0 success (including a sweep that finds no critical pressure in
 range), 1 solver failure, 2 configuration error.  Only the package's solver
 errors map to 1; any other exception propagates, and a configuration error
-exits before any output directory exists.  ``run`` picks the command from
-the config's scenario, and ``sweep`` runs its config as a
-``pressure_sweep``.  Every command run from a config leaves a
+exits before any output directory exists.  A config file that cannot be read
+and an output directory that cannot be created are configuration errors.
+``run`` picks the command from the config's scenario, and ``sweep`` runs its
+config as a ``pressure_sweep``.  Every command run from a config leaves a
 ``manifest.json``, ``"status": "ok"`` or ``"failed"`` with the error; a run
 that fails at a time step also names the step and keeps its diagnostics up
 to it.  ``verify-geometry`` takes no config and writes only its CSV.  Every
@@ -60,9 +61,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "verify-geometry":
-            out = Path(args.out)
-            out.mkdir(parents=True, exist_ok=True)
-            _cmd_geometry(None, out)
+            _cmd_geometry(None, _output_dir(args.out))
             return 0
         config = _apply_overrides(parse_config(args.config), args)
         return _execute(_COMMANDS.get(config.scenario, _cmd_run), config)
@@ -86,6 +85,16 @@ def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
     return parse_config_dict(doc)
 
 
+def _output_dir(path: str) -> Path:
+    """``path`` as an existing directory, created if absent; ConfigError if it cannot be."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # names an existing file, or a parent is not writable
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
+    return out
+
+
 def _execute(command, config: ScenarioConfig) -> int:
     """Run ``command(config, out)`` in the output directory and write its manifest.
 
@@ -96,8 +105,7 @@ def _execute(command, config: ScenarioConfig) -> int:
     :class:`StepError`, and the error propagates.
     """
     start = time.perf_counter()
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(config.output_dir)
     try:
         extra = command(config, out)
     except _SOLVER_ERRORS as exc:

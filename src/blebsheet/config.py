@@ -284,10 +284,14 @@ def _reject_constant(name: str):
 def parse_config(path) -> ScenarioConfig:
     """Load and validate a JSON config file."""
     p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {p}")
     try:
-        doc = json.loads(p.read_text(), parse_constant=_reject_constant)
+        text = p.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {p}") from None
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, unreadable, not UTF-8
+        raise ConfigError(f"cannot read config file {p}: {exc}") from exc
+    try:
+        doc = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON in {p}: {exc}") from exc
     return parse_config_dict(doc)

@@ -38,7 +38,7 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional
 
 import numpy as np
@@ -361,6 +361,8 @@ def step(
     """Advance the state by one step of size ``tau``; ``state`` is not modified.
 
     ``pressure`` is in Pa per node; ``ops`` caches the assembled operators across steps.
+    The one builder of a time step's :class:`State`: the scheme functions return
+    the new ``(h_int, rho_a, rho_i)``, and the clock advances here.
     """
     if tau <= 0.0:
         raise ValueError("time step tau must be positive")
@@ -369,11 +371,14 @@ def step(
     scheme = Scheme(scheme)
     try:
         if scheme is Scheme.FULLY_IMPLICIT:
-            return _step_fully_implicit(state, tau, params, pressure, grid, opts, ops)
-        return _step_semi_implicit(state, tau, params, pressure, grid, opts, ops,
-                                   scheme is Scheme.IMPLICIT_RIPPING)
+            h_int, rho_a, rho_i = _step_fully_implicit(state, tau, params, pressure, opts, ops)
+        else:
+            h_int, rho_a, rho_i = _step_semi_implicit(state, tau, params, pressure, opts, ops,
+                                                      scheme is Scheme.IMPLICIT_RIPPING)
     except (LinearSolveError, NewtonError) as exc:
         raise StepError(str(exc), state.step_index) from exc
+    return State(h=grid.embed(h_int), rho_a=rho_a, rho_i=rho_i, t=state.t + tau,
+                 step_index=state.step_index + 1)
 
 
 def _step_semi_implicit(
@@ -381,19 +386,20 @@ def _step_semi_implicit(
     tau: float,
     params: ModelParams,
     pressure: np.ndarray,
-    grid: Grid,
     opts: SolveOptions,
     ops: Operators,
     implicit_ripping: bool,
-) -> State:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Densities with the ripping rate of ``state.h``, then the height.
 
+    Returns the new ``(h_int, rho_a, rho_i)``, in :func:`_split`'s layout.
     The height CG starts at ``P b``, the preconditioner applied to its
     right-hand side.  ``P`` is the exact inverse while the spring ``xi
     rho_a`` is uniform, that is at every step before ripping, so such a
     step passes CG's first stop test and runs no iteration.  After ripping
     starts, ``P b`` is still a closer start than the previous height.
     """
+    grid = ops.grid
     rate = ripping_rate(state.h, params)
     rho_a_new, rho_i_new = _solve_densities(
         ops, params, tau, rate, state.rho_a, state.rho_i, implicit_ripping, opts,
@@ -408,13 +414,7 @@ def _step_semi_implicit(
         flux = integrate(grid, rate * state.rho_a)
         raise LinearSolveError(f"{exc}; min rho_a = {rho_a_new.min():.3e}, explicit ripping "
                                f"flux {flux:.3e}", exc.iterate, exc.residual_norm) from exc
-    return State(
-        h=grid.embed(h_new_int),
-        rho_a=rho_a_new,
-        rho_i=rho_i_new,
-        t=state.t + tau,
-        step_index=state.step_index + 1,
-    )
+    return h_new_int, rho_a_new, rho_i_new
 
 
 # ---------------------------------------------------------------------------
@@ -532,12 +532,12 @@ def _step_fully_implicit(
     tau: float,
     params: ModelParams,
     pressure: np.ndarray,
-    grid: Grid,
     opts: SolveOptions,
     ops: Operators,
-) -> State:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One backward Euler step, solved by Newton from a semi-implicit predictor.
 
+    Returns the new ``(h_int, rho_a, rho_i)``, views of the Newton iterate.
     A failed attempt is retried as two half steps, recursively, down to
     sub-steps of ``_MIN_SUBSTEP``; a ``tau`` below twice that is never halved.
     """
@@ -545,14 +545,13 @@ def _step_fully_implicit(
         return _fully_implicit_residual(z, ops, params, tau, state, pressure)
 
     def jacobian(z):
-        h_int, rho_a, _ = _split(grid, z)
+        h_int, rho_a, _ = _split(ops.grid, z)
         return FullyImplicitJacobian(ops, params, tau, h_int, rho_a)
 
     try:
         # semi-implicit predictor: O(tau)-accurate start keeps Newton on the right
         # side of the ripping switch even at sharpness 1e-8, and selects the root
-        pred = _step_semi_implicit(state, tau, params, pressure, grid, opts, ops, True)
-        z0 = np.concatenate([grid.restrict(pred.h), pred.rho_a, pred.rho_i])
+        z0 = np.concatenate(_step_semi_implicit(state, tau, params, pressure, opts, ops, True))
         z = newton_armijo(residual, jacobian, z0, opts,
                           linear_solve=lambda J, rhs: _newton_solve(J, rhs, opts))
     except (NewtonError, LinearSolveError):
@@ -561,18 +560,10 @@ def _step_fully_implicit(
         # own solves can fail; two half steps still count as one step of tau
         if tau / 2 < _MIN_SUBSTEP:
             raise
-        mid = _step_fully_implicit(state, tau / 2, params, pressure, grid, opts, ops)
-        end = _step_fully_implicit(mid, tau / 2, params, pressure, grid, opts, ops)
-        end.t, end.step_index = state.t + tau, state.step_index + 1
-        return end
-    h_int, rho_a, rho_i = _split(grid, z)
-    return State(
-        h=grid.embed(h_int),
-        rho_a=rho_a,
-        rho_i=rho_i,
-        t=state.t + tau,
-        step_index=state.step_index + 1,
-    )
+        h_int, rho_a, rho_i = _step_fully_implicit(state, tau / 2, params, pressure, opts, ops)
+        mid = replace(state, h=ops.grid.embed(h_int), rho_a=rho_a, rho_i=rho_i)
+        return _step_fully_implicit(mid, tau / 2, params, pressure, opts, ops)
+    return _split(ops.grid, z)
 
 
 # ---------------------------------------------------------------------------
@@ -653,9 +644,8 @@ def simulate(config) -> tuple[State, Diagnostics, dict[int, State]]:
             if state.step_index in config.snapshot_steps:
                 snapshots[state.step_index] = state
     except StepError as exc:
-        diagnostics.fit_decay(config.fit_window)
         exc.diagnostics = diagnostics
         raise
-
-    diagnostics.fit_decay(config.fit_window)
+    finally:
+        diagnostics.fit_decay(config.fit_window)
     return state, diagnostics, snapshots

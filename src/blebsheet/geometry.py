@@ -22,6 +22,8 @@ from numpy.polynomial import legendre
 
 KINDS = ("Area", "MeanCurvInt", "WillmoreInt")
 VARIANTS = ("AppendixGeneral", "MainText")
+#: Step sizes in ``delta`` of :func:`second_derivative_fd`, each half the last.
+DELTA_STEPS = (0.02, 0.01, 0.005)
 
 
 @dataclass(frozen=True)
@@ -79,41 +81,21 @@ def surface_functional(kind: str, surf: PerturbedSphere) -> float:
     return 2.0 * np.pi * float(wq @ integrand)
 
 
-def second_derivative_fd(
-    kind: str,
-    radius: float,
-    mode: int,
-    delta_steps=(0.02, 0.01, 0.005),
-    quadrature_points: int = 96,
-) -> tuple[float, float]:
+def second_derivative_fd(kind: str, radius: float, mode: int) -> tuple[float, float]:
     """Second delta-derivative at zero by Richardson-extrapolated differences.
 
-    Returns ``(value, stability)`` where the stability estimate is the spread
-    of the two finest extrapolants; at least two step sizes are required.
+    Central differences at the steps ``DELTA_STEPS``, one Richardson level on
+    each neighbouring pair.  Returns ``(value, stability)``: the finest
+    extrapolant and its spread from the coarser one.
     """
-    steps = sorted(delta_steps, reverse=True)
-    if len(steps) < 2:
-        raise ValueError("need at least two step sizes for extrapolation")
-
     def F(delta: float) -> float:
-        surf = PerturbedSphere(radius, mode, delta, quadrature_points)
-        return surface_functional(kind, surf)
+        return surface_functional(kind, PerturbedSphere(radius, mode, delta))
 
     base = F(0.0)
-    second = [
-        (F(d) + F(-d) - 2.0 * base) / (d * d)
-        for d in steps
-    ]
+    second = [(F(d) + F(-d) - 2.0 * base) / (d * d) for d in DELTA_STEPS]
     # one Richardson level: central differences have O(delta^2) error
-    extrapolants = [
-        (4.0 * second[i + 1] - second[i]) / 3.0 for i in range(len(second) - 1)
-    ]
-    value = extrapolants[-1]
-    if len(extrapolants) >= 2:
-        stability = abs(extrapolants[-1] - extrapolants[-2])
-    else:
-        stability = abs(extrapolants[-1] - second[-1])
-    return float(value), float(stability)
+    extrapolants = [(4.0 * fine - coarse) / 3.0 for coarse, fine in zip(second, second[1:])]
+    return float(extrapolants[-1]), float(abs(extrapolants[-1] - extrapolants[-2]))
 
 
 def formula_value(kind: str, variant: str, radius: float, mode: int) -> float:
@@ -151,11 +133,7 @@ def formula_value(kind: str, variant: str, radius: float, mode: int) -> float:
     return int_lap2 + 1.5 / R**2 * int_grad2
 
 
-def verification_report(
-    radii=(1.0, 2.0),
-    modes=(0, 1, 2, 3),
-    delta_steps=(0.02, 0.01, 0.005),
-) -> list[dict]:
+def verification_report(radii=(1.0, 2.0), modes=(0, 1, 2, 3)) -> list[dict]:
     """FD-versus-formula table over the standard (R, l) grid.
 
     Every functional is compared against its appendix form; the area and
@@ -183,7 +161,7 @@ def verification_report(
                 ("WillmoreInt", VARIANTS),
             ):
                 # the FD value does not depend on the variant
-                fd, stability = second_derivative_fd(kind, R, l, delta_steps)
+                fd, stability = second_derivative_fd(kind, R, l)
                 floor = abs(surface_functional(kind, PerturbedSphere(R, l, 0.0))) / R**2
                 for variant in variants:
                     formula = formula_value(kind, variant, R, l)

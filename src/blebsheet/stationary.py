@@ -29,6 +29,9 @@ from .model import MICROGRAM, PASCAL, ModelParams, ripping_rate
 #: memory.
 DAMPING = 0.5
 
+#: Picard iterations before :func:`stationary_fixed_point` gives up.
+MAX_PICARD = 500
+
 
 class StationaryError(RuntimeError):
     """Fixed-point or marching failed to converge; carries the last iterate."""
@@ -88,7 +91,7 @@ def _residuals_and_floor(
 
 
 def _residuals(
-    grid: Grid, ops: Operators, params: ModelParams, pressure: np.ndarray,
+    ops: Operators, params: ModelParams, pressure: np.ndarray,
     h: np.ndarray, rho_a: np.ndarray, rho_i: np.ndarray,
 ) -> tuple[float, float, float]:
     """Relative sup norms of the stationary equations (:func:`_residuals_and_floor`).
@@ -105,8 +108,7 @@ def _result(
     h: np.ndarray, rho_a: np.ndarray, rho_i: np.ndarray, iterations: int,
 ) -> StationaryResult:
     """The fields with their residuals, mass and weighted density."""
-    grid = ops.grid
-    res = _residuals(grid, ops, params, pressure, h, rho_a, rho_i)
+    res = _residuals(ops, params, pressure, h, rho_a, rho_i)
     return StationaryResult(
         h=h,
         rho_a=rho_a,
@@ -115,8 +117,8 @@ def _result(
         residual_rho_a=res[1],
         residual_rho_i=res[2],
         iterations=iterations,
-        total_mass=integrate(grid, rho_a + rho_i),
-        rho0_weighted=integrate(grid, params.eta_a * rho_a + params.eta_i * rho_i),
+        total_mass=integrate(ops.grid, rho_a + rho_i),
+        rho0_weighted=integrate(ops.grid, params.eta_a * rho_a + params.eta_i * rho_i),
     )
 
 
@@ -126,7 +128,6 @@ def stationary_fixed_point(
     m0: float,
     grid: Grid,
     opts: SolveOptions = SolveOptions(),
-    max_iterations: int = 500,
     tol: float = 1e-10,
 ) -> StationaryResult:
     """Damped Picard iteration of the reduced problem under ``pressure`` (Pa per node).
@@ -139,8 +140,8 @@ def stationary_fixed_point(
     bound: at 410 Pa it reads 2.7e-9 at n = 64 and 4.4e-8 at n = 128, where
     the solve reaches 6.2e-11 and 1.1e-9; without it n = 128 would never
     meet ``tol`` 1e-10 in height.  Non-convergence raises with the last
-    iterate and its residuals; a non-finite new iterate raises with the
-    last finite one.
+    iterate and its residuals after ``MAX_PICARD`` iterations; a non-finite
+    new iterate raises with the last finite one.
 
     The inner solves are inexact (Eisenstat & Walker, SIAM J. Sci. Comput.
     17, 1996): each iteration's height and density CG runs at
@@ -187,7 +188,7 @@ def stationary_fixed_point(
     rho_new = rho_bar
     iterations = 0
     residuals, floor = (np.inf, np.inf, np.inf), np.inf
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, MAX_PICARD + 1):
         inner = replace(opts, rel_tolerance=max(tight, min(1e-6, 1e-3 * max(residuals))))
         # height equation with frozen active density
         B_h = ops.stationary_height_matrix(params, rho_bar)
@@ -212,7 +213,7 @@ def stationary_fixed_point(
             return result_at(iterations)
 
     raise StationaryError(
-        f"fixed point: no convergence in {max_iterations} iterations (last residuals "
+        f"fixed point: no convergence in {MAX_PICARD} iterations (last residuals "
         f"height {residuals[0]:.3e}, floor {floor:.3e}; rho_a {residuals[1]:.3e}, "
         f"rho_i {residuals[2]:.3e})",
         result_at(iterations),

@@ -278,6 +278,64 @@ def test_cli_unrunnable_value_exit_2(tmp_path, capsys, doc):
     assert not out.exists()
 
 
+# one document per validation rule, and a word its error must name
+_RULES = [
+    ([], "object"),
+    ({"pressure": {"kind": "ramp"}}, "pressure.kind"),
+    ({"pressure": {"kind": "constant"}}, "value"),
+    ({"pressure": {"kind": "custom"}}, "values"),
+    ({"tau": 1e-5, "final_time": 1e-6}, "final_time"),
+    ({"sweep": {"samples": 1}}, "samples"),
+    ({"sweep": {"bisect_tol": 0.0}}, "bisect_tol"),
+    ({"disruption_radius": 0.0}, "disruption_radius"),
+    ({"theta_ladder": [1e-2, 0.0]}, "theta_ladder"),
+    ({"fit_window": [100, 10]}, "fit_window"),
+    ({"max_iterations": 0}, "max_iterations"),
+    ({"pressure": {"kind": "pulse", "radius": 0.0}}, "pressure.radius"),
+]
+
+
+@pytest.mark.parametrize("doc, key", _RULES)
+def test_each_rule_names_its_key_and_exits_2(tmp_path, capsys, doc, key):
+    if isinstance(doc, dict):
+        doc = {"scenario": "stationary_state", "n": 8, **doc}
+    with pytest.raises(ConfigError, match=key):
+        parse_config_dict(doc)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["directory", "non-UTF-8"])
+def test_unreadable_config_exit_2(tmp_path, capsys, case):
+    path = tmp_path / "config.json"
+    if case == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes('{"scenario": "stationary_state", "output_dir": "d\xe9j\xe0"}'
+                         .encode("latin-1"))
+    with pytest.raises(ConfigError, match="cannot read config file"):
+        parse_config(path)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert "config error: cannot read config file" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "verify-geometry"])
+def test_out_naming_a_file_exit_2(tmp_path, capsys, command):
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    args = [command, "--out", str(taken)]
+    if command == "run":
+        args += ["--config", str(write_config(tmp_path, {"scenario": "stationary_state",
+                                                         "n": 8}))]
+    assert main(args) == 2
+    assert "config error: cannot create output directory" in capsys.readouterr().err
+    assert taken.read_text() == "kept\n"
+
+
 _json = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text(max_size=4)
     | st.floats(allow_nan=False, allow_infinity=False),
@@ -361,6 +419,14 @@ def test_sweep_monotone_and_detector(tmp_path):
     # the detector agrees with the exactly linear subcritical response
     gain = sweep_point(1.0, cfg)
     assert critical == pytest.approx(cfg.params.h_star / gain, abs=2.5)
+
+
+def test_sweep_whose_first_sample_is_above_critical_reports_it():
+    cfg = parse_config_dict({"scenario": "pressure_sweep", "n": 8,
+                             "sweep": {"min": 400.0, "max": 500.0, "samples": 3}})
+    rows, critical = run_sweep(cfg)
+    assert rows[0][1] > cfg.params.h_star
+    assert critical == 400.0
 
 
 def test_sweep_bisection_ends_when_its_bracket_cannot_shrink():

@@ -428,3 +428,42 @@ def test_minimize_J_rejects_an_ascent_direction(monkeypatch):
     with pytest.raises(NewtonError, match="no descent direction") as err:
         minimize_J(1e-3, 1.0, PARAMS, p, grid)
     assert err.value.iterate.shape == (grid.num_nodes,)
+
+
+def test_minimize_J_backtracks_an_overlong_direction(monkeypatch):
+    # a Hessian stand-in that applies H / 4 makes every direction four Newton
+    # steps long; the line search halves it twice, to the Newton step itself
+    import blebsheet.energy as energy
+
+    hessian, evaluate = energy._hessian, energy.eval_J_theta
+
+    class Quarter:
+        def __init__(self, H):
+            self.H = H
+
+        def __matmul__(self, x):
+            return 0.25 * (self.H @ x)
+
+        def precond(self, r):
+            return 4.0 * self.H.precond(r)
+
+    def run():
+        calls = []
+
+        def evaluated(*args, **kwargs):
+            calls.append(None)
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(energy, "eval_J_theta", evaluated)
+        history = []
+        report = minimize_J(0.0, 1.0, PARAMS, pressure_pulse(grid, peak=400.0), grid,
+                            energy_history=history)
+        return report, len(calls), history
+
+    grid = build_grid(8)
+    plain, plain_calls, _ = run()
+    monkeypatch.setattr(energy, "_hessian", lambda *args: Quarter(hessian(*args)))
+    long, long_calls, history = run()
+    assert (plain_calls, long_calls) == (3, 7)
+    assert np.array_equal(long.minimizer, plain.minimizer)
+    assert all(e2 <= e1 for e1, e2 in zip(history, history[1:]))

@@ -42,8 +42,6 @@ def test_validation():
     with pytest.raises(ValueError):
         surface_functional("Volume", PerturbedSphere(1.0, 0, 0.0))
     with pytest.raises(ValueError):
-        second_derivative_fd("Area", 1.0, 0, delta_steps=(0.01,))
-    with pytest.raises(ValueError):
         formula_value("Area", "Appendix", 1.0, 0)
 
 

@@ -57,7 +57,7 @@ def test_stationary_terms_match_assembled_reference():
         _relative_sup(diff_a - recon + rip, diff_a, recon, rip, params.k * rho_a),
         _relative_sup(diff_i + recon - rip, diff_i, recon, rip, params.k * rho_a),
     )
-    got = _residuals(grid, ops, params, pressure, h, rho_a, rho_i)
+    got = _residuals(ops, params, pressure, h, rho_a, rho_i)
     assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -68,7 +68,7 @@ def test_residuals_small_at_converged_fixed_point(peak):
     params = ModelParams()
     pressure = pressure_pulse(grid, peak=peak)
     result = stationary_fixed_point(params, pressure, m0=1.0, grid=grid, tol=1e-11)
-    residuals = _residuals(grid, Operators(grid), params, pressure,
+    residuals = _residuals(Operators(grid), params, pressure,
                            result.h, result.rho_a, result.rho_i)
     assert residuals == (result.residual_height, result.residual_rho_a,
                          result.residual_rho_i)
@@ -286,7 +286,7 @@ def test_picard_density_iterations_capped(monkeypatch):
 
 
 def test_fixed_point_nonfinite_increment_raises_with_last_finite_iterate(monkeypatch):
-    # a density solve that hands back NaN would otherwise run all 500
+    # a density solve that hands back NaN would otherwise run all MAX_PICARD
     # iterations and report plain non-convergence
     import blebsheet.stationary as st
     from blebsheet.linalg import cg_solve
@@ -312,3 +312,17 @@ def test_fixed_point_nonfinite_increment_raises_with_last_finite_iterate(monkeyp
     for name in ("h", "rho_a", "rho_i"):
         assert np.all(np.isfinite(getattr(result, name))), name
     assert np.isfinite(result.residual_height)
+
+
+def test_fixed_point_non_convergence_raises_with_last_iterate(monkeypatch):
+    import blebsheet.stationary as st
+
+    monkeypatch.setattr(st, "MAX_PICARD", 3)
+    grid = build_grid(8)
+    with pytest.raises(StationaryError, match="no convergence in 3 iterations") as err:
+        stationary_fixed_point(ModelParams(), pressure_pulse(grid, peak=400.0), m0=1.0,
+                               grid=grid)
+    assert "floor" in str(err.value)
+    result = err.value.result
+    assert result.iterations == 3
+    assert max(result.residual_height, result.residual_rho_a, result.residual_rho_i) > 1e-10
