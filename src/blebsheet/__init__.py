@@ -29,7 +29,6 @@ from .model import (
 from .dynamics import Diagnostics, Scheme, State, march, simulate, step
 from .stationary import (
     StationaryResult,
-    stationary_by_marching,
     stationary_fixed_point,
     weighted_density_residual,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "simulate",
     "StationaryResult",
     "stationary_fixed_point",
-    "stationary_by_marching",
     "weighted_density_residual",
     "EnergyReport",
     "eval_J_theta",

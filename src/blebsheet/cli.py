@@ -173,7 +173,9 @@ def run_sweep(config: ScenarioConfig):
     read; ``center`` and ``radius`` are kept).  The detector bisects
     the indicator ``max_h(10 tau) > h_star`` between the first bracketing
     pair of samples, to the configured pressure tolerance or until the
-    bracket's ends are adjacent floats, whichever comes first.
+    bracket's ends are adjacent floats, whichever comes first.  With no
+    bracketing pair the critical pressure is None: either no sample crosses
+    ``h_star``, or the first already does and the range starts above it.
 
     Sub-critical peaks are answered by superposition.  The protocol is run
     once at a 1 Pa peak, keeping ``u10``, the max height after step 10, and
@@ -212,10 +214,8 @@ def run_sweep(config: ScenarioConfig):
     rows = list(zip(peaks, values))
 
     crossed = [v > h_star for v in values]
-    if not any(crossed):
+    if crossed[0] or not any(crossed):
         return rows, None
-    if crossed[0]:
-        return rows, peaks[0]
     i = crossed.index(True)
     lo, hi = peaks[i - 1], peaks[i]
     while hi - lo > config.sweep_bisect_tol:
@@ -232,7 +232,9 @@ def run_sweep(config: ScenarioConfig):
 def _cmd_sweep(config: ScenarioConfig, out: Path) -> dict:
     rows, critical = run_sweep(config)
     write_csv(out / "sweep.csv", ["peak_pressure", "max_h"], rows)
-    if critical is None:
+    if critical is None and rows[0][1] > config.params.h_star:
+        print("no critical pressure in range: the range starts above it")
+    elif critical is None:
         print("no critical pressure in range")
     else:
         print(f"critical pressure ~ {critical:.1f} Pa")

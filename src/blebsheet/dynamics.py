@@ -611,8 +611,8 @@ def build_pressure(config, grid: Grid) -> np.ndarray:
 def march(state: State, config, ops: Operators, pressure: np.ndarray) -> Iterator[State]:
     """Yield the state after each step of ``config.tau`` under ``pressure``, without end.
 
-    The one time loop of the package: ``simulate``, stationary marching and
-    the sweep protocol take from it as many steps as they need.  No step
+    The one time loop of the package: ``simulate`` and the sweep protocol
+    take from it as many steps as they need.  No step
     modifies a state it is given, so a yielded state can be kept as it is.
     """
     opts = config.solve_options()

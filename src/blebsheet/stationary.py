@@ -1,4 +1,4 @@
-"""Stationary solutions: damped fixed-point iteration and time marching.
+"""Stationary solutions: damped fixed-point iteration of the reduced problem.
 
 The fixed-point map mirrors the existence construction for the reduced
 active-linker problem: freeze the active density and solve the height
@@ -7,18 +7,19 @@ and the mean-field source ``(k/|D|) * ((eta_a/eta_i - 1) * int(rho_a) + m0)``.
 The inactive density is reconstructed afterwards from the constant weighted
 sum ``eta_a rho_a + eta_i rho_i = rho_0``.  Results carry the residuals of
 the stationary equations, whose terms :func:`dynamics.stationary_terms` writes.
+The time-dependent route to the same states is :func:`dynamics.simulate` run
+long enough; :func:`_residuals_and_floor` judges its state by the same test.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import Operators, build_pressure, initial_state, march, stationary_terms
+from .dynamics import Operators, stationary_terms
 from .dynamics import weighted_density_residual  # noqa: F401  re-exported
-from .grid import Grid, build_grid, integrate
+from .grid import Grid, integrate
 from .linalg import SolveOptions, cg_solve
 from .model import MICROGRAM, PASCAL, ModelParams, ripping_rate
 
@@ -34,7 +35,7 @@ MAX_PICARD = 500
 
 
 class StationaryError(RuntimeError):
-    """Fixed-point or marching failed to converge; carries the last iterate."""
+    """The fixed point failed to converge; carries the last iterate."""
 
     def __init__(self, message: str, result: "StationaryResult" = None):
         super().__init__(message)
@@ -96,30 +97,11 @@ def _residuals(
 ) -> tuple[float, float, float]:
     """Relative sup norms of the stationary equations (:func:`_residuals_and_floor`).
 
-    Called once per solve, from :func:`_result`: ``perfbench/run.py`` ends
+    Called once per solve, for the result: ``perfbench/run.py`` ends
     the last Picard iteration at its first call, so the Picard loop calls
     :func:`_residuals_and_floor` instead.
     """
     return _residuals_and_floor(ops, params, pressure, h, rho_a, rho_i)[0]
-
-
-def _result(
-    ops: Operators, params: ModelParams, pressure: np.ndarray,
-    h: np.ndarray, rho_a: np.ndarray, rho_i: np.ndarray, iterations: int,
-) -> StationaryResult:
-    """The fields with their residuals, mass and weighted density."""
-    res = _residuals(ops, params, pressure, h, rho_a, rho_i)
-    return StationaryResult(
-        h=h,
-        rho_a=rho_a,
-        rho_i=rho_i,
-        residual_height=res[0],
-        residual_rho_a=res[1],
-        residual_rho_i=res[2],
-        iterations=iterations,
-        total_mass=integrate(ops.grid, rho_a + rho_i),
-        rho0_weighted=integrate(ops.grid, params.eta_a * rho_a + params.eta_i * rho_i),
-    )
 
 
 def stationary_fixed_point(
@@ -180,7 +162,19 @@ def stationary_fixed_point(
         return (rho0 - params.eta_a * rho_a) / params.eta_i
 
     def result_at(iterations: int) -> StationaryResult:
-        return _result(ops, params, pressure, h_bar, rho_bar, inactive(rho_bar), iterations)
+        rho_i = inactive(rho_bar)
+        res_h, res_a, res_i = _residuals(ops, params, pressure, h_bar, rho_bar, rho_i)
+        return StationaryResult(
+            h=h_bar,
+            rho_a=rho_bar,
+            rho_i=rho_i,
+            residual_height=res_h,
+            residual_rho_a=res_a,
+            residual_rho_i=res_i,
+            iterations=iterations,
+            total_mass=integrate(grid, rho_bar + rho_i),
+            rho0_weighted=integrate(grid, params.eta_a * rho_bar + params.eta_i * rho_i),
+        )
 
     tight = opts.tight().rel_tolerance
     h_bar = np.zeros(grid.num_nodes)
@@ -219,32 +213,3 @@ def stationary_fixed_point(
         result_at(iterations),
     )
 
-
-def stationary_by_marching(
-    config, stop_tol: float, max_steps: int = 20000
-) -> StationaryResult:
-    """March the time-dependent system until ``max|h - prev_h| <= stop_tol``."""
-    if stop_tol <= 0.0:
-        raise ValueError("stop_tol must be positive")
-    if max_steps < 1:
-        raise ValueError("max_steps must be at least 1")
-    ops = Operators(build_grid(config.n))
-    state = initial_state(config, ops.grid)
-    pressure = build_pressure(config, ops.grid)
-
-    prev_h = state.h
-    for state in itertools.islice(march(state, config, ops, pressure), max_steps):
-        diff = float(np.max(np.abs(state.h - prev_h)))
-        if diff <= stop_tol:
-            break
-        prev_h = state.h
-
-    result = _result(ops, config.params, pressure, state.h, state.rho_a, state.rho_i,
-                     state.step_index)
-    if diff > stop_tol:
-        raise StationaryError(
-            f"marching: max_step_diff {diff:.3e} above "
-            f"{stop_tol:.1e} after {max_steps} steps",
-            result,
-        )
-    return result

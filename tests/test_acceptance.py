@@ -37,13 +37,9 @@ from blebsheet.model import (
     pressure_pulse,
     ripping_rate,
 )
-from blebsheet.stationary import (
-    stationary_by_marching,
-    stationary_fixed_point,
-    weighted_density_residual,
-)
 from dia_forms import as_scipy
 from test_dynamics import dense_jacobian
+from test_stationary import two_routes
 
 
 def report(num: int, ok: bool, detail: str):
@@ -116,22 +112,15 @@ def test_criterion_3_stationary_decay(stationary_run):
 
 
 def test_criterion_4_fixed_point_vs_marching():
-    n = 32
-    params = ModelParams()
-    grid = build_grid(n)
-    pressure = pressure_pulse(grid, peak=100.0)
-    fp = stationary_fixed_point(params, pressure, m0=1.0, grid=grid)
-    cfg = parse_config_dict({"scenario": "stationary_state", "n": n, "final_time": 1e-2})
-    march = stationary_by_marching(cfg, stop_tol=1e-12)
-    gap = float(np.max(np.abs(fp.h - march.h)))
-    res_fp = weighted_density_residual(fp, params, grid)
-    res_march = weighted_density_residual(march, params, grid)
-    ok = gap <= 1e-6 and res_fp <= 1e-6 and res_march <= 1e-6
-    report(
-        4, ok,
-        f"|h_fp - h_march|_inf = {gap:.2e}, weighted-density residuals "
-        f"fp={res_fp:.2e}, march={res_march:.2e}",
-    )
+    # two routes to each stationary state: the fixed point, and simulate run
+    # for a fixed number of steps, judged by the test the fixed point stops on.
+    # Once ripping starts, steps of 1e-6 stall at density residuals near 2e-9
+    # (n = 32, 410 Pa, 20,000 steps); steps of 1e-4 meet 1e-10 within 45.
+    cases = [two_routes(32, peak, tau, steps)
+             for peak, tau, steps in ((100.0, 1e-6, 200), (250.0, 1e-4, 60),
+                                      (410.0, 1e-4, 60), (1000.0, 1e-4, 60))]
+    report(4, all(ok for ok, _ in cases),
+           "|h_fp - h_march|_inf at n = 32 -- " + "; ".join(line for _, line in cases))
 
 
 def _linear_oracle_critical_pressure(n=64, steps=10):

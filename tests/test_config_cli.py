@@ -421,12 +421,21 @@ def test_sweep_monotone_and_detector(tmp_path):
     assert critical == pytest.approx(cfg.params.h_star / gain, abs=2.5)
 
 
-def test_sweep_whose_first_sample_is_above_critical_reports_it():
-    cfg = parse_config_dict({"scenario": "pressure_sweep", "n": 8,
-                             "sweep": {"min": 400.0, "max": 500.0, "samples": 3}})
+def test_sweep_whose_first_sample_is_above_critical_reports_it(tmp_path, capsys):
+    # the critical pressure (about 254 Pa at n = 8) lies somewhere at or below
+    # the range's start: the first peak is a bound, not a detection
+    doc = {"scenario": "pressure_sweep", "n": 8,
+           "sweep": {"min": 400.0, "max": 500.0, "samples": 3}}
+    cfg = parse_config_dict(doc)
     rows, critical = run_sweep(cfg)
     assert rows[0][1] > cfg.params.h_star
-    assert critical == 400.0
+    assert critical is None
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 0
+    assert "the range starts above it" in capsys.readouterr().out
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["critical_pressure"] is None
+    assert manifest["critical_pressure_found"] is False
 
 
 def test_sweep_bisection_ends_when_its_bracket_cannot_shrink():

@@ -1,3 +1,6 @@
+import os
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -545,6 +548,14 @@ def test_build_pressure_rejects_a_custom_pressure_of_another_grid():
         build_pressure(cfg, build_grid(4))
 
 
+def test_build_pressure_rejects_an_unknown_kind():
+    # parse_config admits no other kind; a config built by hand can carry one
+    cfg = replace(parse_config_dict({"scenario": "stationary_state", "n": 4}),
+                  pressure={"kind": "gust"})
+    with pytest.raises(ValueError, match="unknown pressure kind 'gust'"):
+        build_pressure(cfg, build_grid(4))
+
+
 def test_step_failure_flushes_partial_diagnostics():
     # a tiny iteration budget starves the solves once ripping switches on
     # (step 4 at this peak); before that, no solve needs more than one iteration
@@ -646,6 +657,39 @@ def test_preconditioned_cg_exact_for_uniform_spring(kind):
     history = []
     cg_solve(mat, b, residual_history=history, precond=precond)
     assert len(history) - 1 <= 2
+
+
+def test_height_preconditioner_agrees_across_blas_thread_counts(tmp_path):
+    # the sine transforms are BLAS matrix products, whose blocking depends
+    # on the thread count: outputs agree to roundoff across thread counts,
+    # and are byte-identical only for one BLAS build and one thread count
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import blebsheet
+
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1])\n"
+        "import numpy as np\n"
+        "from blebsheet.dynamics import Operators\n"
+        "from blebsheet.grid import build_grid\n"
+        "from blebsheet.model import ModelParams\n"
+        "ops = Operators(build_grid(128))\n"
+        "H = ops.height_matrix(ModelParams(), 1e-6, np.ones(ops.grid.num_nodes))\n"
+        "r = np.random.default_rng(0).standard_normal(ops.grid.num_interior)\n"
+        "np.save(sys.argv[2], H.precond(r))\n"
+    )
+    src = str(Path(blebsheet.__file__).resolve().parent.parent)
+    products = []
+    for threads in ("1", "2"):
+        path = tmp_path / f"precond_{threads}.npy"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        subprocess.run([sys.executable, "-c", code, src, str(path)], env=env,
+                       capture_output=True, timeout=120, check=True)
+        products.append(np.load(path))
+    one, two = products
+    assert np.linalg.norm(one - two) <= 1e-13 * np.linalg.norm(one)
 
 
 @pytest.mark.parametrize("kind", ["stationary", "J_hh"])

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -428,6 +429,20 @@ def test_minimize_J_rejects_an_ascent_direction(monkeypatch):
     with pytest.raises(NewtonError, match="no descent direction") as err:
         minimize_J(1e-3, 1.0, PARAMS, p, grid)
     assert err.value.iterate.shape == (grid.num_nodes,)
+
+
+def test_minimize_J_line_search_failure(monkeypatch):
+    # an energy that rises along every direction from its start: the line
+    # search halves the Newton step below 1e-14 and gives up
+    import blebsheet.energy as energy
+
+    energies = iter(itertools.chain([0.0], itertools.repeat(1.0)))
+    monkeypatch.setattr(energy, "eval_J_theta", lambda *args, **kwargs: next(energies))
+    grid = build_grid(8)
+    with pytest.raises(NewtonError, match="minimize_J: line search failed") as err:
+        minimize_J(1e-3, 1.0, PARAMS, pressure_pulse(grid, peak=400.0), grid)
+    assert np.array_equal(err.value.iterate, np.zeros(grid.num_nodes))
+    assert err.value.residual_norm > 0.0
 
 
 def test_minimize_J_backtracks_an_overlong_direction(monkeypatch):

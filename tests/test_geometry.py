@@ -43,6 +43,12 @@ def test_validation():
         surface_functional("Volume", PerturbedSphere(1.0, 0, 0.0))
     with pytest.raises(ValueError):
         formula_value("Area", "Appendix", 1.0, 0)
+    with pytest.raises(ValueError, match="mode index must be nonnegative"):
+        PerturbedSphere(radius=1.0, mode=-1, amplitude=0.0)
+    with pytest.raises(ValueError, match="unknown functional kind 'Volume'"):
+        formula_value("Volume", "MainText", 1.0, 0)
+    with pytest.raises(ValueError, match="mode index must be nonnegative"):
+        formula_value("Area", "MainText", 1.0, -1)
 
 
 def test_fd_area_uniform_inflation_exact():

@@ -118,6 +118,35 @@ def test_cg_nonfinite_rhs_raises(bad):
         gmres_solve(spm(np.eye(4)), b, identity)
 
 
+def test_cg_nonfinite_start_raises():
+    # a NaN in x0 makes every comparison of the loop false, so CG returns
+    # from no iteration unless the final residual check catches it
+    x0 = np.array([0.0, np.nan, 0.0, 0.0])
+    with pytest.raises(LinearSolveError, match="cg_solve: non-finite residual nan") as err:
+        cg_solve(spm(np.eye(4)), np.ones(4), x0=x0)
+    assert np.isnan(err.value.residual_norm)
+
+
+class _OverflowsAfter:
+    """The identity for its first ``products`` products, then all infinite."""
+
+    def __init__(self, products):
+        self.left = products
+
+    def __matmul__(self, x):
+        self.left -= 1
+        return x.copy() if self.left >= 0 else np.full_like(x, np.inf)
+
+
+def test_gmres_nonfinite_true_residual_raises():
+    # the first cycle breaks down at once on the identity, and the true
+    # residual of its answer takes the operator's second, infinite product
+    with pytest.raises(LinearSolveError, match="gmres_solve: non-finite residual inf") as err:
+        gmres_solve(_OverflowsAfter(1), np.ones(4), identity)
+    assert np.array_equal(err.value.iterate, np.ones(4))
+    assert err.value.residual_norm == np.inf
+
+
 def test_overflowing_rhs_raises_without_numpy_warnings():
     import warnings
 
@@ -449,13 +478,20 @@ def test_newton_superlinear_on_cubic():
 
 
 def test_newton_line_search_failure():
-    with pytest.raises(NewtonError):
-        newton_armijo(
-            residual=lambda x: np.array([1.0]),  # no root anywhere
-            jacobian=lambda x: np.array([[1.0]]),
-            x0=np.array([0.0]),
-            linear_solve=cg,
-        )
+    # a Jacobian of the wrong sign promises descent along a direction in
+    # which |F| grows at every step length, down to the 1e-14 floor
+    evaluations = []
+
+    def residual(x):
+        evaluations.append(None)
+        return x + 1.0
+
+    with pytest.raises(NewtonError, match=r"line search failed \(step below 1e-14\)") as err:
+        newton_armijo(residual, lambda x: -np.eye(1), np.zeros(1),
+                      linear_solve=lambda J, rhs: np.linalg.solve(J, rhs))
+    assert len(evaluations) == 1 + 47  # the start, then steps 1, 1/2, ..., 2**-46
+    assert np.array_equal(err.value.iterate, np.zeros(1))
+    assert err.value.residual_norm == 1.0
 
 
 def test_newton_iteration_cap():

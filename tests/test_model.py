@@ -8,6 +8,7 @@ from blebsheet.model import (
     ModelParams,
     disruption_initial,
     g_theta,
+    g_theta_prime,
     pressure_pulse,
     ripping_rate,
 )
@@ -62,8 +63,9 @@ def test_g_theta_monotone_tail():
 
 
 def test_g_theta_rejects_zero_reconnection():
-    with pytest.raises(ValueError):
-        g_theta(0.7, 1.0, PARAMS.with_(k=0.0))
+    for g in (g_theta, g_theta_prime):
+        with pytest.raises(ValueError, match="positive reconnection rate k"):
+            g(0.7, 1.0, PARAMS.with_(k=0.0))
 
 
 @given(x=finite_heights, rho0=st.floats(min_value=1e-3, max_value=1e3))
@@ -166,6 +168,8 @@ def test_params_validation():
         ModelParams(lam=1.0)  # nonzero lam with zero spontaneous curvature
     with pytest.raises(ValueError, match="damping"):
         ModelParams(c=-1.0)
+    with pytest.raises(ValueError, match="parameters must be finite"):
+        ModelParams(c=float("nan"))
     assert ModelParams(c=0.0).c == 0.0  # no damping is a valid model
 
 
