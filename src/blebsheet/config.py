@@ -94,7 +94,6 @@ _PATHS = {f.name: _doc_path(f.name) for f in fields(ScenarioConfig)}
 _HINTS = get_type_hints(ScenarioConfig)
 _TOP_KEYS = {path[0] for path in _PATHS.values()}
 _SWEEP_KEYS = {path[1] for path in _PATHS.values() if len(path) == 2}
-_PARAM_KEYS = {f.name for f in fields(ModelParams)}
 _PRESSURE_TYPES = {
     "peak": float, "center": tuple[float, float], "radius": float,
     "value": float, "values": tuple[float, ...],

@@ -247,8 +247,8 @@ def newton_armijo(
     """Damped Newton iteration on ``residual(x) = 0``.
 
     The merit function is ``0.5 * ||residual||**2``; a step is accepted once
-    it decreases the merit by at least ``ARMIJO_C1 * alpha * m'`` where
-    ``m'`` is the directional derivative along the Newton direction.
+    it decreases the merit strictly and by at least ``ARMIJO_C1 * alpha * m'``
+    where ``m'`` is the directional derivative along the Newton direction.
     Convergence is declared at ``||residual||_inf <= newton_grad_tol``.
 
     ``jacobian(x)`` must return an object supporting ``J @ v``; the Newton
@@ -291,7 +291,9 @@ def newton_armijo(
                 raise NewtonError(f"newton_armijo: non-finite residual at the trial step "
                                   f"(alpha = {alpha:.3e})", x, sups[-1])
             merit_trial = 0.5 * float(F_trial @ F_trial)
-            if merit_trial <= merit + ARMIJO_C1 * alpha * slope:
+            # once ARMIJO_C1 * alpha * |slope| is below half an ulp of the
+            # merit, the Armijo test alone passes a step that lowers nothing
+            if merit_trial < merit and merit_trial <= merit + ARMIJO_C1 * alpha * slope:
                 break
             alpha *= BACKTRACK_FACTOR
             if alpha < 1e-14:

@@ -133,9 +133,11 @@ def stationary_fixed_point(
     n = 64, 410 Pa that takes 66 Picard, 181 height CG and 9,274 density
     CG iterations; solves at 1e-12 throughout take the same 66 Picard
     iterations with 292 and 20,529 CG iterations.  A looser rule,
-    ``min(1e-4, 1e-2 r)``, takes 83 Picard iterations but 6,410 density CG
-    iterations and less time; like ``DAMPING`` 1.0 it waits for the
-    benchmark runner to stop keeping each operation's output.
+    ``min(1e-4, 1e-2 r)``, takes 83 Picard iterations and 6,410 density CG
+    iterations at n = 64 but does not converge at n = 128, 410 Pa: it stops
+    at ``MAX_PICARD`` with the ``rho_a`` residual at 1.1e-10.  Stopping each
+    inner CG at a tenth of its own starting residual, with no ``1e-6`` cap,
+    keeps the Picard count and takes 4,145 density CG iterations at n = 64.
 
     The height CG starts from the damped height, not from the
     preconditioned right-hand side ``P b`` a time step starts at: once the

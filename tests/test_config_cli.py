@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from blebsheet import cli, dynamics
 from blebsheet.cli import main, run_sweep, sweep_point
 from blebsheet.config import (
-    _PARAM_KEYS,
     _PRESSURE_KEYS,
     _SWEEP_KEYS,
     _TOP_KEYS,
@@ -355,7 +354,7 @@ _pressure = _section(_PRESSURE_KEYS) | st.fixed_dictionaries(
 _documents = st.fixed_dictionaries(
     {"scenario": st.sampled_from(SCENARIOS) | _json},
     optional={
-        "params": _section(_PARAM_KEYS),
+        "params": _section({f.name for f in fields(ModelParams)}),
         "pressure": _pressure,
         "sweep": _section(_SWEEP_KEYS),
         **{key: _json for key in sorted(_TOP_KEYS - {"scenario", "params", "pressure", "sweep"})},

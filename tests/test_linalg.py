@@ -478,20 +478,24 @@ def test_newton_superlinear_on_cubic():
 
 
 def test_newton_line_search_failure():
-    # a Jacobian of the wrong sign promises descent along a direction in
-    # which |F| grows at every step length, down to the 1e-14 floor
-    evaluations = []
+    # two residuals no step lowers, each searched down to the 1e-14 floor: a
+    # Jacobian of the wrong sign promises descent along a direction in which
+    # |F| grows, and F = 1 does not move at all.  Below half an ulp of the
+    # merit the Armijo test alone passes such a step; F = 1 then ended as
+    # stalled after five iterations and 216 residual evaluations
+    for F, sign in ((lambda x: x + 1.0, -1.0), (lambda x: np.ones(1), 1.0)):
+        evaluations = []
 
-    def residual(x):
-        evaluations.append(None)
-        return x + 1.0
+        def residual(x):
+            evaluations.append(None)
+            return F(x)
 
-    with pytest.raises(NewtonError, match=r"line search failed \(step below 1e-14\)") as err:
-        newton_armijo(residual, lambda x: -np.eye(1), np.zeros(1),
-                      linear_solve=lambda J, rhs: np.linalg.solve(J, rhs))
-    assert len(evaluations) == 1 + 47  # the start, then steps 1, 1/2, ..., 2**-46
-    assert np.array_equal(err.value.iterate, np.zeros(1))
-    assert err.value.residual_norm == 1.0
+        with pytest.raises(NewtonError, match=r"line search failed \(step below 1e-14\)") as err:
+            newton_armijo(residual, lambda x: sign * np.eye(1), np.zeros(1),
+                          linear_solve=lambda J, rhs: np.linalg.solve(J, rhs))
+        assert len(evaluations) == 1 + 47  # the start, then steps 1, 1/2, ..., 2**-46
+        assert np.array_equal(err.value.iterate, np.zeros(1))
+        assert err.value.residual_norm == 1.0
 
 
 def test_newton_iteration_cap():

@@ -137,6 +137,23 @@ def test_density_matrix_exposes_dia_arrays():
     assert B.data.shape == (5, g.num_nodes) and B.data.itemsize == 8
 
 
+def test_setup_imports_load_only_what_setup_runs():
+    # the runner's set-up interpreter imports config, dynamics and grid; the
+    # package itself imports none of its modules, so the stationary, energy,
+    # geometry and cli layers (and numpy.polynomial) stay out of its time
+    src = str(Path(dynamics.__file__).resolve().parent.parent)
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1])\n"
+        "import blebsheet.config, blebsheet.dynamics, blebsheet.grid\n"
+        "unused = ('blebsheet.stationary', 'blebsheet.energy', 'blebsheet.geometry',\n"
+        "          'blebsheet.cli', 'numpy.polynomial')\n"
+        "print(' '.join(m for m in sys.modules if m.startswith(unused)))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.splitlines() == [""]
+
+
 def test_import_leaves_heavy_modules_unloaded():
     # set-up time and memory count every module the import pulls in: no part
     # of scipy (the DIA kernel is loaded from its file alone), neither on
