@@ -1,9 +1,9 @@
-"""Stationary solutions: damped fixed-point iteration of the reduced problem.
+"""Stationary solutions: Gauss-Seidel fixed-point iteration of the reduced problem.
 
 The fixed-point map mirrors the existence construction for the reduced
 active-linker problem: freeze the active density and solve the height
-equation, then solve the active-linker equation with the frozen ripping rate
-and the mean-field source ``(k/|D|) * ((eta_a/eta_i - 1) * int(rho_a) + m0)``.
+equation, then solve the active-linker equation with that height's ripping
+rate and the mean-field source ``(k/|D|) * ((eta_a/eta_i - 1) * int(rho_a) + m0)``.
 The inactive density is reconstructed afterwards from the constant weighted
 sum ``eta_a rho_a + eta_i rho_i = rho_0``.  Results carry the residuals of
 the stationary equations, whose terms :func:`dynamics.stationary_terms` writes.
@@ -23,11 +23,10 @@ from .grid import Grid, integrate
 from .linalg import SolveOptions, cg_solve
 from .model import MICROGRAM, PASCAL, ModelParams, ripping_rate
 
-#: Weight of the new iterate in each Picard update.  Undamped, n = 64 at 410 Pa
-#: took 21 iterations, not 61, when Picard stopped on its increment (66 now
-#: that it stops on its residuals); 1.0 waits for the benchmark runner to
-#: stop keeping each operation's output, or the faster runs read as more
-#: memory.
+#: Weight of the new active density in each Picard update; the height is
+#: taken undamped.  Undamped, n = 64 at 410 Pa takes 10 iterations, not 52;
+#: 1.0 waits for the benchmark runner to stop keeping each operation's
+#: output, or the faster runs read as more memory.
 DAMPING = 0.5
 
 #: Picard iterations before :func:`stationary_fixed_point` gives up.
@@ -112,43 +111,40 @@ def stationary_fixed_point(
     opts: SolveOptions = SolveOptions(),
     tol: float = 1e-10,
 ) -> StationaryResult:
-    """Damped Picard iteration of the reduced problem under ``pressure`` (Pa per node).
+    """Picard iteration of the reduced problem under ``pressure`` (Pa per node).
 
-    Requires positive diffusivities; damped by ``DAMPING``.  Converges once
-    the damped iterate, with ``rho_i`` rebuilt from the weighted sum, meets
-    ``tol`` in the residuals the result reports: both density residuals at
-    most ``tol``, and the height residual at most ``max(tol, floor)``, with
-    the roundoff floor of :func:`_residuals_and_floor`.  The floor is a
-    bound: at 410 Pa it reads 2.7e-9 at n = 64 and 4.4e-8 at n = 128, where
-    the solve reaches 6.2e-11 and 1.1e-9; without it n = 128 would never
-    meet ``tol`` 1e-10 in height.  Non-convergence raises with the last
-    iterate and its residuals after ``MAX_PICARD`` iterations; a non-finite
-    new iterate raises with the last finite one.
+    Requires positive diffusivities.  Each iteration is a sweep of nonlinear
+    block Gauss-Seidel (Ortega & Rheinboldt, 1970, section 7.4): the height,
+    solved for the frozen active density, is taken undamped, as that solve
+    is exact for the frozen density; the active density is solved with the
+    ripping rate of that new height, and only its update is damped, by
+    ``DAMPING``.  Where nothing rips, the first iteration is the answer.
+    Converges once the iterate, with ``rho_i`` rebuilt from the weighted
+    sum, meets ``tol`` in the residuals the result reports: both density
+    residuals at most ``tol``, and the height residual at most ``max(tol,
+    floor)``, with the roundoff floor of :func:`_residuals_and_floor`.  The
+    floor is a bound: at 410 Pa it reads 2.7e-9 at n = 64 and 4.4e-8 at
+    n = 128, where the solve reaches 4.5e-11 and 8.6e-10; without it
+    n = 128 would never meet ``tol`` 1e-10 in height.  Non-convergence
+    raises with the last iterate and its residuals after ``MAX_PICARD``
+    iterations; a non-finite new height or density raises at once, with the
+    last finite iterate.
 
     The inner solves are inexact (Eisenstat & Walker, SIAM J. Sci. Comput.
     17, 1996): each iteration's height and density CG runs at
     ``max(tight, min(1e-6, 1e-3 r))``, ``r`` the largest residual of the
     previous iteration (1e-6 on the first) and ``tight`` from
     :meth:`SolveOptions.tight`, so the last iterations solve at 1e-12.  At
-    n = 64, 410 Pa that takes 66 Picard, 181 height CG and 9,274 density
-    CG iterations; solves at 1e-12 throughout take the same 66 Picard
-    iterations with 292 and 20,529 CG iterations.  A looser rule,
-    ``min(1e-4, 1e-2 r)``, takes 83 Picard iterations and 6,410 density CG
-    iterations at n = 64 but does not converge at n = 128, 410 Pa: it stops
-    at ``MAX_PICARD`` with the ``rho_a`` residual at 1.1e-10.  Stopping each
-    inner CG at a tenth of its own starting residual, with no ``1e-6`` cap,
-    keeps the Picard count and takes 4,145 density CG iterations at n = 64.
+    n = 64, 410 Pa that takes 52 Picard, 113 height CG and 6,485 density CG
+    iterations; with the rate of the previous, damped height it took 66,
+    181 and 9,274, and solves at 1e-12 throughout take 52, 215 and 15,326.
 
-    The height CG starts from the damped height, not from the
-    preconditioned right-hand side ``P b`` a time step starts at: once the
-    spring varies, the damped height lies within an increment of the
-    answer (with every solve at 1e-10, 234 height iterations in all against
-    286 from ``P b``, which wins only the first three, where the spring is
-    still uniform).  The density CG starts from the previous iteration's
-    undamped density, which is nearer its answer than the damped one.
-    (The node-wise reaction solution of the time steps is a worse start
-    here: without a ``1/tau`` term diffusion is about 30 % of this
-    operator.)
+    The height CG starts from the previous height, which once the spring
+    varies lies within an increment of the answer (from the time steps'
+    ``P b``: 184 height iterations at n = 64); the density CG from the
+    previous undamped density, nearer its answer than the damped one or the
+    time steps' node-wise reaction solution (without ``1/tau``, diffusion is
+    about 30 % of this operator).
     """
     if params.eta_a <= 0.0 or params.eta_i <= 0.0:
         raise ValueError("fixed point construction needs positive diffusivities")
@@ -178,6 +174,11 @@ def stationary_fixed_point(
             rho0_weighted=integrate(grid, params.eta_a * rho_bar + params.eta_i * rho_i),
         )
 
+    def require_finite(new: np.ndarray, iterations: int) -> None:
+        if not np.all(np.isfinite(new)):
+            raise StationaryError(f"fixed point: non-finite increment at iteration "
+                                  f"{iterations}", result_at(iterations - 1))
+
     tight = opts.tight().rel_tolerance
     h_bar = np.zeros(grid.num_nodes)
     rho_bar = np.full(grid.num_nodes, m0)  # |D| = 1
@@ -190,17 +191,16 @@ def stationary_fixed_point(
         B_h = ops.stationary_height_matrix(params, rho_bar)
         h_int = cg_solve(B_h, p_int, inner, x0=grid.restrict(h_bar), precond=B_h.precond)
         h_new = grid.embed(h_int)
+        require_finite(h_new, iterations)
 
-        # active-linker equation with frozen rate and mean-field source
-        rate = ripping_rate(h_bar, params)
+        # active-linker equation with the new height's rate and mean-field source
+        rate = ripping_rate(h_new, params)
         source = params.k * ((ratio - 1.0) * integrate(grid, rho_bar) + m0)
         B_a = ops.density_matrix(params.eta_a, params.k * ratio + rate)
         rho_new = cg_solve(B_a, w * source, inner, x0=rho_new)
+        require_finite(rho_new, iterations)
 
-        if not (np.all(np.isfinite(h_new)) and np.all(np.isfinite(rho_new))):
-            raise StationaryError(f"fixed point: non-finite increment at iteration "
-                                  f"{iterations}", result_at(iterations - 1))
-        h_bar = (1.0 - DAMPING) * h_bar + DAMPING * h_new
+        h_bar = h_new
         rho_bar = (1.0 - DAMPING) * rho_bar + DAMPING * rho_new
         residuals, floor = _residuals_and_floor(
             ops, params, pressure, h_bar, rho_bar, inactive(rho_bar))

@@ -74,7 +74,7 @@ def test_stationary_height_matrix_marks_each_picard_iteration(monkeypatch):
     residuals = _counting(monkeypatch, stationary, "_residuals")
     g = grid.build_grid(8)
     result = stationary.stationary_fixed_point(
-        ModelParams(), pressure_pulse(g, peak=50.0), 1.0, g
+        ModelParams(), pressure_pulse(g, peak=410.0), 1.0, g
     )
     assert result.iterations > 1
     assert len(heights) == result.iterations
