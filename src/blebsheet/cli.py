@@ -1,16 +1,17 @@
 """Command line runner: single scenarios, pressure sweeps, geometry checks.
 
 Exit codes: 0 success (including a sweep that finds no critical pressure in
-range), 1 solver failure, 2 configuration error.  Only the package's solver
-errors map to 1; any other exception propagates, and a configuration error
-exits before any output directory exists.  A config file that cannot be read
-and an output directory that cannot be created are configuration errors.
-``run`` picks the command from the config's scenario, and ``sweep`` runs its
-config as a ``pressure_sweep``.  Every command run from a config leaves a
-``manifest.json``, ``"status": "ok"`` or ``"failed"`` with the error; a run
-that fails at a time step also names the step and keeps its diagnostics up
-to it.  ``verify-geometry`` takes no config and writes only its CSV.  Every
-command runs in one process.
+range), 1 solver failure, 2 configuration error.  Only
+:class:`~blebsheet.linalg.SolveError` and its subclasses map to 1; any other
+exception propagates, and a configuration error exits before any output
+directory exists.  A config file that cannot be read and an output directory
+that cannot be created are configuration errors.  ``run`` picks the command
+from the config's scenario, and ``sweep`` runs its config as a
+``pressure_sweep``.  Every command run from a config leaves a
+``manifest.json``, ``"status": "ok"`` or ``"failed"`` with the error and the
+failed solve's last residual norm; a run that fails at a time step also
+names the step and keeps its diagnostics up to it.  ``verify-geometry``
+takes no config and writes only its CSV.  Every command runs in one process.
 """
 
 from __future__ import annotations
@@ -28,14 +29,12 @@ from .dynamics import Operators, StepError, build_pressure, initial_state, march
 from .energy import gamma_ladder
 from .geometry import verification_report
 from .grid import build_grid
-from .linalg import LinearSolveError, NewtonError
+from .linalg import SolveError
 from .model import pressure_pulse
 from .output import write_csv, write_diagnostics, write_manifest, write_snapshot
-from .stationary import StationaryError
 
-
-# the errors that exit 1
-_SOLVER_ERRORS = (LinearSolveError, NewtonError, StepError, StationaryError)
+#: Physical time the sweep protocol runs each peak for, in s.
+SWEEP_HORIZON = 1e-5
 
 
 def main(argv=None) -> int:
@@ -68,7 +67,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except _SOLVER_ERRORS as exc:
+    except SolveError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 1
 
@@ -100,16 +99,19 @@ def _execute(command, config: ScenarioConfig) -> int:
 
     The one place that times a command, creates ``config.output_dir`` and
     writes ``manifest.json``.  On success the manifest has ``"status":
-    "ok"`` and the extras the command returns.  On a solver error it has
-    ``"status": "failed"`` and ``error``, plus ``failed_step`` for a
-    :class:`StepError`, and the error propagates.
+    "ok"`` and the extras the command returns.  On a :class:`SolveError` it
+    has ``"status": "failed"``, ``error`` and ``residual_norm`` (``null``
+    unless finite), plus ``failed_step`` for a :class:`StepError`, and the
+    error propagates.
     """
     start = time.perf_counter()
     out = _output_dir(config.output_dir)
     try:
         extra = command(config, out)
-    except _SOLVER_ERRORS as exc:
-        extra = {"error": str(exc)}
+    except SolveError as exc:
+        norm = exc.residual_norm
+        extra = {"error": str(exc),
+                 "residual_norm": float(norm) if norm is not None and np.isfinite(norm) else None}
         if isinstance(exc, StepError):
             extra["failed_step"] = exc.step_index
         write_manifest(out / "manifest.json", config, time.perf_counter() - start, extra,
@@ -143,7 +145,7 @@ def _cmd_run(config: ScenarioConfig, out: Path) -> dict:
 
 
 def sweep_point(peak: float, config: ScenarioConfig, ops: Operators | None = None) -> float:
-    """Max height after ten steps for one peak pressure (sweep protocol).
+    """Max height at the sweep horizon for one peak pressure (sweep protocol).
 
     ``ops`` caches the assembled operators across points, as in ``step``.
     """
@@ -151,17 +153,20 @@ def sweep_point(peak: float, config: ScenarioConfig, ops: Operators | None = Non
 
 
 def _sweep_heights(peak: float, config: ScenarioConfig, ops: Operators | None) -> list[float]:
-    """Max height after each of the ten steps of the sweep protocol.
+    """Max height after each step up to the sweep horizon.
 
-    The load is the configured pulse with its peak replaced by ``peak``;
-    a ``pressure_sweep`` config admits no other pressure kind.
+    The protocol runs for ``SWEEP_HORIZON`` (10 us), that is
+    ``round(SWEEP_HORIZON / tau)`` steps and at least one: 10 at the default
+    ``tau``.  The load is the configured pulse with its peak replaced by
+    ``peak``; a ``pressure_sweep`` config admits no other pressure kind.
     """
     if ops is None:
         ops = Operators(build_grid(config.n))
     state = initial_state(config, ops.grid)
     pressure = pressure_pulse(ops.grid, peak=peak, center=tuple(config.pressure["center"]),
                               radius=config.pressure["radius"])
-    states = itertools.islice(march(state, config, ops, pressure), 10)
+    steps = max(1, round(SWEEP_HORIZON / config.tau))
+    states = itertools.islice(march(state, config, ops, pressure), steps)
     return [float(s.h.max()) for s in states]
 
 
@@ -170,16 +175,16 @@ def run_sweep(config: ScenarioConfig):
 
     Returns (rows, critical_pressure or None).  The swept variable is the
     peak of the configured pressure pulse (``pressure.peak`` itself is not
-    read; ``center`` and ``radius`` are kept).  The detector bisects
-    the indicator ``max_h(10 tau) > h_star`` between the first bracketing
+    read; ``center`` and ``radius`` are kept).  The detector bisects the
+    indicator ``max_h(SWEEP_HORIZON) > h_star`` between the first bracketing
     pair of samples, to the configured pressure tolerance or until the
     bracket's ends are adjacent floats, whichever comes first.  With no
     bracketing pair the critical pressure is None: either no sample crosses
     ``h_star``, or the first already does and the range starts above it.
 
     Sub-critical peaks are answered by superposition.  The protocol is run
-    once at a 1 Pa peak, keeping ``u10``, the max height after step 10, and
-    ``u_max``, the largest max height over steps 1 to 10.  A peak ``p`` with
+    once at a 1 Pa peak, keeping ``u10``, the max height at the horizon, and
+    ``u_max``, the largest max height over its steps.  A peak ``p`` with
     ``p * u_max <= h_star`` never lifts a node above ``h_star``, so the
     ripping rate stays zero, the densities do not depend on ``p`` and the
     height is linear in ``p`` (peaks are nonnegative): its value is
@@ -197,7 +202,8 @@ def run_sweep(config: ScenarioConfig):
             return run(peak, config, ops)
         except StepError as exc:
             cause = str(exc).removeprefix(f"step {exc.step_index}: ")
-            raise StepError(f"peak {peak!r} Pa: {cause}", exc.step_index) from exc
+            raise StepError(f"peak {peak!r} Pa: {cause}", exc.step_index,
+                            exc.residual_norm) from exc
 
     unit = protocol(_sweep_heights, 1.0)
     u10, u_max = unit[-1], max(unit)

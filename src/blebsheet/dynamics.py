@@ -44,15 +44,9 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .grid import DiaMatrix, Grid, assemble_dirichlet, assemble_laplacian, build_grid, integrate
-from .linalg import (
-    LinearSolveError,
-    NewtonError,
-    SolveOptions,
-    cg_solve,
-    gmres_solve,
-    newton_armijo,
-)
-from .model import MICROGRAM, PASCAL, ModelParams, ripping_rate
+from .linalg import SolveError, SolveOptions, cg_solve, gmres_solve, newton_armijo
+from .model import (MICROGRAM, PASCAL, ModelParams, disruption_initial, pressure_pulse,
+                    ripping_rate)
 
 
 class Scheme(str, enum.Enum):
@@ -129,11 +123,11 @@ class Diagnostics:
         self.decay_fit_r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
 
 
-class StepError(RuntimeError):
-    """A linear or Newton solve failed; carries the failing step index."""
+class StepError(SolveError):
+    """A time step's solve failed; carries the failing step index."""
 
-    def __init__(self, message: str, step_index: int):
-        super().__init__(f"step {step_index}: {message}")
+    def __init__(self, message: str, step_index: int, residual_norm: Optional[float] = None):
+        super().__init__(f"step {step_index}: {message}", residual_norm=residual_norm)
         self.step_index = step_index
 
 
@@ -312,7 +306,7 @@ def _solve_densities(
     Block Gauss-Seidel then starts from :func:`_reaction_start`, contracts
     about ``k * tau`` per sweep, and stops once the active equation, like
     the inactive one, meets ``cg_solve``'s test on its own right-hand side.
-    At ``tau`` >= 1e-3 it raises :class:`LinearSolveError` after 80 sweeps,
+    At ``tau`` >= 1e-3 it raises :class:`SolveError` after 80 sweeps,
     with the last iterate ``[rho_a | rho_i]`` and that residual; a coupled
     Krylov solve is to replace the loop.
     """
@@ -340,7 +334,7 @@ def _solve_densities(
         target = dopts.rel_tolerance * float(np.linalg.norm(rhs_a))
         if residual <= target:
             return rho_a_new, rho_i_new
-    raise LinearSolveError(
+    raise SolveError(
         f"implicit ripping coupling did not converge in 80 sweeps "
         f"(active residual {residual:.3e}, target {target:.3e})",
         np.concatenate([rho_a_new, rho_i_new]),
@@ -375,8 +369,8 @@ def step(
         else:
             h_int, rho_a, rho_i = _step_semi_implicit(state, tau, params, pressure, opts, ops,
                                                       scheme is Scheme.IMPLICIT_RIPPING)
-    except (LinearSolveError, NewtonError) as exc:
-        raise StepError(str(exc), state.step_index) from exc
+    except SolveError as exc:
+        raise StepError(str(exc), state.step_index, exc.residual_norm) from exc
     return State(h=grid.embed(h_int), rho_a=rho_a, rho_i=rho_i, t=state.t + tau,
                  step_index=state.step_index + 1)
 
@@ -408,12 +402,12 @@ def _step_semi_implicit(
     rhs = (params.c / tau) * grid.restrict(state.h) + PASCAL * grid.restrict(pressure)
     try:
         h_new_int = cg_solve(B_h, rhs, opts, x0=B_h.precond(rhs), precond=B_h.precond)
-    except LinearSolveError as exc:
+    except SolveError as exc:
         if rho_a_new.min() >= 0.0:
             raise  # else the spring xi rho_a makes the height operator indefinite
         flux = integrate(grid, rate * state.rho_a)
-        raise LinearSolveError(f"{exc}; min rho_a = {rho_a_new.min():.3e}, explicit ripping "
-                               f"flux {flux:.3e}", exc.iterate, exc.residual_norm) from exc
+        raise SolveError(f"{exc}; min rho_a = {rho_a_new.min():.3e}, explicit ripping "
+                         f"flux {flux:.3e}", exc.iterate, exc.residual_norm) from exc
     return h_new_int, rho_a_new, rho_i_new
 
 
@@ -554,7 +548,7 @@ def _step_fully_implicit(
         z0 = np.concatenate(_step_semi_implicit(state, tau, params, pressure, opts, ops, True))
         z = newton_armijo(residual, jacobian, z0, opts,
                           linear_solve=lambda J, rhs: _newton_solve(J, rhs, opts))
-    except (NewtonError, LinearSolveError):
+    except SolveError:
         # near the ripping switch the system can lose its solution at this tau,
         # at a large tau GMRES can stall above its target, and the predictor's
         # own solves can fail; two half steps still count as one step of tau
@@ -572,8 +566,6 @@ def _step_fully_implicit(
 
 def initial_state(config, grid: Grid) -> State:
     """Initial fields of a dynamics scenario config; its load is :func:`build_pressure`'s."""
-    from .model import disruption_initial
-
     if config.scenario == "disruption":
         rho_a0, rho_i0 = disruption_initial(
             grid,
@@ -590,8 +582,6 @@ def initial_state(config, grid: Grid) -> State:
 
 def build_pressure(config, grid: Grid) -> np.ndarray:
     """The config's load in Pa on every node, as a ``float64`` array."""
-    from .model import pressure_pulse
-
     desc = config.pressure
     kind = desc.get("kind")
     if kind == "pulse":

@@ -28,7 +28,7 @@ import numpy as np
 
 from .dynamics import HeightOperator, Operators
 from .grid import Grid
-from .linalg import ARMIJO_C1, BACKTRACK_FACTOR, NewtonError, SolveOptions, cg_solve
+from .linalg import ARMIJO_C1, BACKTRACK_FACTOR, SolveError, SolveOptions, cg_solve
 from .model import PASCAL, ModelParams, g_theta, g_theta_prime
 
 
@@ -136,7 +136,7 @@ def minimize_J(
     :meth:`Operators.membrane_norm` with the spring bound ``rho0``, bounds
     its sup norm, so the floor grows about fourfold per halving of the
     spacing.  At the iteration cap, on a direction that does not descend,
-    or when the line search fails, it raises :class:`NewtonError` with the
+    or when the line search fails, it raises :class:`SolveError` with the
     last iterate (on the full grid) and its gradient sup norm.
     """
     if ops is None:
@@ -160,7 +160,7 @@ def minimize_J(
         if sup_grad <= max(opts.newton_grad_tol, floor):
             break
         if iterations == opts.newton_max_iter:
-            raise NewtonError(
+            raise SolveError(
                 f"minimize_J: no convergence in {opts.newton_max_iter} Newton "
                 f"iterations (gradient sup {sup_grad:.3e}, roundoff floor {floor:.3e})",
                 grid.embed(h_int),
@@ -170,8 +170,8 @@ def minimize_J(
         direction = cg_solve(H, -grad / grid.spacing**2, opts, precond=H.precond)
         slope = float(grad @ direction)
         if not slope < 0.0:
-            raise NewtonError(f"minimize_J: Hessian solve gave no descent direction "
-                              f"(slope {slope:.3e})", grid.embed(h_int), sup_grad)
+            raise SolveError(f"minimize_J: Hessian solve gave no descent direction "
+                             f"(slope {slope:.3e})", grid.embed(h_int), sup_grad)
         # once the predicted decrease sinks below the roundoff floor of the
         # energy, the Armijo test cannot resolve it; take the pure Newton step
         resolved = -slope > 1e3 * np.finfo(float).eps * max(1.0, abs(energy))
@@ -181,8 +181,7 @@ def minimize_J(
         while resolved and energy_trial > energy + ARMIJO_C1 * alpha * slope:
             alpha *= BACKTRACK_FACTOR
             if alpha < 1e-14:
-                raise NewtonError("minimize_J: line search failed",
-                                  grid.embed(h_int), sup_grad)
+                raise SolveError("minimize_J: line search failed", grid.embed(h_int), sup_grad)
             trial = h_int + alpha * direction
             energy_trial = energy_at(trial)
         h_int, energy = trial, energy_trial

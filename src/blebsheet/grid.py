@@ -37,10 +37,6 @@ def _load_sparsetools():
 _sparsetools = _load_sparsetools()
 
 
-class GridError(ValueError):
-    """Raised for invalid grid sizes or mismatched field lengths."""
-
-
 class DiaMatrix:
     """A matrix stored by diagonals, with a product and nothing else.
 
@@ -125,7 +121,7 @@ def build_grid(n: int) -> Grid:
     interior node.
     """
     if n < 2:
-        raise GridError(f"need at least 2 cells per side, got n={n}")
+        raise ValueError(f"need at least 2 cells per side, got n={n}")
     m = n + 1
     spacing = 1.0 / n
     coords = np.arange(m) * spacing
@@ -192,7 +188,7 @@ def integrate(grid: Grid, field: np.ndarray) -> float:
     """Trapezoidal integral of a per-node field over the unit square."""
     field = np.asarray(field)
     if field.shape != grid.weights.shape:
-        raise GridError(
+        raise ValueError(
             f"field has {field.shape[0] if field.ndim else 0} entries, "
             f"grid has {grid.num_nodes} nodes"
         )

@@ -3,8 +3,10 @@
 The solvers take any operator that supports ``A @ x``: a
 :class:`~blebsheet.grid.DiaMatrix` (a grid Laplacian or a density matrix),
 a matrix-free height operator, or a Newton Jacobian.
-Failures raise instead of returning silently wrong vectors, and the raised
-errors carry the last iterate so callers can inspect partial progress.
+Failures raise :class:`SolveError` instead of returning silently wrong
+vectors, with the last iterate so callers can inspect partial progress.
+``dynamics.StepError`` and ``stationary.StationaryError`` subclass it; it
+and its subclasses alone map to the CLI's exit code 1.
 """
 
 from __future__ import annotations
@@ -65,19 +67,11 @@ class SolveOptions:
         return replace(self, rel_tolerance=min(self.rel_tolerance, TIGHT_TOLERANCE))
 
 
-class LinearSolveError(RuntimeError):
-    """A linear solve failed to reach the requested tolerance."""
+class SolveError(RuntimeError):
+    """A linear, Newton or outer solve failed; carries its last iterate and residual norm."""
 
-    def __init__(self, message: str, iterate: np.ndarray, residual_norm: float):
-        super().__init__(message)
-        self.iterate = iterate
-        self.residual_norm = residual_norm
-
-
-class NewtonError(RuntimeError):
-    """Newton iteration stalled or hit its iteration cap."""
-
-    def __init__(self, message: str, iterate: np.ndarray, residual_norm: float):
+    def __init__(self, message: str, iterate: Optional[np.ndarray] = None,
+                 residual_norm: Optional[float] = None):
         super().__init__(message)
         self.iterate = iterate
         self.residual_norm = residual_norm
@@ -94,7 +88,7 @@ def cg_solve(
     """Solve ``A x = b`` for symmetric positive (semi)definite ``A``.
 
     Stops when ``||A x - b|| <= rel_tolerance * ||b||``, and raises
-    :class:`LinearSolveError` if ``||b||`` or the final residual is not
+    :class:`SolveError` if ``||b||`` or the final residual is not
     finite.  ``x0`` warm-starts the iteration (time steppers pass the
     previous field).  If a list is given as ``residual_history`` the
     per-iteration residual norms are appended to it.
@@ -124,7 +118,7 @@ def cg_solve(
     it = 0
     while np.sqrt(rs) > tol:
         if it >= max_it:
-            raise LinearSolveError(
+            raise SolveError(
                 f"cg_solve: no convergence in {max_it} iterations "
                 f"(residual {np.sqrt(rs):.3e}, target {tol:.3e})",
                 x,
@@ -144,7 +138,7 @@ def cg_solve(
         Ap = A @ p
         pAp = float(p @ Ap)
         if pAp <= 0.0:
-            raise LinearSolveError(
+            raise SolveError(
                 f"cg_solve: operator not positive definite (p.Ap = {pAp:.3e})",
                 x,
                 float(np.sqrt(rs)),
@@ -158,19 +152,19 @@ def cg_solve(
         it += 1
     # a NaN or Inf in x0 makes every comparison above false
     if not np.isfinite(rs):
-        raise LinearSolveError(f"cg_solve: non-finite residual {np.sqrt(rs):.3e}", x,
-                               float(np.sqrt(rs)))
+        raise SolveError(f"cg_solve: non-finite residual {np.sqrt(rs):.3e}", x,
+                         float(np.sqrt(rs)))
     return x
 
 
 def _rhs_norm(b: np.ndarray, solver: str) -> float:
-    """``||b||``; a non-finite norm raises :class:`LinearSolveError`, with no numpy warning."""
+    """``||b||``; a non-finite norm raises :class:`SolveError`, with no numpy warning."""
     with np.errstate(over="ignore"):
         nb = float(np.linalg.norm(b))
     if not np.isfinite(nb):
         why = "a NaN or Inf entry" if not np.isfinite(b).all() else "entries whose norm overflows"
-        raise LinearSolveError(f"{solver}: non-finite right-hand side norm ({why})",
-                               np.zeros_like(b), nb)
+        raise SolveError(f"{solver}: non-finite right-hand side norm ({why})",
+                         np.zeros_like(b), nb)
     return nb
 
 
@@ -189,7 +183,7 @@ def gmres_solve(A, b: np.ndarray, precond: Callable[[np.ndarray], np.ndarray],
     Gram-Schmidt runs twice, so that roundoff is all that is left.  A cycle
     that ends at a breakdown short of the target restarts from its answer,
     like any other, which is a step of iterative refinement.  Raises
-    :class:`LinearSolveError` after ``max_iterations`` iterations, on a
+    :class:`SolveError` after ``max_iterations`` iterations, on a
     non-finite ``b`` or residual, and as stalled once a cycle ends without
     lowering the true residual: the target then lies below the roundoff
     floor of ``b - A x``.
@@ -202,13 +196,13 @@ def gmres_solve(A, b: np.ndarray, precond: Callable[[np.ndarray], np.ndarray],
     while True:
         beta = float(np.linalg.norm(r))
         if not np.isfinite(beta):
-            raise LinearSolveError(f"gmres_solve: non-finite residual {beta:.3e}", x, beta)
+            raise SolveError(f"gmres_solve: non-finite residual {beta:.3e}", x, beta)
         if beta <= tol:
             return x
         if it >= max_it or beta >= prev:
             why = f"no convergence in {max_it}" if it >= max_it else f"stalled after {it}"
-            raise LinearSolveError(f"gmres_solve: {why} iterations (residual {beta:.3e}, "
-                                   f"target {tol:.3e})", x, beta)
+            raise SolveError(f"gmres_solve: {why} iterations (residual {beta:.3e}, "
+                             f"target {tol:.3e})", x, beta)
         prev = beta
         m = min(GMRES_RESTART, max_it - it)
         V, Z, H = [r / beta], [], np.zeros((m + 1, m))  # the basis grows as it is built
@@ -226,7 +220,7 @@ def gmres_solve(A, b: np.ndarray, precond: Callable[[np.ndarray], np.ndarray],
             H[j + 1, j] = np.linalg.norm(v)
             it += 1
             if not np.isfinite(H[j + 1, j]):
-                raise LinearSolveError("gmres_solve: non-finite residual", x, beta)
+                raise SolveError("gmres_solve: non-finite residual", x, beta)
             y = np.linalg.lstsq(H[: j + 2, : j + 1], g[: j + 2], rcond=None)[0]
             exhausted = H[j + 1, j] <= GMRES_BREAKDOWN * v_norm
             if exhausted or np.linalg.norm(g[: j + 2] - H[: j + 2, : j + 1] @ y) <= tol:
@@ -253,7 +247,7 @@ def newton_armijo(
 
     ``jacobian(x)`` must return an object supporting ``J @ v``; the Newton
     systems are handed to ``linear_solve(J, rhs)``.  Raises
-    :class:`NewtonError` at once if ``residual(x0)`` or a trial step's
+    :class:`SolveError` at once if ``residual(x0)`` or a trial step's
     residual is not finite, with the last finite iterate, and as stalled
     once ``||residual||_inf`` has fallen by less than ``STALL_FACTOR`` over
     ``STALL_WINDOW`` iterations.
@@ -261,35 +255,35 @@ def newton_armijo(
     x = np.array(x0, dtype=float)
     F = np.asarray(residual(x), dtype=float)
     if not np.all(np.isfinite(F)):
-        raise NewtonError("newton_armijo: non-finite residual at the start point", x,
-                          float(np.max(np.abs(F))))
+        raise SolveError("newton_armijo: non-finite residual at the start point", x,
+                         float(np.max(np.abs(F))))
     sups = []
     for it in range(opts.newton_max_iter + 1):
         sups.append(float(np.max(np.abs(F))))
         if sups[-1] <= opts.newton_grad_tol:
             return x
         if it == opts.newton_max_iter:
-            raise NewtonError(f"newton_armijo: no convergence in {opts.newton_max_iter} "
-                              f"iterations (|residual|_inf = {sups[-1]:.3e})", x, sups[-1])
+            raise SolveError(f"newton_armijo: no convergence in {opts.newton_max_iter} "
+                             f"iterations (|residual|_inf = {sups[-1]:.3e})", x, sups[-1])
         if it >= STALL_WINDOW and sups[-1] * STALL_FACTOR > sups[-1 - STALL_WINDOW]:
-            raise NewtonError(f"newton_armijo: stalled at |residual|_inf = {sups[-1]:.3e} "
-                              f"(fell less than {STALL_FACTOR:g}x in {STALL_WINDOW} "
-                              f"iterations)", x, sups[-1])
+            raise SolveError(f"newton_armijo: stalled at |residual|_inf = {sups[-1]:.3e} "
+                             f"(fell less than {STALL_FACTOR:g}x in {STALL_WINDOW} "
+                             f"iterations)", x, sups[-1])
         J = jacobian(x)
         d = linear_solve(J, -F)
         # directional derivative of the merit along d
         slope = float(F @ (J @ d))
         if not slope < 0.0:
-            raise NewtonError(f"newton_armijo: linear solve gave no descent direction "
-                              f"(slope {slope:.3e})", x, sups[-1])
+            raise SolveError(f"newton_armijo: linear solve gave no descent direction "
+                             f"(slope {slope:.3e})", x, sups[-1])
         merit = 0.5 * float(F @ F)
         alpha = 1.0
         while True:
             x_trial = x + alpha * d
             F_trial = np.asarray(residual(x_trial), dtype=float)
             if not np.all(np.isfinite(F_trial)):
-                raise NewtonError(f"newton_armijo: non-finite residual at the trial step "
-                                  f"(alpha = {alpha:.3e})", x, sups[-1])
+                raise SolveError(f"newton_armijo: non-finite residual at the trial step "
+                                 f"(alpha = {alpha:.3e})", x, sups[-1])
             merit_trial = 0.5 * float(F_trial @ F_trial)
             # once ARMIJO_C1 * alpha * |slope| is below half an ulp of the
             # merit, the Armijo test alone passes a step that lowers nothing
@@ -297,6 +291,6 @@ def newton_armijo(
                 break
             alpha *= BACKTRACK_FACTOR
             if alpha < 1e-14:
-                raise NewtonError("newton_armijo: line search failed (step below 1e-14)",
-                                  x, sups[-1])
+                raise SolveError("newton_armijo: line search failed (step below 1e-14)",
+                                 x, sups[-1])
         x, F = x_trial, F_trial

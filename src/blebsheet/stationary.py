@@ -20,7 +20,7 @@ import numpy as np
 from .dynamics import Operators, stationary_terms
 from .dynamics import weighted_density_residual  # noqa: F401  re-exported
 from .grid import Grid, integrate
-from .linalg import SolveOptions, cg_solve
+from .linalg import SolveError, SolveOptions, cg_solve
 from .model import MICROGRAM, PASCAL, ModelParams, ripping_rate
 
 #: Weight of the new active density in each Picard update; the height is
@@ -33,11 +33,12 @@ DAMPING = 0.5
 MAX_PICARD = 500
 
 
-class StationaryError(RuntimeError):
-    """The fixed point failed to converge; carries the last iterate."""
+class StationaryError(SolveError):
+    """The fixed point failed to converge; carries the last iterate and its largest residual."""
 
-    def __init__(self, message: str, result: "StationaryResult" = None):
-        super().__init__(message)
+    def __init__(self, message: str, result: "StationaryResult"):
+        super().__init__(message, residual_norm=max(
+            result.residual_height, result.residual_rho_a, result.residual_rho_i))
         self.result = result
 
 
@@ -51,7 +52,6 @@ class StationaryResult:
     residual_rho_i: float
     iterations: int
     total_mass: float
-    rho0_weighted: float
 
 
 def _relative_sup(residual: np.ndarray, *terms: np.ndarray) -> float:
@@ -171,7 +171,6 @@ def stationary_fixed_point(
             residual_rho_i=res_i,
             iterations=iterations,
             total_mass=integrate(grid, rho_bar + rho_i),
-            rho0_weighted=integrate(grid, params.eta_a * rho_bar + params.eta_i * rho_i),
         )
 
     def require_finite(new: np.ndarray, iterations: int) -> None:

@@ -11,7 +11,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from blebsheet.config import parse_config_dict
-from blebsheet.cli import run_sweep
+from blebsheet.cli import SWEEP_HORIZON, run_sweep
 from blebsheet.dynamics import (
     FullyImplicitJacobian,
     Operators,
@@ -123,13 +123,13 @@ def test_criterion_4_fixed_point_vs_marching():
            "|h_fp - h_march|_inf at n = 32 -- " + "; ".join(line for _, line in cases))
 
 
-def _linear_oracle_critical_pressure(n=64, steps=10):
-    """Ten ripping-free steps at unit peak via a direct sparse solver."""
+def _linear_oracle_critical_pressure(n=64, tau=1e-6):
+    """Ripping-free steps up to the sweep horizon at unit peak via a direct sparse solver."""
     grid = build_grid(n)
     params = ModelParams()
     A = as_scipy(Operators(grid).A)
     B = (
-        (params.c / 1e-6) * sp.identity(grid.num_interior)
+        (params.c / tau) * sp.identity(grid.num_interior)
         + params.kappa * (A @ A)
         + params.gamma * A
         + params.xi * MICROGRAM * sp.identity(grid.num_interior)
@@ -137,8 +137,8 @@ def _linear_oracle_critical_pressure(n=64, steps=10):
     solve = spla.factorized(B)
     p = PASCAL * grid.restrict(pressure_pulse(grid, peak=1.0))
     h = np.zeros(grid.num_interior)
-    for _ in range(steps):
-        h = solve((params.c / 1e-6) * h + p)
+    for _ in range(max(1, round(SWEEP_HORIZON / tau))):
+        h = solve((params.c / tau) * h + p)
     return params.h_star / float(h.max())
 
 
@@ -154,6 +154,27 @@ def test_criterion_5_critical_pressure():
         f"p* detected = {detected:.1f} Pa, linear oracle = {oracle:.1f} Pa "
         f"(rel diff {rel:.3f}); published interval [240, 250] Pa reported, not asserted",
     )
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_critical_pressure_converges_in_tau(n):
+    # the sweep protocol runs for a physical time, so p* converges as tau
+    # falls: halving tau about halves the difference (first order)
+    taus = (1e-6, 5e-7, 2.5e-7)
+    pstar = []
+    for tau in taus:
+        cfg = parse_config_dict({"scenario": "pressure_sweep", "n": n, "tau": tau,
+                                 "sweep": {"bisect_tol": 0.05}})
+        pstar.append(run_sweep(cfg)[1])
+    assert None not in pstar, f"no critical pressure in [0, 500] Pa: {pstar}"
+    d1, d2 = pstar[0] - pstar[1], pstar[1] - pstar[2]
+    assert d1 > d2 > 0.0, pstar
+    ratio = d1 / d2
+    richardson = pstar[2] - d2 / (ratio - 1.0)
+    print(f"[p* in tau, n = {n}] " + ", ".join(f"{p:.2f}" for p in pstar)
+          + f" Pa at tau = {', '.join(f'{t:g}' for t in taus)} s; observed order "
+          f"{np.log2(ratio):.2f}, Richardson estimate {richardson:.1f} Pa")
+    assert 1.5 <= ratio <= 2.5, ratio
 
 
 def test_criterion_6_cortex_disruption(disruption_run_max_ramp, disruption_runs):

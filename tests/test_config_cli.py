@@ -555,7 +555,7 @@ def test_cli_failed_sweep_writes_failed_manifest(tmp_path, capsys, monkeypatch):
 
     def failing(peak, config, ops=None):
         peaks.append(peak)
-        raise dynamics.StepError("cg_solve: did not converge", 3)
+        raise dynamics.StepError("cg_solve: did not converge", 3, 2.5)
 
     # the default range is supercritical at its top, so full runs are made
     monkeypatch.setattr(cli, "sweep_point", failing)
@@ -567,6 +567,7 @@ def test_cli_failed_sweep_writes_failed_manifest(tmp_path, capsys, monkeypatch):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "failed"
     assert manifest["error"] == f"step 3: peak {peaks[0]!r} Pa: cg_solve: did not converge"
+    assert manifest["residual_norm"] == 2.5
     assert parse_config_dict(manifest["config"]).n == 6
     assert not (out / "sweep.csv").exists()
 
@@ -680,6 +681,7 @@ def test_cli_failed_run_keeps_partial_output(tmp_path, capsys):
     assert manifest["status"] == "failed"
     assert manifest["failed_step"] == 4
     assert "step 4" in manifest["error"]
+    assert manifest["residual_norm"] > 0.0
     assert parse_config_dict(manifest["config"]).max_iterations == 2
 
 
@@ -695,6 +697,28 @@ def test_cli_bare_runtime_error_propagates(tmp_path, monkeypatch):
                                    "output_dir": str(tmp_path / "out")})
     with pytest.raises(RuntimeError, match="not a solver failure"):
         main(["run", "--config", str(path)])
+
+
+def test_package_defines_one_error_class_per_exit():
+    # exit 2 is ConfigError; exit 1 is SolveError, which the time-step and
+    # stationary failures subclass; every other bad argument is a ValueError
+    import importlib
+    import pkgutil
+
+    import blebsheet
+    from blebsheet.linalg import SolveError
+
+    found = {}
+    for info in pkgutil.iter_modules(blebsheet.__path__):
+        module = importlib.import_module(f"blebsheet.{info.name}")
+        for name, value in vars(module).items():
+            if (isinstance(value, type) and issubclass(value, BaseException)
+                    and value.__module__ == module.__name__):
+                found[name] = value
+    assert sorted(found) == ["ConfigError", "SolveError", "StationaryError", "StepError"]
+    assert issubclass(found["StepError"], SolveError)
+    assert issubclass(found["StationaryError"], SolveError)
+    assert not issubclass(found["ConfigError"], SolveError)
 
 
 def test_write_csv_streams_the_joined_bytes(tmp_path):
@@ -790,6 +814,7 @@ def test_cli_failed_gamma_ladder_writes_failed_manifest(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "failed"
     assert manifest["error"].startswith("cg_solve: no convergence in 1")
+    assert manifest["residual_norm"] > 0.0
     assert "failed_step" not in manifest
     assert parse_config_dict(manifest["config"]).max_iterations == 1
     assert not (out / "gamma_ladder.csv").exists()
@@ -820,6 +845,7 @@ def test_every_scenario_leaves_a_manifest_that_reparses(tmp_path, scenario):
     assert (out / csv).exists()
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "ok"
+    assert "error" not in manifest and "residual_norm" not in manifest
     assert parse_config_dict(manifest["config"]) == parse_config(path)
 
 
@@ -865,12 +891,13 @@ def test_overflowing_sweep_fails_without_numpy_warnings(tmp_path, capsys):
     # the first sample above zero is the first point run in full
     peak = float(np.linspace(0.0, 1e300, 26)[1])
     assert manifest["error"].startswith(f"step 0: peak {peak!r} Pa: cg_solve: ")
+    assert manifest["residual_norm"] is None  # the norm overflowed; the manifest stays JSON
 
 
 @pytest.mark.parametrize("where", ["unit", "sample", "midpoint"])
 def test_failed_sweep_point_names_its_peak(monkeypatch, where):
     # the 1 Pa unit run, a full-run sample and a bisection midpoint each
-    # run the 10-step protocol through _sweep_heights
+    # run the protocol through _sweep_heights
     cfg = parse_config_dict({"scenario": "pressure_sweep", "n": 6})
     samples = [float(p) for p in np.linspace(cfg.sweep_min, cfg.sweep_max, cfg.sweep_samples)]
     fails = {"unit": lambda p: p == 1.0, "sample": lambda p: p in samples,
@@ -881,7 +908,7 @@ def test_failed_sweep_point_names_its_peak(monkeypatch, where):
     def failing(peak, config, ops):
         if fails(peak):
             failed.append(peak)
-            raise dynamics.StepError("cg_solve: did not converge", 4)
+            raise dynamics.StepError("cg_solve: did not converge", 4, 0.5)
         return heights(peak, config, ops)
 
     monkeypatch.setattr(cli, "_sweep_heights", failing)
@@ -890,6 +917,7 @@ def test_failed_sweep_point_names_its_peak(monkeypatch, where):
     assert len(failed) == 1
     assert str(err.value) == f"step 4: peak {failed[0]!r} Pa: cg_solve: did not converge"
     assert err.value.step_index == 4
+    assert err.value.residual_norm == 0.5
     assert str(err.value.__cause__) == "step 4: cg_solve: did not converge"
 
 

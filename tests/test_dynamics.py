@@ -27,7 +27,7 @@ from blebsheet.dynamics import (
     step,
 )
 from blebsheet.grid import DiaMatrix, assemble_laplacian, build_grid, integrate
-from blebsheet.linalg import LinearSolveError, SolveOptions, cg_solve
+from blebsheet.linalg import SolveError, SolveOptions, cg_solve
 from blebsheet.model import (
     MICROGRAM,
     PASCAL,
@@ -378,13 +378,12 @@ def test_failed_fully_implicit_attempt_stops_at_its_stall(monkeypatch):
 
 def test_fully_implicit_halving_stops_at_fixed_depth(monkeypatch):
     import blebsheet.dynamics as dyn
-    from blebsheet.linalg import NewtonError
 
     solves = []
 
     def stalled(residual, jacobian, x0, *args, **kwargs):
         solves.append(None)
-        raise NewtonError("stalled", x0, 1.0)
+        raise SolveError("stalled", x0, 1.0)
 
     monkeypatch.setattr(dyn, "newton_armijo", stalled)
     grid = build_grid(4)
@@ -394,6 +393,7 @@ def test_fully_implicit_halving_stops_at_fixed_depth(monkeypatch):
         step(state, 1e-6, ModelParams(), pressure_pulse(grid, peak=400.0), grid,
              Scheme.FULLY_IMPLICIT)
     assert info.value.step_index == 7
+    assert info.value.residual_norm == 1.0  # the failed solve's
     # the first half of every level fails in turn, down to the last level,
     # whose half would be shorter than the floor: 1e-6 / 2**9 ~ 1.95e-9 s
     assert 1e-6 / 2**10 < dyn._MIN_SUBSTEP <= 1e-6 / 2**9
@@ -411,7 +411,7 @@ def test_fully_implicit_step_halves_on_predictor_failure(monkeypatch):
     def first_fails(*args):
         predictions.append(None)
         if len(predictions) == 1:
-            raise LinearSolveError("predictor failed", np.zeros(1), 1.0)
+            raise SolveError("predictor failed", np.zeros(1), 1.0)
         return predict(*args)
 
     monkeypatch.setattr(dyn, "_step_semi_implicit", first_fails)
@@ -443,6 +443,7 @@ def test_step_failure_carries_step_index():
              SolveOptions(max_iterations=2), ops=ops)
     assert err.value.step_index == 7
     assert "step 7" in str(err.value)
+    assert err.value.residual_norm == err.value.__cause__.residual_norm > 0.0
 
 
 def test_invalid_tau_rejected():
@@ -954,7 +955,7 @@ def test_density_gauss_seidel_cap_raises():
     rho_a = rng.uniform(1.0, 2.0, grid.num_nodes)
     rho_i = rng.uniform(0.0, 1.0, grid.num_nodes)
     rate = np.full(grid.num_nodes, 1e6)
-    with pytest.raises(LinearSolveError, match="80 sweeps") as err:
+    with pytest.raises(SolveError, match="80 sweeps") as err:
         _solve_densities(ops, ModelParams(k=1e6), 1.0, rate, rho_a, rho_i, True,
                          SolveOptions())
     assert err.value.iterate.shape == (2 * grid.num_nodes,)
@@ -1016,7 +1017,7 @@ def test_coupled_density_solve_raises_at_large_tau():
     grid = build_grid(16)
     rho_a, rho_i, rate = _coupled_density_case(grid)
     params = ModelParams(k=1e4)
-    with pytest.raises(LinearSolveError, match="80 sweeps") as err:
+    with pytest.raises(SolveError, match="80 sweeps") as err:
         _solve_densities(Operators(grid), params, 1e-3, rate, rho_a, rho_i, True,
                          SolveOptions())
     _assert_active_residual_above_target(err.value, grid, params, 1e-3, rate, rho_a)
@@ -1155,7 +1156,7 @@ def test_fully_implicit_step_halves_on_gmres_stall(monkeypatch):
     def recorded(*args):
         try:
             return gmres_solve(*args)
-        except LinearSolveError as exc:
+        except SolveError as exc:
             stalls.append(str(exc))
             raise
 

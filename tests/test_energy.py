@@ -14,7 +14,7 @@ from blebsheet.energy import (
     minimize_J,
 )
 from blebsheet.grid import build_grid
-from blebsheet.linalg import NewtonError, SolveOptions
+from blebsheet.linalg import SolveError, SolveOptions
 from blebsheet.model import (
     PASCAL,
     ModelParams,
@@ -364,7 +364,7 @@ def test_minimize_J_cap_raises_newton_error():
     # supercritical, so one Newton step does not reach the minimizer
     p = pressure_pulse(grid, peak=400.0)
     opts = SolveOptions(newton_max_iter=1, newton_grad_tol=1e-30)
-    with pytest.raises(NewtonError, match="no convergence in 1 Newton") as err:
+    with pytest.raises(SolveError, match="no convergence in 1 Newton") as err:
         minimize_J(1e-3, 1.0, PARAMS, p, grid, opts=opts)
     assert err.value.iterate.shape == (grid.num_nodes,)
     assert err.value.residual_norm > 1e-30
@@ -426,7 +426,7 @@ def test_minimize_J_rejects_an_ascent_direction(monkeypatch):
     monkeypatch.setattr(energy, "cg_solve", lambda A, b, *args, **kwargs: -b)
     grid = build_grid(8)
     p = pressure_pulse(grid, peak=50.0)
-    with pytest.raises(NewtonError, match="no descent direction") as err:
+    with pytest.raises(SolveError, match="no descent direction") as err:
         minimize_J(1e-3, 1.0, PARAMS, p, grid)
     assert err.value.iterate.shape == (grid.num_nodes,)
 
@@ -439,7 +439,7 @@ def test_minimize_J_line_search_failure(monkeypatch):
     energies = iter(itertools.chain([0.0], itertools.repeat(1.0)))
     monkeypatch.setattr(energy, "eval_J_theta", lambda *args, **kwargs: next(energies))
     grid = build_grid(8)
-    with pytest.raises(NewtonError, match="minimize_J: line search failed") as err:
+    with pytest.raises(SolveError, match="minimize_J: line search failed") as err:
         minimize_J(1e-3, 1.0, PARAMS, pressure_pulse(grid, peak=400.0), grid)
     assert np.array_equal(err.value.iterate, np.zeros(grid.num_nodes))
     assert err.value.residual_norm > 0.0

@@ -7,8 +7,7 @@ import scipy.sparse as sp
 from blebsheet.dynamics import Operators
 from blebsheet.grid import build_grid
 from blebsheet.linalg import (
-    LinearSolveError,
-    NewtonError,
+    SolveError,
     SolveOptions,
     cg_solve,
     gmres_solve,
@@ -102,7 +101,7 @@ def test_cg_nonconvergence_carries_residual():
     b = np.ones(g.num_interior)
     opts = SolveOptions(max_iterations=2)
     for solve in (lambda: cg_solve(A, b, opts), lambda: gmres_solve(A, b, identity, opts)):
-        with pytest.raises(LinearSolveError, match="no convergence in 2") as err:
+        with pytest.raises(SolveError, match="no convergence in 2") as err:
             solve()
         assert err.value.residual_norm > 0.0
         assert err.value.iterate.shape == b.shape
@@ -112,9 +111,9 @@ def test_cg_nonconvergence_carries_residual():
 def test_cg_nonfinite_rhs_raises(bad):
     b = np.array([1.0, bad, 2.0, 3.0])
     for precond in (None, lambda r: 0.5 * r):
-        with pytest.raises(LinearSolveError, match="non-finite"):
+        with pytest.raises(SolveError, match="non-finite"):
             cg_solve(spm(np.eye(4)), b, precond=precond)
-    with pytest.raises(LinearSolveError, match="non-finite"):
+    with pytest.raises(SolveError, match="non-finite"):
         gmres_solve(spm(np.eye(4)), b, identity)
 
 
@@ -122,7 +121,7 @@ def test_cg_nonfinite_start_raises():
     # a NaN in x0 makes every comparison of the loop false, so CG returns
     # from no iteration unless the final residual check catches it
     x0 = np.array([0.0, np.nan, 0.0, 0.0])
-    with pytest.raises(LinearSolveError, match="cg_solve: non-finite residual nan") as err:
+    with pytest.raises(SolveError, match="cg_solve: non-finite residual nan") as err:
         cg_solve(spm(np.eye(4)), np.ones(4), x0=x0)
     assert np.isnan(err.value.residual_norm)
 
@@ -141,7 +140,7 @@ class _OverflowsAfter:
 def test_gmres_nonfinite_true_residual_raises():
     # the first cycle breaks down at once on the identity, and the true
     # residual of its answer takes the operator's second, infinite product
-    with pytest.raises(LinearSolveError, match="gmres_solve: non-finite residual inf") as err:
+    with pytest.raises(SolveError, match="gmres_solve: non-finite residual inf") as err:
         gmres_solve(_OverflowsAfter(1), np.ones(4), identity)
     assert np.array_equal(err.value.iterate, np.ones(4))
     assert err.value.residual_norm == np.inf
@@ -155,7 +154,7 @@ def test_overflowing_rhs_raises_without_numpy_warnings():
         warnings.simplefilter("error")
         for solve in (lambda: cg_solve(spm(np.eye(4)), b),
                       lambda: gmres_solve(spm(np.eye(4)), b, identity)):
-            with pytest.raises(LinearSolveError, match="entries whose norm overflows") as err:
+            with pytest.raises(SolveError, match="entries whose norm overflows") as err:
                 solve()
             assert err.value.residual_norm == np.inf
             assert np.array_equal(err.value.iterate, np.zeros(4))
@@ -230,7 +229,7 @@ def test_cg_iterates_bitwise_equal_the_reference_loop(seed, jacobi):
     # every intermediate iterate, through the iteration cap's error
     for cap in range(iterations):
         calls.clear()
-        with pytest.raises(LinearSolveError, match="no convergence") as err:
+        with pytest.raises(SolveError, match="no convergence") as err:
             cg_solve(A, b, replace(opts, max_iterations=cap), x0=x0, precond=precond)
         assert len(calls) == (cap if jacobi else 0)
         want, _ = _reference_cg(A, b, 1e-10, x0, cap, reference)
@@ -309,7 +308,7 @@ def test_gmres_stalls_below_its_roundoff_floor():
         calls.append(None)
         return r
 
-    with pytest.raises(LinearSolveError, match="stalled") as err:
+    with pytest.raises(SolveError, match="stalled") as err:
         gmres_solve(A, b, counted, SolveOptions(rel_tolerance=1e-17))
     assert len(calls) <= 3 * GMRES_RESTART
     assert err.value.residual_norm <= 1e-14 * np.linalg.norm(b)
@@ -355,7 +354,7 @@ def test_gmres_ends_its_cycle_at_a_happy_breakdown():
     assert np.linalg.norm(x - want) <= 1e-14 * np.linalg.norm(want)
 
     rec = _CycleRecorder(A)
-    with pytest.raises(LinearSolveError, match="stalled") as err:
+    with pytest.raises(SolveError, match="stalled") as err:
         gmres_solve(rec, b, rec.precond, SolveOptions(rel_tolerance=1e-17))
     assert rec.cycles[0] == 12
     assert np.linalg.norm(err.value.iterate - want) <= 1e-14 * np.linalg.norm(want)
@@ -380,14 +379,14 @@ def test_gmres_exhausts_a_full_krylov_space_in_one_cycle():
         assert np.linalg.norm(first - want) <= 1e-12 * np.linalg.norm(want), seed
         assert np.linalg.norm(b - A @ first) <= 1e-12 * np.linalg.norm(b), seed
 
-    with pytest.raises(LinearSolveError, match="stalled"):
+    with pytest.raises(SolveError, match="stalled"):
         gmres_solve(A, b, identity, SolveOptions(rel_tolerance=1e-17))
 
 
 def test_gmres_zero_rhs_and_nonfinite_preconditioner():
     A, b = _nonsymmetric_system(6, 3)
     assert np.array_equal(gmres_solve(A, np.zeros(6), identity), np.zeros(6))
-    with pytest.raises(LinearSolveError, match="non-finite") as err:
+    with pytest.raises(SolveError, match="non-finite") as err:
         gmres_solve(A, b, lambda r: np.full_like(r, np.nan))
     assert np.array_equal(err.value.iterate, np.zeros(6))
 
@@ -490,7 +489,7 @@ def test_newton_line_search_failure():
             evaluations.append(None)
             return F(x)
 
-        with pytest.raises(NewtonError, match=r"line search failed \(step below 1e-14\)") as err:
+        with pytest.raises(SolveError, match=r"line search failed \(step below 1e-14\)") as err:
             newton_armijo(residual, lambda x: sign * np.eye(1), np.zeros(1),
                           linear_solve=lambda J, rhs: np.linalg.solve(J, rhs))
         assert len(evaluations) == 1 + 47  # the start, then steps 1, 1/2, ..., 2**-46
@@ -499,7 +498,7 @@ def test_newton_line_search_failure():
 
 
 def test_newton_iteration_cap():
-    with pytest.raises(NewtonError) as err:
+    with pytest.raises(SolveError, match="no convergence in 2") as err:
         newton_armijo(
             residual=lambda x: x**3 - 8.0,
             jacobian=lambda x: np.array([[3.0 * x[0] ** 2]]),
@@ -519,7 +518,7 @@ def test_newton_nonfinite_start_raises_at_once():
         evaluations.append(None)
         return x + np.nan
 
-    with pytest.raises(NewtonError, match="non-finite residual at the start point"):
+    with pytest.raises(SolveError, match="non-finite residual at the start point"):
         newton_armijo(residual, lambda x: np.eye(2), np.zeros(2),
                       linear_solve=lambda J, rhs: np.linalg.solve(J, rhs))
     assert len(evaluations) == 1
@@ -534,7 +533,7 @@ def test_newton_nonfinite_trial_residual_raises_at_once():
         evaluations.append(None)
         return x - 1.0 if x[0] < 0.5 else x + np.nan
 
-    with pytest.raises(NewtonError, match="non-finite residual at the trial step") as err:
+    with pytest.raises(SolveError, match="non-finite residual at the trial step") as err:
         newton_armijo(residual, lambda x: np.eye(2), np.zeros(2),
                       linear_solve=lambda J, rhs: np.linalg.solve(J, rhs))
     assert len(evaluations) == 2
@@ -549,7 +548,7 @@ def test_newton_rejects_an_ascent_direction():
         evaluations.append(None)
         return x - 1.0
 
-    with pytest.raises(NewtonError, match="no descent direction"):
+    with pytest.raises(SolveError, match="no descent direction"):
         newton_armijo(residual, lambda x: np.eye(2), np.zeros(2),
                       linear_solve=lambda J, rhs: -rhs)
     assert len(evaluations) == 1
@@ -563,7 +562,7 @@ def test_newton_raises_once_the_residual_stalls():
         jacobians.append(None)
         return np.eye(1)
 
-    with pytest.raises(NewtonError, match="stalled") as err:
+    with pytest.raises(SolveError, match="stalled") as err:
         newton_armijo(lambda x: x - 1.0, jacobian, np.zeros(1),
                       linear_solve=lambda J, rhs: 0.1 * np.linalg.solve(J, rhs))
     assert len(jacobians) == STALL_WINDOW

@@ -371,3 +371,5 @@ def test_fixed_point_non_convergence_raises_with_last_iterate(monkeypatch):
     result = err.value.result
     assert result.iterations == 3
     assert max(result.residual_height, result.residual_rho_a, result.residual_rho_i) > 1e-10
+    assert err.value.residual_norm == max(
+        result.residual_height, result.residual_rho_a, result.residual_rho_i)
