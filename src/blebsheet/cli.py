@@ -7,7 +7,8 @@ exception propagates, and a configuration error exits before any output
 directory exists.  A config file that cannot be read and an output directory
 that cannot be created are configuration errors.  ``run`` picks the command
 from the config's scenario, and ``sweep`` runs its config as a
-``pressure_sweep``.  Every command run from a config leaves a
+``pressure_sweep``, whose critical pressure is read off the linear response
+to a unit peak.  Every command run from a config leaves a
 ``manifest.json``, ``"status": "ok"`` or ``"failed"`` with the error and the
 failed solve's last residual norm; a run that fails at a time step also
 names the step and keeps its diagnostics up to it.  ``verify-geometry``
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import sys
 import time
 from pathlib import Path
@@ -50,7 +52,7 @@ def main(argv=None) -> int:
     run_p.add_argument("--n", type=int, default=None, help="override the grid size")
     run_p.add_argument("--tau", type=float, default=None, help="override the time step")
 
-    sweep_p = sub.add_parser("sweep", help="pressure sweep with bisection detector")
+    sweep_p = sub.add_parser("sweep", help="pressure sweep and its critical pressure")
     sweep_p.add_argument("--config", required=True)
     sweep_p.add_argument("--out", default=None)
 
@@ -159,6 +161,8 @@ def _sweep_heights(peak: float, config: ScenarioConfig, ops: Operators | None) -
     ``round(SWEEP_HORIZON / tau)`` steps and at least one: 10 at the default
     ``tau``.  The load is the configured pulse with its peak replaced by
     ``peak``; a ``pressure_sweep`` config admits no other pressure kind.
+    ``run_sweep`` keeps every step of its unit runs: their largest value
+    fixes the critical pressure.
     """
     if ops is None:
         ops = Operators(build_grid(config.n))
@@ -171,28 +175,31 @@ def _sweep_heights(peak: float, config: ScenarioConfig, ops: Operators | None) -
 
 
 def run_sweep(config: ScenarioConfig):
-    """Sampled response curve plus the bisection detector.
+    """Sampled response curve plus the critical pressure read off its unit response.
 
     Returns (rows, critical_pressure or None).  The swept variable is the
     peak of the configured pressure pulse (``pressure.peak`` itself is not
-    read; ``center`` and ``radius`` are kept).  The detector bisects the
-    indicator ``max_h(SWEEP_HORIZON) > h_star`` between the first bracketing
-    pair of samples, to the configured pressure tolerance or until the
-    bracket's ends are adjacent floats, whichever comes first.  With no
-    bracketing pair the critical pressure is None: either no sample crosses
-    ``h_star``, or the first already does and the range starts above it.
+    read; ``center`` and ``radius`` are kept).  Below ``h_star`` the ripping
+    rate is zero, the densities do not depend on the peak and the height is
+    linear in it (peaks are nonnegative).  The protocol is therefore run
+    once at a unit peak, 1 Pa, and rerun at ``0.5 * h_star / max`` times
+    that peak while its max height passes ``h_star``.  Per Pa of peak it
+    gives ``u10``, the max height at the horizon, and ``u_max``, the largest
+    max height over its steps.
 
-    Sub-critical peaks are answered by superposition.  The protocol is run
-    once at a 1 Pa peak, keeping ``u10``, the max height at the horizon, and
-    ``u_max``, the largest max height over its steps.  A peak ``p`` with
-    ``p * u_max <= h_star`` never lifts a node above ``h_star``, so the
-    ripping rate stays zero, the densities do not depend on ``p`` and the
-    height is linear in ``p`` (peaks are nonnegative): its value is
-    ``p * u10`` without a run.  Every other peak runs ``sweep_point`` in
-    full, and so does every peak when the 1 Pa run itself passes ``h_star``.
-    Superposed values match a full run to about 1e-12 relative.  Every
-    point runs in this process, on one set of operators built once.  A
-    point that fails, the 1 Pa run included, names its peak in its error.
+    The critical pressure is ``h_star / u_max``, the least peak whose
+    protocol lifts a node above ``h_star``, and exact: the step that first
+    does so still takes its densities at the previous height's zero rate
+    (under FullyImplicit, ripping only raises it further).  It is None
+    unless ``sweep_min <= p* < sweep_max``: either no sample reaches it, or
+    the range starts above it.  A pulse that covers no node has ``u_max``
+    0 and no critical pressure.  ``sweep.bisect_tol`` is not read.
+
+    A sample ``p`` with ``p * u_max <= h_star`` gets ``p * u10`` without a
+    run; every other sample runs ``sweep_point`` in full.  These superposed
+    values match a full run to about 1e-12 relative.  Every point runs in
+    this process, on one set of operators built once.  A protocol that
+    fails, a unit run included, names its peak in its error.
     """
     ops = Operators(build_grid(config.n))
     h_star = config.params.h_star
@@ -205,34 +212,18 @@ def run_sweep(config: ScenarioConfig):
             raise StepError(f"peak {peak!r} Pa: {cause}", exc.step_index,
                             exc.residual_norm) from exc
 
-    unit = protocol(_sweep_heights, 1.0)
-    u10, u_max = unit[-1], max(unit)
-
-    def superposed(peak: float) -> bool:
-        return u_max <= h_star and peak * u_max <= h_star
-
-    def value(peak: float) -> float:
-        return peak * u10 if superposed(peak) else protocol(sweep_point, peak)
+    unit_peak = 1.0
+    unit = protocol(_sweep_heights, unit_peak)
+    while max(unit) > h_star:  # the unit run rips: its heights are not linear
+        unit_peak *= 0.5 * h_star / max(unit)
+        unit = protocol(_sweep_heights, unit_peak)
+    u10, u_max = unit[-1] / unit_peak, max(unit) / unit_peak
 
     peaks = [float(p) for p in np.linspace(config.sweep_min, config.sweep_max,
                                            config.sweep_samples)]
-    values = [value(p) for p in peaks]
-    rows = list(zip(peaks, values))
-
-    crossed = [v > h_star for v in values]
-    if crossed[0] or not any(crossed):
-        return rows, None
-    i = crossed.index(True)
-    lo, hi = peaks[i - 1], peaks[i]
-    while hi - lo > config.sweep_bisect_tol:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):  # adjacent floats: the bracket cannot shrink
-            break
-        if value(mid) > h_star:
-            hi = mid
-        else:
-            lo = mid
-    return rows, float(0.5 * (lo + hi))
+    rows = [(p, p * u10 if p * u_max <= h_star else protocol(sweep_point, p)) for p in peaks]
+    critical = h_star / u_max if u_max > 0.0 else math.inf
+    return rows, critical if config.sweep_min <= critical < config.sweep_max else None
 
 
 def _cmd_sweep(config: ScenarioConfig, out: Path) -> dict:

@@ -142,17 +142,37 @@ def _linear_oracle_critical_pressure(n=64, tau=1e-6):
     return params.h_star / float(h.max())
 
 
+def _critical_pressure(n: int, tau: float = 1e-6) -> float:
+    """p* of the sweep protocol; a sweep's range only decides whether p* is reported."""
+    cfg = parse_config_dict({"scenario": "pressure_sweep", "n": n, "tau": tau,
+                             "sweep": {"min": 270.0, "max": 290.0, "samples": 2}})
+    return run_sweep(cfg)[1]
+
+
+def _richardson(values):
+    """(ratio of successive differences, extrapolated limit) of three values at halved steps."""
+    d1, d2 = values[1] - values[0], values[2] - values[1]
+    ratio = d1 / d2
+    return ratio, values[2] + d2 / (ratio - 1.0)
+
+
 def test_criterion_5_critical_pressure():
     cfg = parse_config_dict({"scenario": "pressure_sweep"})
     rows, detected = run_sweep(cfg)
     assert detected is not None, "no critical pressure found in [0, 500] Pa"
     oracle = _linear_oracle_critical_pressure()
     rel = abs(detected - oracle) / oracle
-    ok = rel <= 0.15 and 150.0 <= detected <= 400.0
+    ok = rel <= 1e-9 and 150.0 <= detected <= 400.0
+    # the default tau and h both bias p*: extrapolate in tau at n = 64, then
+    # add the extrapolated change in h at the default tau
+    _, in_tau = _richardson([_critical_pressure(64, tau) for tau in (1e-6, 5e-7, 2.5e-7)])
+    _, in_h = _richardson([_critical_pressure(n) for n in (32, 64, 128)])
+    extrapolated = in_tau + in_h - _critical_pressure(64)
     report(
         5, ok,
-        f"p* detected = {detected:.1f} Pa, linear oracle = {oracle:.1f} Pa "
-        f"(rel diff {rel:.3f}); published interval [240, 250] Pa reported, not asserted",
+        f"p* detected = {detected:.4f} Pa, linear oracle = {oracle:.4f} Pa "
+        f"(rel diff {rel:.1e}); extrapolated in tau and h {extrapolated:.1f} Pa; "
+        f"published interval [240, 250] Pa reported, not asserted",
     )
 
 
@@ -163,18 +183,30 @@ def test_critical_pressure_converges_in_tau(n):
     taus = (1e-6, 5e-7, 2.5e-7)
     pstar = []
     for tau in taus:
-        cfg = parse_config_dict({"scenario": "pressure_sweep", "n": n, "tau": tau,
-                                 "sweep": {"bisect_tol": 0.05}})
+        cfg = parse_config_dict({"scenario": "pressure_sweep", "n": n, "tau": tau})
         pstar.append(run_sweep(cfg)[1])
     assert None not in pstar, f"no critical pressure in [0, 500] Pa: {pstar}"
-    d1, d2 = pstar[0] - pstar[1], pstar[1] - pstar[2]
-    assert d1 > d2 > 0.0, pstar
-    ratio = d1 / d2
-    richardson = pstar[2] - d2 / (ratio - 1.0)
+    assert pstar[0] > pstar[1] > pstar[2], pstar
+    ratio, richardson = _richardson(pstar)
     print(f"[p* in tau, n = {n}] " + ", ".join(f"{p:.2f}" for p in pstar)
           + f" Pa at tau = {', '.join(f'{t:g}' for t in taus)} s; observed order "
           f"{np.log2(ratio):.2f}, Richardson estimate {richardson:.1f} Pa")
     assert 1.5 <= ratio <= 2.5, ratio
+
+
+def test_critical_pressure_converges_in_h():
+    # at a fixed tau, halving h cuts the change in p* by about 4 to 5 (order 2)
+    ns = (16, 32, 64, 128)
+    pstar = [_critical_pressure(n) for n in ns]
+    assert None not in pstar, f"no critical pressure in [270, 290] Pa: {pstar}"
+    ratios = [_richardson(pstar[i:i + 3])[0] for i in (0, 1)]
+    _, richardson = _richardson(pstar[1:])
+    print(f"[p* in h, tau = 1e-6] " + ", ".join(f"{p:.4f}" for p in pstar)
+          + f" Pa at n = {', '.join(map(str, ns))}; difference ratios "
+          + ", ".join(f"{r:.2f}" for r in ratios) + ", observed orders "
+          + ", ".join(f"{np.log2(r):.2f}" for r in ratios)
+          + f"; Richardson estimate {richardson:.2f} Pa")
+    assert all(3.0 <= r <= 6.0 for r in ratios), ratios
 
 
 def test_criterion_6_cortex_disruption(disruption_run_max_ramp, disruption_runs):

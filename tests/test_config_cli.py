@@ -415,9 +415,9 @@ def test_sweep_monotone_and_detector(tmp_path):
     values = [v for _, v in rows]
     assert all(v2 >= v1 - 1e-12 for v1, v2 in zip(values, values[1:]))
     assert critical is not None
-    # the detector agrees with the exactly linear subcritical response
+    # the critical pressure is that of the exactly linear subcritical response
     gain = sweep_point(1.0, cfg)
-    assert critical == pytest.approx(cfg.params.h_star / gain, abs=2.5)
+    assert critical == pytest.approx(cfg.params.h_star / gain, rel=1e-12)
 
 
 def test_sweep_whose_first_sample_is_above_critical_reports_it(tmp_path, capsys):
@@ -438,8 +438,9 @@ def test_sweep_whose_first_sample_is_above_critical_reports_it(tmp_path, capsys)
 
 
 def test_sweep_bisection_ends_when_its_bracket_cannot_shrink():
-    # below one ulp of the critical pressure the midpoint rounds to an end
-    # of the bracket; the bisection must stop there instead of looping
+    # bisect_tol is accepted but not read: a tolerance below one ulp of the
+    # critical pressure, where a bisection's midpoint would round to an end
+    # of its bracket, ends and gives the same critical pressure as any other
     import subprocess
     import sys
 
@@ -456,7 +457,7 @@ def test_sweep_bisection_ends_when_its_bracket_cannot_shrink():
     tiny = float(done.stdout)
     _, coarse = run_sweep(parse_config_dict({"scenario": "pressure_sweep", "n": 8,
                                              "sweep": {"bisect_tol": 1e-12}}))
-    assert tiny == pytest.approx(coarse, rel=0.0, abs=1e-12)
+    assert tiny == coarse
 
 
 def test_sweep_cli_with_detection(tmp_path, capsys):
@@ -503,7 +504,7 @@ def test_sweep_takes_the_configured_pulse_shape():
     _, critical = run_sweep(narrow)
     assert wide is not None and critical is not None
     assert critical > 2.0 * wide
-    assert critical == pytest.approx(narrow.params.h_star / sweep_point(1.0, narrow), abs=2.5)
+    assert critical == pytest.approx(narrow.params.h_star / sweep_point(1.0, narrow), rel=1e-12)
     moved = parse_config_dict({**doc, "pressure": {"kind": "pulse", "radius": 0.2,
                                                    "center": [0.3, 0.5]}})
     assert sweep_point(1.0, moved) != sweep_point(1.0, narrow)
@@ -573,7 +574,7 @@ def test_cli_failed_sweep_writes_failed_manifest(tmp_path, capsys, monkeypatch):
 
 
 def _plain_sweep(cfg):
-    """Reference sweep that runs every sample and bisection point in full."""
+    """Reference sweep that runs every sample in full and bisects the indicator."""
     peaks = [float(p) for p in np.linspace(cfg.sweep_min, cfg.sweep_max, cfg.sweep_samples)]
     rows = [(p, sweep_point(p, cfg)) for p in peaks]
     h_star = cfg.params.h_star
@@ -620,23 +621,52 @@ def test_sweep_superposition_matches_full_runs(monkeypatch, n):
     assert abs(critical - plain_critical) <= cfg.sweep_bisect_tol
     # the 1 Pa run and every crossing sample run in full, the rest do not
     crossing = sum(v > cfg.params.h_star for _, v in rows)
-    assert 10 * (1 + crossing) <= len(steps) < 10 * cfg.sweep_samples
+    assert len(steps) == 10 * (1 + crossing)
 
 
-def test_sweep_without_linear_range_runs_every_point():
+WITHOUT_LINEAR_RANGE = {
+    "scenario": "pressure_sweep",
+    "n": 8,
+    "params": {"h_star": 1e-3},
+    "sweep": {"min": 0.0, "max": 1.0, "samples": 5, "bisect_tol": 0.05},
+}
+
+
+def test_sweep_without_linear_range_reruns_its_unit_run(monkeypatch):
     # at this h_star the 1 Pa response rips from step 4, so its heights are no
-    # unit response; the 0.25 Pa sample stays below h_star but must still run
-    cfg = parse_config_dict({
-        "scenario": "pressure_sweep",
-        "n": 8,
-        "params": {"h_star": 1e-3},
-        "sweep": {"min": 0.0, "max": 1.0, "samples": 5, "bisect_tol": 0.05},
-    })
+    # unit response; it is rerun at half of h_star over its max
+    cfg = parse_config_dict(WITHOUT_LINEAR_RANGE)
     assert sweep_point(1.0, cfg) > cfg.params.h_star
+    heights = cli._sweep_heights
+    unit_peaks = []
+
+    def recorded(peak, config, ops):
+        unit_peaks.append(peak)
+        return heights(peak, config, ops)
+
+    monkeypatch.setattr(cli, "_sweep_heights", recorded)
     rows, critical = run_sweep(cfg)
+    monkeypatch.undo()
+    # two unit runs, then sweep_point's full runs of the samples above p*
+    assert unit_peaks[:2] == [1.0, pytest.approx(0.2483, abs=1e-4)]
+    assert critical is not None
+    assert unit_peaks[2:] == [p for p, _ in rows if p > critical] == [0.75, 1.0]
     plain_rows, plain_critical = _plain_sweep(cfg)
-    assert rows == plain_rows
-    assert critical == plain_critical
+    assert [p for p, _ in rows] == [p for p, _ in plain_rows]
+    for (_, v), (_, ref) in zip(rows, plain_rows):
+        assert v == pytest.approx(ref, rel=1e-12, abs=0.0)
+    assert abs(critical - plain_critical) <= cfg.sweep_bisect_tol
+
+
+def test_sweep_of_a_load_on_no_node_finds_no_critical_pressure():
+    # a pulse narrower than the grid spacing, centred between nodes, loads
+    # nothing: the unit response is zero and no peak reaches h_star
+    cfg = parse_config_dict({"scenario": "pressure_sweep", "n": 8,
+                             "pressure": {"kind": "pulse", "center": [0.51, 0.5],
+                                          "radius": 0.005}})
+    rows, critical = run_sweep(cfg)
+    assert [v for _, v in rows] == [0.0] * cfg.sweep_samples
+    assert critical is None
 
 
 # two CG iterations solve every step until ripping switches on at step 4,
@@ -894,14 +924,15 @@ def test_overflowing_sweep_fails_without_numpy_warnings(tmp_path, capsys):
     assert manifest["residual_norm"] is None  # the norm overflowed; the manifest stays JSON
 
 
-@pytest.mark.parametrize("where", ["unit", "sample", "midpoint"])
+@pytest.mark.parametrize("where", ["unit", "sample", "rerun"])
 def test_failed_sweep_point_names_its_peak(monkeypatch, where):
-    # the 1 Pa unit run, a full-run sample and a bisection midpoint each
-    # run the protocol through _sweep_heights
-    cfg = parse_config_dict({"scenario": "pressure_sweep", "n": 6})
+    # the 1 Pa unit run, a full-run sample and the rerun unit run of a sweep
+    # whose 1 Pa run rips each run the protocol through _sweep_heights
+    doc = WITHOUT_LINEAR_RANGE if where == "rerun" else {"scenario": "pressure_sweep", "n": 6}
+    cfg = parse_config_dict(doc)
     samples = [float(p) for p in np.linspace(cfg.sweep_min, cfg.sweep_max, cfg.sweep_samples)]
     fails = {"unit": lambda p: p == 1.0, "sample": lambda p: p in samples,
-             "midpoint": lambda p: p != 1.0 and p not in samples}[where]
+             "rerun": lambda p: p != 1.0 and p not in samples}[where]
     heights = cli._sweep_heights
     failed = []
 

@@ -1,12 +1,15 @@
-"""The names the benchmark runner (``perfbench/run.py``) wraps keep existing.
+"""The names the benchmark runner (``perfbench/run.py``) wraps or reads keep existing.
 
 The runner patches these functions and methods by name, reads some of their
-arguments by name, and marks time steps and Picard iterations by their
-calls.  A rename or a changed call pattern would make the benchmark measure
-the wrong thing, or nothing, without any other test noticing.
+arguments by name, marks time steps and Picard iterations by their calls,
+and reads config fields, result fields and manifest keys by name.  A
+rename or a changed call pattern would make the benchmark measure the wrong
+thing, or nothing, without any other test noticing.
 """
 
+import dataclasses
 import inspect
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -181,3 +184,35 @@ def test_import_leaves_heavy_modules_unloaded():
     done = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
                           text=True, timeout=120, check=True)
     assert done.stdout.splitlines() == ["", "", ""]
+
+
+# what the runner reads by attribute or key, beyond the names it wraps
+CONFIG_READS = ("n", "tau", "params", "sweep_samples", "sweep_bisect_tol")
+PARAMS_READS = ("c", "gamma", "h_star", "kappa", "xi")
+RESULT_READS = ("h", "rho_a", "rho_i", "total_mass")
+
+
+def test_runner_reads_exist(tmp_path):
+    # the runner's sweep check compares critical_pressure with its own oracle
+    # to within sweep_bisect_tol, a key that no package code reads any more
+    cfg = config.parse_config_dict({"scenario": "pressure_sweep", "n": 4,
+                                    "sweep": {"samples": 3}})
+    for name in CONFIG_READS:
+        assert hasattr(cfg, name), name
+    for name in PARAMS_READS:
+        assert isinstance(getattr(cfg.params, name), float), name
+    assert isinstance(cfg.solve_options(), linalg.SolveOptions)
+    assert isinstance(model.PASCAL, float) and isinstance(model.MICROGRAM, float)
+    fields = {f.name for f in dataclasses.fields(stationary.StationaryResult)}
+    assert set(RESULT_READS) <= fields
+    runs = {"sweep": {**cfg.to_dict(), "output_dir": str(tmp_path / "sweep")},
+            "run": {"scenario": "stationary_state", "n": 4, "final_time": 3e-6,
+                    "output_dir": str(tmp_path / "run")}}
+    manifests = {}
+    for command, doc in runs.items():
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main([command, "--config", str(path)]) == 0
+        manifests[command] = json.loads((tmp_path / command / "manifest.json").read_text())
+    assert isinstance(manifests["sweep"]["critical_pressure"], float)
+    assert isinstance(manifests["run"]["final_max_h"], float)
