@@ -227,9 +227,10 @@ class Operators:
         Bounds the sup norm of the membrane operator ``kappa A^2 + gamma A
         + lam + diag(spring)`` for a spring of at most ``spring_max``, so
         ``16 eps`` times it times ``sup|h|`` is the roundoff floor of a
-        membrane residual: the Picard height residual and the gradient of
-        ``energy.minimize_J`` stop there.  It grows about sixteenfold per
-        halving of the spacing.
+        membrane residual: the Picard height residual stops there, and
+        ``energy.minimize_J`` hands it to ``linalg.newton_armijo`` as the
+        ``floor`` of its gradient.  It grows about sixteenfold per halving
+        of the spacing.
         """
         eig_max = float(self.eig.max())
         return params.kappa * eig_max**2 + params.gamma * eig_max + abs(params.lam) + spring_max

@@ -23,22 +23,21 @@ boundary; all energies are discrete trapezoidal integrals.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .dynamics import HeightOperator, Operators
 from .grid import Grid
-from .linalg import ARMIJO_C1, BACKTRACK_FACTOR, SolveError, SolveOptions, cg_solve
+from .linalg import SolveError, SolveOptions, cg_solve, newton_armijo
 from .model import PASCAL, ModelParams, g_theta, g_theta_prime
 
 
 @dataclass
 class EnergyReport:
-    theta: float
     energy: float
     gradient_sup_norm: float
     minimizer: np.ndarray
-    iterations: int
 
 
 def density_primitive(H, theta: float, rho0: float, params: ModelParams):
@@ -113,6 +112,17 @@ def _hessian(theta, rho0, params, grid, ops, h_int) -> HeightOperator:
     return HeightOperator(ops, params, params.lam, spring)
 
 
+class _WeightedHessian:
+    """``spacing^2`` times :func:`_hessian` at ``h_int``: the Jacobian of :func:`_gradient`."""
+
+    def __init__(self, theta, rho0, params, grid, ops, h_int):
+        self.H = _hessian(theta, rho0, params, grid, ops, h_int)
+        self.weight = grid.spacing**2
+
+    def __matmul__(self, x):
+        return self.weight * (self.H @ x)
+
+
 def minimize_J(
     theta: float,
     rho0: float,
@@ -121,79 +131,50 @@ def minimize_J(
     grid: Grid,
     opts: SolveOptions = SolveOptions(),
     ops: Operators | None = None,
-    energy_history: list | None = None,
 ) -> EnergyReport:
-    """Newton on the discrete gradient with Armijo control on J; ``pressure`` in Pa per node.
+    """Damped Newton (:func:`newton_armijo`) on the discrete gradient; ``pressure`` in Pa per node.
 
     Newton starts from ``h = 0``; a negative ``theta`` raises ValueError.
     ``theta = 0`` runs the semismooth variant: the Heaviside factor of the
     gradient and Hessian is the current iterate's active set (``h <
     h_star``).  Each Newton direction solves the unweighted Hessian system
-    by CG with the height operator's preconditioner.  Convergence is
+    by CG with the height operator's preconditioner.  The line search lowers
+    ``0.5 ||gradient||^2``, and no step is checked to lower ``J``: where the
+    Hessian spring ``g + h g'`` is negative, Newton could stop at a critical
+    point that is no minimizer.  Convergence is
     declared once the gradient's sup norm is at most ``max(newton_grad_tol,
     16 eps ||M|| sup|h|)``, the grid's roundoff floor where that is larger:
     ``M`` maps ``h`` to the gradient, and ``||M||``, ``spacing^2`` times
     :meth:`Operators.membrane_norm` with the spring bound ``rho0``, bounds
     its sup norm, so the floor grows about fourfold per halving of the
-    spacing.  At the iteration cap, on a direction that does not descend,
-    or when the line search fails, it raises :class:`SolveError` with the
-    last iterate (on the full grid) and its gradient sup norm.
+    spacing.  A failed Newton iteration or Hessian solve raises
+    :class:`SolveError` with the last Newton iterate (on the full grid) and
+    its gradient sup norm.
     """
     if ops is None:
         ops = Operators(grid)
-    h_int = np.zeros(grid.num_interior)
     # the spring never exceeds rho0, which bounds max|diag|
     floor_scale = (16.0 * np.finfo(float).eps * grid.spacing**2
                    * ops.membrane_norm(params, rho0))
 
-    def energy_at(hi):
-        return eval_J_theta(grid.embed(hi), theta, rho0, params, pressure, grid, ops)
+    gradient = partial(_gradient, theta, rho0, params, pressure, grid, ops)
 
-    energy = energy_at(h_int)
-    if energy_history is not None:
-        energy_history.append(energy)
-    iterations = 0
-    for iterations in range(opts.newton_max_iter + 1):
-        grad = _gradient(theta, rho0, params, pressure, grid, ops, h_int)
-        sup_grad = float(np.max(np.abs(grad)))
-        floor = floor_scale * np.max(np.abs(h_int))
-        if sup_grad <= max(opts.newton_grad_tol, floor):
-            break
-        if iterations == opts.newton_max_iter:
-            raise SolveError(
-                f"minimize_J: no convergence in {opts.newton_max_iter} Newton "
-                f"iterations (gradient sup {sup_grad:.3e}, roundoff floor {floor:.3e})",
-                grid.embed(h_int),
-                sup_grad,
-            )
-        H = _hessian(theta, rho0, params, grid, ops, h_int)
-        direction = cg_solve(H, -grad / grid.spacing**2, opts, precond=H.precond)
-        slope = float(grad @ direction)
-        if not slope < 0.0:
-            raise SolveError(f"minimize_J: Hessian solve gave no descent direction "
-                             f"(slope {slope:.3e})", grid.embed(h_int), sup_grad)
-        # once the predicted decrease sinks below the roundoff floor of the
-        # energy, the Armijo test cannot resolve it; take the pure Newton step
-        resolved = -slope > 1e3 * np.finfo(float).eps * max(1.0, abs(energy))
-        alpha = 1.0
-        trial = h_int + direction
-        energy_trial = energy_at(trial)
-        while resolved and energy_trial > energy + ARMIJO_C1 * alpha * slope:
-            alpha *= BACKTRACK_FACTOR
-            if alpha < 1e-14:
-                raise SolveError("minimize_J: line search failed", grid.embed(h_int), sup_grad)
-            trial = h_int + alpha * direction
-            energy_trial = energy_at(trial)
-        h_int, energy = trial, energy_trial
-        if energy_history is not None:
-            energy_history.append(energy)
-
+    try:
+        h_int = newton_armijo(
+            gradient,
+            partial(_WeightedHessian, theta, rho0, params, grid, ops),
+            np.zeros(grid.num_interior),
+            opts,
+            linear_solve=lambda J, rhs: cg_solve(J.H, rhs / J.weight, opts, precond=J.H.precond),
+            floor=lambda h_int: floor_scale * np.max(np.abs(h_int)),
+        )
+    except SolveError as exc:
+        raise SolveError(str(exc), grid.embed(exc.iterate), exc.residual_norm) from exc
+    minimizer = grid.embed(h_int)
     return EnergyReport(
-        theta=theta,
-        energy=energy,
-        gradient_sup_norm=sup_grad,
-        minimizer=grid.embed(h_int),
-        iterations=iterations,
+        energy=eval_J_theta(minimizer, theta, rho0, params, pressure, grid, ops),
+        gradient_sup_norm=float(np.max(np.abs(gradient(h_int)))),
+        minimizer=minimizer,
     )
 
 

@@ -41,8 +41,9 @@ class SolveOptions:
 
     ``max_iterations`` of ``None`` means ten times the system size.
     ``newton_grad_tol`` is the sup-norm tolerance of the Newton residual in
-    :func:`newton_armijo`.  ``energy.minimize_J`` stops at the larger of it
-    and its gradient's roundoff floor, which grows as the grid is refined.
+    :func:`newton_armijo`, or its caller's ``floor`` where that is larger:
+    ``energy.minimize_J`` passes its gradient's roundoff floor, which grows
+    as the grid is refined.
     """
 
     rel_tolerance: float = 1e-10
@@ -237,20 +238,24 @@ def newton_armijo(
     opts: SolveOptions = SolveOptions(),
     *,
     linear_solve: Callable[[object, np.ndarray], np.ndarray],
+    floor: Callable[[np.ndarray], float] = lambda x: 0.0,
 ) -> np.ndarray:
     """Damped Newton iteration on ``residual(x) = 0``.
 
     The merit function is ``0.5 * ||residual||**2``; a step is accepted once
     it decreases the merit strictly and by at least ``ARMIJO_C1 * alpha * m'``
     where ``m'`` is the directional derivative along the Newton direction.
-    Convergence is declared at ``||residual||_inf <= newton_grad_tol``.
+    Convergence is declared at ``||residual||_inf <= max(newton_grad_tol,
+    floor(x))``, ``floor`` a caller's roundoff floor of the residual at ``x``.
 
     ``jacobian(x)`` must return an object supporting ``J @ v``; the Newton
     systems are handed to ``linear_solve(J, rhs)``.  Raises
     :class:`SolveError` at once if ``residual(x0)`` or a trial step's
     residual is not finite, with the last finite iterate, and as stalled
     once ``||residual||_inf`` has fallen by less than ``STALL_FACTOR`` over
-    ``STALL_WINDOW`` iterations.
+    ``STALL_WINDOW`` iterations.  A :class:`SolveError` of ``linear_solve``
+    is raised again with its message, the Newton iterate and its residual
+    sup norm.
     """
     x = np.array(x0, dtype=float)
     F = np.asarray(residual(x), dtype=float)
@@ -260,7 +265,7 @@ def newton_armijo(
     sups = []
     for it in range(opts.newton_max_iter + 1):
         sups.append(float(np.max(np.abs(F))))
-        if sups[-1] <= opts.newton_grad_tol:
+        if sups[-1] <= max(opts.newton_grad_tol, floor(x)):
             return x
         if it == opts.newton_max_iter:
             raise SolveError(f"newton_armijo: no convergence in {opts.newton_max_iter} "
@@ -270,7 +275,11 @@ def newton_armijo(
                              f"(fell less than {STALL_FACTOR:g}x in {STALL_WINDOW} "
                              f"iterations)", x, sups[-1])
         J = jacobian(x)
-        d = linear_solve(J, -F)
+        try:
+            d = linear_solve(J, -F)
+        except SolveError as exc:
+            # the linear solve's partial answer is a direction, not an iterate
+            raise SolveError(str(exc), x, sups[-1]) from exc
         # directional derivative of the merit along d
         slope = float(F @ (J @ d))
         if not slope < 0.0:

@@ -321,11 +321,32 @@ def test_hessian_matches_finite_differences_of_gradient():
         assert np.max(np.abs(fd - Hv)) <= 1e-6 * np.max(np.abs(Hv))
 
 
-def test_energy_descent_along_newton_iterates():
+def _record_hessian_iterates(monkeypatch):
+    """The iterate of every ``energy._hessian`` call, in order.
+
+    ``newton_armijo`` builds one Hessian per Newton step, at the accepted
+    iterate it steps from, so the list holds every iterate but the last.
+    """
+    import blebsheet.energy as energy
+
+    hessian = energy._hessian
+    iterates = []
+
+    def recorded(*args):
+        iterates.append(args[-1].copy())
+        return hessian(*args)
+
+    monkeypatch.setattr(energy, "_hessian", recorded)
+    return iterates
+
+
+def test_energy_descent_along_newton_iterates(monkeypatch):
     grid = build_grid(8)
     p = pressure_pulse(grid, peak=150.0)
-    history = []
-    minimize_J(1e-4, 1.0, PARAMS, p, grid, energy_history=history)
+    iterates = _record_hessian_iterates(monkeypatch)
+    report = minimize_J(1e-4, 1.0, PARAMS, p, grid)
+    history = [eval_J_theta(grid.embed(h), 1e-4, 1.0, PARAMS, p, grid) for h in iterates]
+    history.append(report.energy)
     assert len(history) >= 2
     # nonincreasing up to the roundoff floor of the energy evaluation
     floor = 1e-10 * max(1.0, max(abs(e) for e in history))
@@ -364,10 +385,25 @@ def test_minimize_J_cap_raises_newton_error():
     # supercritical, so one Newton step does not reach the minimizer
     p = pressure_pulse(grid, peak=400.0)
     opts = SolveOptions(newton_max_iter=1, newton_grad_tol=1e-30)
-    with pytest.raises(SolveError, match="no convergence in 1 Newton") as err:
+    with pytest.raises(SolveError, match="no convergence in 1 iterations") as err:
         minimize_J(1e-3, 1.0, PARAMS, p, grid, opts=opts)
     assert err.value.iterate.shape == (grid.num_nodes,)
     assert err.value.residual_norm > 1e-30
+
+
+def test_minimize_J_hessian_solve_failure_carries_the_newton_iterate():
+    # one CG iteration solves the first Newton system, where the spring is
+    # uniform and the preconditioner exact, but not the second; the error
+    # names the Newton iterate and its gradient, not CG's partial direction
+    grid = build_grid(8)
+    p = pressure_pulse(grid, peak=400.0)
+    with pytest.raises(SolveError, match="newton_armijo: no convergence in 1 ") as capped:
+        minimize_J(0.0, 1.0, PARAMS, p, grid, opts=SolveOptions(newton_max_iter=1))
+    assert np.max(capped.value.iterate) > PARAMS.h_star
+    with pytest.raises(SolveError, match="cg_solve: no convergence in 1 ") as err:
+        minimize_J(0.0, 1.0, PARAMS, p, grid, opts=SolveOptions(max_iterations=1))
+    assert np.array_equal(err.value.iterate, capped.value.iterate)
+    assert err.value.residual_norm == capped.value.residual_norm
 
 
 def test_hessian_solves_take_few_iterations(monkeypatch):
@@ -384,40 +420,44 @@ def test_hessian_solves_take_few_iterations(monkeypatch):
         return x
 
     monkeypatch.setattr(energy, "cg_solve", counted)
+    newton_steps = _record_hessian_iterates(monkeypatch)
     grid = build_grid(64)
     p = pressure_pulse(grid, peak=400.0)
     ops = Operators(grid)
     for theta in (0.0, 1e-2):
         iterations.clear()
-        report = minimize_J(theta, 1.0, PARAMS, p, grid, ops=ops)
-        assert len(iterations) == report.iterations >= 1
+        newton_steps.clear()
+        minimize_J(theta, 1.0, PARAMS, p, grid, ops=ops)
+        assert len(iterations) == len(newton_steps) >= 1
         assert max(iterations) <= 10
 
 
 @pytest.mark.parametrize("n", [16, 32])
 @pytest.mark.parametrize("theta", [0.0, 1e-2])
-def test_minimize_J_stops_at_the_grid_roundoff_floor(n, theta):
+def test_minimize_J_stops_at_the_grid_roundoff_floor(n, theta, monkeypatch):
     # the default tolerance of 1e-10 lies below the gradient's roundoff floor
     # from n = 16 at this load, where the absolute test ran into the cap
     grid = build_grid(n)
     p = pressure_pulse(grid, peak=400.0)
+    newton_steps = _record_hessian_iterates(monkeypatch)
     report = minimize_J(theta, 1.0, PARAMS, p, grid)
-    assert report.iterations <= 5
+    assert len(newton_steps) <= 5
     assert report.gradient_sup_norm > SolveOptions().newton_grad_tol
     # it is still small against the load's share of the gradient
     load = grid.spacing**2 * PASCAL * np.max(np.abs(p))
     assert report.gradient_sup_norm <= 1e-10 * load
 
 
-def test_minimize_J_tolerance_below_the_floor_converges():
+def test_minimize_J_tolerance_below_the_floor_converges(monkeypatch):
     # a quadratic problem (below h_star) is solved by one Newton step; a
     # tolerance far below roundoff then stops at the floor, not at the cap
     grid = build_grid(8)
     p = pressure_pulse(grid, peak=50.0)
     opts = SolveOptions(newton_max_iter=5, newton_grad_tol=1e-30)
+    newton_steps = _record_hessian_iterates(monkeypatch)
     report = minimize_J(1e-3, 1.0, PARAMS, p, grid, opts=opts)
     assert report.minimizer.max() < PARAMS.h_star
-    assert report.iterations == 1
+    assert len(newton_steps) == 1
 
 
 def test_minimize_J_rejects_an_ascent_direction(monkeypatch):
@@ -432,25 +472,32 @@ def test_minimize_J_rejects_an_ascent_direction(monkeypatch):
 
 
 def test_minimize_J_line_search_failure(monkeypatch):
-    # an energy that rises along every direction from its start: the line
-    # search halves the Newton step below 1e-14 and gives up
+    # a gradient that doubles at every trial point: the merit rises along
+    # every direction from the start, and the line search halves the Newton
+    # step below 1e-14 and gives up
     import blebsheet.energy as energy
 
-    energies = iter(itertools.chain([0.0], itertools.repeat(1.0)))
-    monkeypatch.setattr(energy, "eval_J_theta", lambda *args, **kwargs: next(energies))
     grid = build_grid(8)
-    with pytest.raises(SolveError, match="minimize_J: line search failed") as err:
-        minimize_J(1e-3, 1.0, PARAMS, pressure_pulse(grid, peak=400.0), grid)
+    p = pressure_pulse(grid, peak=400.0)
+    start = energy._gradient(1e-3, 1.0, PARAMS, p, grid, Operators(grid),
+                             np.zeros(grid.num_interior))
+    gradients = iter(itertools.chain([start], itertools.repeat(2.0 * start)))
+    monkeypatch.setattr(energy, "_gradient", lambda *args: next(gradients))
+    with pytest.raises(SolveError, match="newton_armijo: line search failed") as err:
+        minimize_J(1e-3, 1.0, PARAMS, p, grid)
     assert np.array_equal(err.value.iterate, np.zeros(grid.num_nodes))
-    assert err.value.residual_norm > 0.0
+    assert err.value.residual_norm == np.max(np.abs(start)) > 0.0
 
 
 def test_minimize_J_backtracks_an_overlong_direction(monkeypatch):
     # a Hessian stand-in that applies H / 4 makes every direction four Newton
-    # steps long; the line search halves it twice, to the Newton step itself
+    # steps long; the line search halves it twice, to the Newton step itself.
+    # The gradient is evaluated at the start, at every trial point of the two
+    # Newton steps, and once more for the report.  The line search runs on
+    # the gradient, so the energy's descent along the iterates is checked
     import blebsheet.energy as energy
 
-    hessian, evaluate = energy._hessian, energy.eval_J_theta
+    hessian, gradient = energy._hessian, energy._gradient
 
     class Quarter:
         def __init__(self, H):
@@ -465,20 +512,24 @@ def test_minimize_J_backtracks_an_overlong_direction(monkeypatch):
     def run():
         calls = []
 
-        def evaluated(*args, **kwargs):
+        def evaluated(*args):
             calls.append(None)
-            return evaluate(*args, **kwargs)
+            return gradient(*args)
 
-        monkeypatch.setattr(energy, "eval_J_theta", evaluated)
-        history = []
-        report = minimize_J(0.0, 1.0, PARAMS, pressure_pulse(grid, peak=400.0), grid,
-                            energy_history=history)
-        return report, len(calls), history
+        monkeypatch.setattr(energy, "_gradient", evaluated)
+        iterates = _record_hessian_iterates(monkeypatch)
+        report = minimize_J(0.0, 1.0, PARAMS, p, grid)
+        history = [eval_J_theta(grid.embed(h), 0.0, 1.0, PARAMS, p, grid) for h in iterates]
+        return report, len(calls), history + [report.energy]
 
     grid = build_grid(8)
+    p = pressure_pulse(grid, peak=400.0)
     plain, plain_calls, _ = run()
     monkeypatch.setattr(energy, "_hessian", lambda *args: Quarter(hessian(*args)))
     long, long_calls, history = run()
-    assert (plain_calls, long_calls) == (3, 7)
+    assert (plain_calls, long_calls) == (4, 8)
     assert np.array_equal(long.minimizer, plain.minimizer)
-    assert all(e2 <= e1 for e1, e2 in zip(history, history[1:]))
+    assert len(history) == 3
+    # nonincreasing up to the roundoff floor of the energy evaluation
+    floor = 1e-10 * max(1.0, max(abs(e) for e in history))
+    assert all(e2 <= e1 + floor for e1, e2 in zip(history, history[1:]))

@@ -497,6 +497,40 @@ def test_newton_line_search_failure():
         assert err.value.residual_norm == 1.0
 
 
+def test_newton_stops_at_the_callers_floor():
+    # a residual that no step takes below 1e-6 once the iterate is within
+    # 2e-6 of the root: without a floor the line search fails there, with a
+    # floor of 1e-6 sup|x|, zero at the start, Newton stops after its one step
+    q = 1e-6
+
+    def residual(x):
+        return np.where(np.abs(x - 1.0) >= 2.0 * q, x - 1.0, q)
+
+    def run(**floor):
+        return newton_armijo(residual, lambda x: np.eye(2), np.zeros(2),
+                             linear_solve=lambda J, rhs: np.linalg.solve(J, rhs), **floor)
+
+    with pytest.raises(SolveError, match="line search failed") as err:
+        run()
+    assert np.array_equal(err.value.iterate, np.ones(2))
+    assert err.value.residual_norm == q
+    assert np.array_equal(run(floor=lambda x: q * np.max(np.abs(x))), np.ones(2))
+
+
+def test_newton_linear_solve_failure_carries_the_newton_iterate():
+    # the failed solve's partial answer is a direction: the error names the
+    # Newton iterate and its residual, with the solve's message and cause
+    def failing(J, rhs):
+        raise SolveError("cg_solve: no convergence in 1 iterations", np.full(2, 7.0), 3.0)
+
+    with pytest.raises(SolveError, match="cg_solve: no convergence in 1 ") as err:
+        newton_armijo(lambda x: x - np.array([1.0, -4.0]), lambda x: np.eye(2),
+                      np.zeros(2), linear_solve=failing)
+    assert np.array_equal(err.value.iterate, np.zeros(2))
+    assert err.value.residual_norm == 4.0
+    assert err.value.__cause__.residual_norm == 3.0
+
+
 def test_newton_iteration_cap():
     with pytest.raises(SolveError, match="no convergence in 2") as err:
         newton_armijo(
