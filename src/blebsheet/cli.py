@@ -7,8 +7,8 @@ exception propagates, and a configuration error exits before any output
 directory exists.  A config file that cannot be read and an output directory
 that cannot be created are configuration errors.  ``run`` picks the command
 from the config's scenario, and ``sweep`` runs its config as a
-``pressure_sweep``, whose critical pressure is read off the linear response
-to a unit peak.  Every command run from a config leaves a
+``pressure_sweep``, whose critical pressure is read off its sub-critical
+response in closed form.  Every command run from a config leaves a
 ``manifest.json``, ``"status": "ok"`` or ``"failed"`` with the error and the
 failed solve's last residual norm; a run that fails at a time step also
 names the step and keeps its diagnostics up to it.  ``verify-geometry``
@@ -149,43 +149,36 @@ def _cmd_run(config: ScenarioConfig, out: Path) -> dict:
 def sweep_point(peak: float, config: ScenarioConfig, ops: Operators | None = None) -> float:
     """Max height at the sweep horizon for one peak pressure (sweep protocol).
 
+    The protocol marches ``round(SWEEP_HORIZON / tau)`` steps, at least one:
+    10 us, 10 steps at the default ``tau``.  The load is the configured pulse
+    at ``peak``; a ``pressure_sweep`` config admits no other pressure kind.
     ``ops`` caches the assembled operators across points, as in ``step``.
-    """
-    return _sweep_heights(peak, config, ops)[-1]
-
-
-def _sweep_heights(peak: float, config: ScenarioConfig, ops: Operators | None) -> list[float]:
-    """Max height after each step up to the sweep horizon.
-
-    The protocol runs for ``SWEEP_HORIZON`` (10 us), that is
-    ``round(SWEEP_HORIZON / tau)`` steps and at least one: 10 at the default
-    ``tau``.  The load is the configured pulse with its peak replaced by
-    ``peak``; a ``pressure_sweep`` config admits no other pressure kind.
-    ``run_sweep`` keeps every step of its unit runs: their largest value
-    fixes the critical pressure.
     """
     if ops is None:
         ops = Operators(build_grid(config.n))
+    pressure, steps = _sweep_load(peak, config, ops)
     state = initial_state(config, ops.grid)
+    for state in itertools.islice(march(state, config, ops, pressure), steps):
+        pass
+    return float(state.h.max())
+
+
+def _sweep_load(peak: float, config: ScenarioConfig, ops: Operators) -> tuple[np.ndarray, int]:
+    """The protocol's pulse at ``peak`` and its step count."""
     pressure = pressure_pulse(ops.grid, peak=peak, center=tuple(config.pressure["center"]),
                               radius=config.pressure["radius"])
-    steps = max(1, round(SWEEP_HORIZON / config.tau))
-    states = itertools.islice(march(state, config, ops, pressure), steps)
-    return [float(s.h.max()) for s in states]
+    return pressure, max(1, round(SWEEP_HORIZON / config.tau))
 
 
 def run_sweep(config: ScenarioConfig):
-    """Sampled response curve plus the critical pressure read off its unit response.
+    """Sampled response curve plus the critical pressure read off its sub-critical response.
 
     Returns (rows, critical_pressure or None).  The swept variable is the
     peak of the configured pressure pulse (``pressure.peak`` itself is not
-    read; ``center`` and ``radius`` are kept).  Below ``h_star`` the ripping
-    rate is zero, the densities do not depend on the peak and the height is
-    linear in it (peaks are nonnegative).  The protocol is therefore run
-    once at a unit peak, 1 Pa, and rerun at ``0.5 * h_star / max`` times
-    that peak while its max height passes ``h_star``.  Per Pa of peak it
-    gives ``u10``, the max height at the horizon, and ``u_max``, the largest
-    max height over its steps.
+    read; ``center`` and ``radius`` are kept).  Below ``h_star`` the height
+    is linear in the peak and ``Operators.linear_heights`` gives it in
+    closed form: per Pa, ``u10`` at the horizon and ``u_max``, the largest
+    max height over the protocol's steps.
 
     The critical pressure is ``h_star / u_max``, the least peak whose
     protocol lifts a node above ``h_star``, and exact: the step that first
@@ -196,32 +189,23 @@ def run_sweep(config: ScenarioConfig):
     0 and no critical pressure.  ``sweep.bisect_tol`` is not read.
 
     A sample ``p`` with ``p * u_max <= h_star`` gets ``p * u10`` without a
-    run; every other sample runs ``sweep_point`` in full.  These superposed
-    values match a full run to about 1e-12 relative.  Every point runs in
-    this process, on one set of operators built once.  A protocol that
-    fails, a unit run included, names its peak in its error.
+    run; every other sample runs ``sweep_point`` in full, on operators built
+    once, and names its peak if it fails.  These superposed values match a
+    full run to about 1e-12 relative.
     """
     ops = Operators(build_grid(config.n))
     h_star = config.params.h_star
+    pulse, steps = _sweep_load(1.0, config, ops)
+    unit = ops.linear_heights(config.params, pulse, config.tau, steps)
+    u10, u_max = unit[-1], max(unit)
 
-    def protocol(run, peak: float):
+    rows = []
+    for p in np.linspace(config.sweep_min, config.sweep_max, config.sweep_samples).tolist():
         try:
-            return run(peak, config, ops)
-        except StepError as exc:
+            rows.append((p, p * u10 if p * u_max <= h_star else sweep_point(p, config, ops)))
+        except StepError as exc:  # a full run failed: name its peak
             cause = str(exc).removeprefix(f"step {exc.step_index}: ")
-            raise StepError(f"peak {peak!r} Pa: {cause}", exc.step_index,
-                            exc.residual_norm) from exc
-
-    unit_peak = 1.0
-    unit = protocol(_sweep_heights, unit_peak)
-    while max(unit) > h_star:  # the unit run rips: its heights are not linear
-        unit_peak *= 0.5 * h_star / max(unit)
-        unit = protocol(_sweep_heights, unit_peak)
-    u10, u_max = unit[-1] / unit_peak, max(unit) / unit_peak
-
-    peaks = [float(p) for p in np.linspace(config.sweep_min, config.sweep_max,
-                                           config.sweep_samples)]
-    rows = [(p, p * u10 if p * u_max <= h_star else protocol(sweep_point, p)) for p in peaks]
+            raise StepError(f"peak {p!r} Pa: {cause}", exc.step_index, exc.residual_norm) from exc
     critical = h_star / u_max if u_max > 0.0 else math.inf
     return rows, critical if config.sweep_min <= critical < config.sweep_max else None
 

@@ -48,9 +48,8 @@ class ScenarioConfig:
     sweep_min: float = 0.0
     sweep_max: float = 500.0
     sweep_samples: int = 26
-    # accepted and validated but not read: the sweep reads its critical pressure
-    # exactly off its linear unit response; the benchmark runner takes it as
-    # the tolerance of its own critical-pressure check
+    # accepted and validated but not read, as the sweep's critical pressure is
+    # exact; the benchmark runner takes it as its critical-pressure tolerance
     sweep_bisect_tol: float = 1.0
     theta_ladder: tuple[float, ...] = (1e-2, 1e-3, 1e-4, 1e-5)
     disruption_rho_hat: float = 10.0

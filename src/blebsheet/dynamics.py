@@ -192,8 +192,8 @@ class Operators:
     (symmetric, ``S @ S = I``) and ``eig`` the eigenvalues of ``A`` on the
     interior nodes laid out as an ``(n-1, n-1)`` array: with ``R`` a
     field reshaped that way, ``A`` acts as ``S ((S R S) * eig) S``.  The
-    height operator's preconditioner is built from them and from
-    :meth:`membrane_symbol`.
+    height operator's preconditioner and :meth:`linear_heights` are built
+    from them and from :meth:`membrane_symbol`.
     """
 
     def __init__(self, grid: Grid):
@@ -220,6 +220,21 @@ class Operators:
             symbol.flags.writeable = False
             self._membrane_symbol[kappa, gamma] = symbol
         return self._membrane_symbol[kappa, gamma]
+
+    def linear_heights(self, params: ModelParams, load: np.ndarray, tau: float,
+                       steps: int) -> list[float]:
+        """Max height after each of ``steps`` ripping-free steps of ``tau`` from rest.
+
+        Below ``h_star`` every scheme's step is diagonal in the sine basis:
+        after ``k`` steps the height is ``S (b / mu (1 - (1 + tau mu / c)^-k))
+        S``, ``mu`` the symbol plus ``lam + xi MICROGRAM``, ``b = S (PASCAL load) S``.
+        """
+        S = self.sine
+        mu = self.membrane_symbol(params.kappa, params.gamma) + params.lam + params.xi * MICROGRAM
+        steady = S @ (PASCAL * self.grid.restrict(load)).reshape(S.shape) @ S / mu
+        ratio = params.c / (params.c + tau * mu)
+        return [max(float((S @ (steady * (1.0 - ratio**k)) @ S).max()), 0.0)
+                for k in range(1, steps + 1)]
 
     def membrane_norm(self, params: ModelParams, spring_max: float) -> float:
         """``kappa eig_max^2 + gamma eig_max + |lam| + spring_max``.

@@ -619,9 +619,9 @@ def test_sweep_superposition_matches_full_runs(monkeypatch, n):
         assert v == pytest.approx(ref, rel=1e-9, abs=0.0)
     assert critical is not None
     assert abs(critical - plain_critical) <= cfg.sweep_bisect_tol
-    # the 1 Pa run and every crossing sample run in full, the rest do not
+    # every crossing sample runs in full, the rest and the unit response do not
     crossing = sum(v > cfg.params.h_star for _, v in rows)
-    assert len(steps) == 10 * (1 + crossing)
+    assert len(steps) == 10 * crossing
 
 
 WITHOUT_LINEAR_RANGE = {
@@ -632,25 +632,25 @@ WITHOUT_LINEAR_RANGE = {
 }
 
 
-def test_sweep_without_linear_range_reruns_its_unit_run(monkeypatch):
-    # at this h_star the 1 Pa response rips from step 4, so its heights are no
-    # unit response; it is rerun at half of h_star over its max
+def test_sweep_without_linear_range_marches_no_unit_run(monkeypatch):
+    # at this h_star a 1 Pa protocol rips from step 4; the sub-critical
+    # response is in closed form, so only the samples above p* are marched
     cfg = parse_config_dict(WITHOUT_LINEAR_RANGE)
     assert sweep_point(1.0, cfg) > cfg.params.h_star
-    heights = cli._sweep_heights
-    unit_peaks = []
+    point = cli.sweep_point
+    full_peaks = []
 
-    def recorded(peak, config, ops):
-        unit_peaks.append(peak)
-        return heights(peak, config, ops)
+    def recorded(peak, config, ops=None):
+        full_peaks.append(peak)
+        return point(peak, config, ops)
 
-    monkeypatch.setattr(cli, "_sweep_heights", recorded)
+    monkeypatch.setattr(cli, "sweep_point", recorded)
+    steps = _count_steps(monkeypatch)
     rows, critical = run_sweep(cfg)
     monkeypatch.undo()
-    # two unit runs, then sweep_point's full runs of the samples above p*
-    assert unit_peaks[:2] == [1.0, pytest.approx(0.2483, abs=1e-4)]
     assert critical is not None
-    assert unit_peaks[2:] == [p for p, _ in rows if p > critical] == [0.75, 1.0]
+    assert full_peaks == [p for p, _ in rows if p > critical] == [0.75, 1.0]
+    assert len(steps) == 10 * len(full_peaks)
     plain_rows, plain_critical = _plain_sweep(cfg)
     assert [p for p, _ in rows] == [p for p, _ in plain_rows]
     for (_, v), (_, ref) in zip(rows, plain_rows):
@@ -924,25 +924,21 @@ def test_overflowing_sweep_fails_without_numpy_warnings(tmp_path, capsys):
     assert manifest["residual_norm"] is None  # the norm overflowed; the manifest stays JSON
 
 
-@pytest.mark.parametrize("where", ["unit", "sample", "rerun"])
+@pytest.mark.parametrize("where", ["sample"])
 def test_failed_sweep_point_names_its_peak(monkeypatch, where):
-    # the 1 Pa unit run, a full-run sample and the rerun unit run of a sweep
-    # whose 1 Pa run rips each run the protocol through _sweep_heights
-    doc = WITHOUT_LINEAR_RANGE if where == "rerun" else {"scenario": "pressure_sweep", "n": 6}
-    cfg = parse_config_dict(doc)
+    # a sample above p* runs the protocol in full; its failure names the peak
+    cfg = parse_config_dict({"scenario": "pressure_sweep", "n": 6})
     samples = [float(p) for p in np.linspace(cfg.sweep_min, cfg.sweep_max, cfg.sweep_samples)]
-    fails = {"unit": lambda p: p == 1.0, "sample": lambda p: p in samples,
-             "rerun": lambda p: p != 1.0 and p not in samples}[where]
-    heights = cli._sweep_heights
+    point = cli.sweep_point
     failed = []
 
-    def failing(peak, config, ops):
-        if fails(peak):
+    def failing(peak, config, ops=None):
+        if peak in samples:
             failed.append(peak)
             raise dynamics.StepError("cg_solve: did not converge", 4, 0.5)
-        return heights(peak, config, ops)
+        return point(peak, config, ops)
 
-    monkeypatch.setattr(cli, "_sweep_heights", failing)
+    monkeypatch.setattr(cli, "sweep_point", failing)
     with pytest.raises(dynamics.StepError) as err:
         run_sweep(cfg)
     assert len(failed) == 1

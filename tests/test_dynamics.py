@@ -1,3 +1,4 @@
+import itertools
 import os
 from dataclasses import replace
 
@@ -23,6 +24,7 @@ from blebsheet.dynamics import (
     _solve_densities,
     build_pressure,
     initial_state,
+    march,
     simulate,
     step,
 )
@@ -854,6 +856,54 @@ def test_a_run_builds_one_membrane_symbol():
     assert np.array_equal(B._inverse_symbol,
                           1.0 / (B.mean_diag + eig * (params.kappa * eig + params.gamma)))
     assert len(ops._membrane_symbol) == 1
+
+
+def _marched_heights(config, ops, pressure, steps):
+    """Max heights of a marched run, after checking that it never rips."""
+    states = list(itertools.islice(march(initial_state(config, ops.grid), config, ops, pressure),
+                                   steps))
+    for state in states:
+        assert state.h.max() <= config.params.h_star
+        assert np.all(state.rho_a == 1.0) and np.all(state.rho_i == 0.0)
+    return [float(state.h.max()) for state in states]
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_linear_heights_match_marched_sub_critical_runs(scheme, n):
+    # below h_star every scheme solves the same linear step, which the sine
+    # basis diagonalizes; the peak keeps each run at half of h_star
+    ops = Operators(build_grid(n))
+    for (center, radius), tau, c in itertools.product(
+            [((0.5, 0.5), 0.4), ((0.3, 0.6), 0.3)], [1e-6, 2.5e-7], [1.0, 0.0]):
+        config = parse_config_dict({"scenario": "pressure_sweep", "n": n, "tau": tau,
+                                    "scheme": scheme.value, "params": {"c": c}})
+        steps = round(1e-5 / tau)
+        unit = ops.linear_heights(config.params, pressure_pulse(ops.grid, 1.0, center, radius),
+                                  tau, steps)
+        pressure = pressure_pulse(ops.grid, 0.5 * config.params.h_star / max(unit), center,
+                                  radius)
+        closed = ops.linear_heights(config.params, pressure, tau, steps)
+        assert closed == pytest.approx(_marched_heights(config, ops, pressure, steps),
+                                       rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("center, radius", [((0.5, 0.5), 0.4), ((0.3, 0.6), 0.3)])
+def test_linear_heights_with_a_negative_membrane_mode(scheme, center, radius):
+    # at gamma = -1e5 every mode of kappa A^2 + gamma A + xi is negative at
+    # n = 8, and 1 + tau mu / c < 0: the height alternates in sign and grows
+    ops = Operators(build_grid(8))
+    config = parse_config_dict({"scenario": "pressure_sweep", "n": 8, "scheme": scheme.value,
+                                "params": {"gamma": -1e5}})
+    assert ops.membrane_symbol(config.params.kappa, config.params.gamma).max() < 0.0
+    unit = ops.linear_heights(config.params, pressure_pulse(ops.grid, 1.0, center, radius),
+                              config.tau, 10)
+    assert 0.0 in unit
+    pressure = pressure_pulse(ops.grid, 0.5 * config.params.h_star / max(unit), center, radius)
+    closed = ops.linear_heights(config.params, pressure, config.tau, 10)
+    assert closed == pytest.approx(_marched_heights(config, ops, pressure, 10),
+                                   rel=1e-12, abs=0.0)
 
 
 def test_every_height_solve_is_preconditioned(monkeypatch):

@@ -1,13 +1,16 @@
-"""Metamorphic tests: the solvers commute with the symmetries of the square.
+"""Metamorphic tests: symmetry and superposition.
 
 The unit square, its uniform grid and the model are invariant under the 8
 symmetries of the square, so a load turned or mirrored by one of them must
-give the turned or mirrored answer.  A layout error that every version of
+give the turned or mirrored answer; below ``h_star`` the model is linear, so
+the response to a sum of loads is the sum of the responses.  A layout error that every version of
 the code shares (the node ordering, an interior embedding, a transposed
 block) breaks this, where comparing outputs between versions cannot see it.
 Fields are compared on the full grid, reshaped to ``(n + 1, n + 1)`` with
 the x index first, as :func:`blebsheet.grid.build_grid` lays them out.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from hypothesis import strategies as st
 
 import blebsheet.energy as energy
 from blebsheet.config import parse_config_dict
-from blebsheet.dynamics import Operators, simulate
+from blebsheet.dynamics import Operators, Scheme, initial_state, march, simulate
 from blebsheet.energy import eval_J_theta, minimize_J
 from blebsheet.grid import build_grid
 from blebsheet.model import ModelParams, pressure_pulse
@@ -84,3 +87,29 @@ def test_simulate_commutes_with_the_symmetries_of_the_square(n, cx, cy, radius, 
     pressure = pressure_pulse(build_grid(n), peak=peak, center=(cx, cy), radius=radius)
     for load, expected in zip(symmetries(pressure, n), symmetries(run(pressure), n)):
         assert relative_difference(run(load), expected) <= 1e-12
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(n=st.integers(min_value=8, max_value=16), centres=st.lists(_centres, min_size=4, max_size=4),
+       radii=st.lists(_radii, min_size=2, max_size=2),
+       peaks=st.lists(st.floats(min_value=10.0, max_value=90.0), min_size=2, max_size=2))
+def test_sub_critical_march_superposes(n, centres, radii, peaks):
+    # two pulses of at most 90 Pa keep every run below h_star: the ripping
+    # rate stays zero, the densities keep their uniform start, and each
+    # scheme's height is linear in the load
+    ops = Operators(build_grid(n))
+    p1, p2 = (pressure_pulse(ops.grid, peak, (cx, cy), radius)
+              for peak, cx, cy, radius in zip(peaks, centres[::2], centres[1::2], radii))
+    for scheme in Scheme:
+        config = parse_config_dict({"scenario": "pressure_sweep", "n": n, "scheme": scheme.value})
+
+        def run(load):
+            states = list(itertools.islice(
+                march(initial_state(config, ops.grid), config, ops, load), 10))
+            for state in states:
+                assert state.h.max() <= PARAMS.h_star
+                assert np.all(state.rho_a == 1.0) and np.all(state.rho_i == 0.0)
+            return [state.h for state in states]
+
+        for both, one, two in zip(run(p1 + p2), run(p1), run(p2)):
+            assert relative_difference(one + two, both) <= 1e-12
