@@ -159,7 +159,17 @@ class HeightOperator:
 
     @functools.cached_property
     def _inverse_symbol(self) -> np.ndarray:
-        return 1.0 / (self.mean_diag + self.ops.membrane_symbol(self.kappa, self.gamma))
+        """The preconditioner's eigenvalues; a symbol of both signs raises :class:`SolveError`.
+
+        Such an operator is indefinite, and CG, started at ``precond(b)``,
+        need never reach its own ``p.Ap <= 0`` test.
+        """
+        symbol = self.mean_diag + self.ops.membrane_symbol(self.kappa, self.gamma)
+        low, high = float(symbol.min()), float(symbol.max())
+        if low < 0.0 < high:
+            raise SolveError(f"height operator indefinite: its symbol spans "
+                             f"{low:.3e} to {high:.3e}")
+        return 1.0 / symbol
 
     def precond(self, r: np.ndarray) -> np.ndarray:
         """``(mean(diag) + kappa A^2 + gamma A)^-1 r``, by two sine transforms.
@@ -236,19 +246,19 @@ class Operators:
         return [max(float((S @ (steady * (1.0 - ratio**k)) @ S).max()), 0.0)
                 for k in range(1, steps + 1)]
 
-    def membrane_norm(self, params: ModelParams, spring_max: float) -> float:
-        """``kappa eig_max^2 + gamma eig_max + |lam| + spring_max``.
+    def roundoff_floor(self, params: ModelParams, spring_max: float, h_int: np.ndarray) -> float:
+        """``16 eps ||M|| sup|h|``, the roundoff floor of a strong-form membrane residual.
 
-        Bounds the sup norm of the membrane operator ``kappa A^2 + gamma A
-        + lam + diag(spring)`` for a spring of at most ``spring_max``, so
-        ``16 eps`` times it times ``sup|h|`` is the roundoff floor of a
-        membrane residual: the Picard height residual stops there, and
-        ``energy.minimize_J`` hands it to ``linalg.newton_armijo`` as the
-        ``floor`` of its gradient.  It grows about sixteenfold per halving
-        of the spacing.
+        ``||M|| = kappa eig_max^2 + gamma eig_max + |lam| + spring_max``
+        bounds the sup norm of the membrane operator ``M = kappa A^2 + gamma
+        A + lam + diag(spring)`` for a spring of at most ``spring_max``.  The
+        Picard height residual stops there, and ``energy.minimize_J`` hands it
+        to ``linalg.newton_armijo`` as the ``floor`` of its gradient.  It
+        grows about sixteenfold per halving of the spacing.
         """
         eig_max = float(self.eig.max())
-        return params.kappa * eig_max**2 + params.gamma * eig_max + abs(params.lam) + spring_max
+        norm = params.kappa * eig_max**2 + params.gamma * eig_max + abs(params.lam) + spring_max
+        return 16.0 * np.finfo(float).eps * norm * np.max(np.abs(h_int))
 
     def height_matrix(self, params: ModelParams, tau: float, rho_a: np.ndarray) -> HeightOperator:
         """Height operator of a time step: shift ``c/tau + lam``."""

@@ -22,7 +22,7 @@ boundary; all energies are discrete trapezoidal integrals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -100,27 +100,15 @@ def _spring(theta, rho0, params, grid, h_int, hessian=False):
 
 
 def _gradient(theta, rho0, params, pressure, grid, ops, h_int):
-    """Weighted gradient on interior nodes."""
+    """Strong-form gradient on interior nodes: ``dJ/dh`` over the node weight ``spacing^2``."""
     membrane = HeightOperator(ops, params, params.lam, _spring(theta, rho0, params, grid, h_int))
-    load = PASCAL * grid.restrict(pressure)
-    return grid.spacing**2 * (membrane @ h_int - load)
+    return membrane @ h_int - PASCAL * grid.restrict(pressure)
 
 
 def _hessian(theta, rho0, params, grid, ops, h_int) -> HeightOperator:
-    """Membrane operator with spring ``g + h g'``: the Hessian over ``spacing^2``."""
+    """Membrane operator with spring ``g + h g'``: the Jacobian of :func:`_gradient`."""
     spring = _spring(theta, rho0, params, grid, h_int, hessian=True)
     return HeightOperator(ops, params, params.lam, spring)
-
-
-class _WeightedHessian:
-    """``spacing^2`` times :func:`_hessian` at ``h_int``: the Jacobian of :func:`_gradient`."""
-
-    def __init__(self, theta, rho0, params, grid, ops, h_int):
-        self.H = _hessian(theta, rho0, params, grid, ops, h_int)
-        self.weight = grid.spacing**2
-
-    def __matmul__(self, x):
-        return self.weight * (self.H @ x)
 
 
 def minimize_J(
@@ -137,43 +125,40 @@ def minimize_J(
     Newton starts from ``h = 0``; a negative ``theta`` raises ValueError.
     ``theta = 0`` runs the semismooth variant: the Heaviside factor of the
     gradient and Hessian is the current iterate's active set (``h <
-    h_star``).  Each Newton direction solves the unweighted Hessian system
-    by CG with the height operator's preconditioner.  The line search lowers
-    ``0.5 ||gradient||^2``, and no step is checked to lower ``J``: where the
+    h_star``).  Newton runs on the strong-form gradient :func:`_gradient`,
+    and each direction solves the Hessian system by CG with the height
+    operator's preconditioner.  The line search lowers ``0.5
+    ||gradient||^2``, and no step is checked to lower ``J``: where the
     Hessian spring ``g + h g'`` is negative, Newton could stop at a critical
-    point that is no minimizer.  Convergence is
-    declared once the gradient's sup norm is at most ``max(newton_grad_tol,
-    16 eps ||M|| sup|h|)``, the grid's roundoff floor where that is larger:
-    ``M`` maps ``h`` to the gradient, and ``||M||``, ``spacing^2`` times
-    :meth:`Operators.membrane_norm` with the spring bound ``rho0``, bounds
-    its sup norm, so the floor grows about fourfold per halving of the
-    spacing.  A failed Newton iteration or Hessian solve raises
-    :class:`SolveError` with the last Newton iterate (on the full grid) and
-    its gradient sup norm.
+    point that is no minimizer.  ``newton_grad_tol`` bounds the weighted
+    gradient ``dJ/dh``, ``spacing^2`` times the strong form, and so does the
+    reported ``gradient_sup_norm``.  Convergence is declared once the
+    strong-form gradient's sup norm is at most ``max(newton_grad_tol /
+    spacing^2, floor)``, with :meth:`Operators.roundoff_floor` for the
+    spring bound ``rho0`` as the floor where that is larger; the floor grows
+    about sixteenfold per halving of the spacing.  A failed Newton iteration
+    or Hessian solve raises :class:`SolveError` with the last Newton iterate
+    (on the full grid) and its strong-form gradient sup norm.
     """
     if ops is None:
         ops = Operators(grid)
-    # the spring never exceeds rho0, which bounds max|diag|
-    floor_scale = (16.0 * np.finfo(float).eps * grid.spacing**2
-                   * ops.membrane_norm(params, rho0))
-
     gradient = partial(_gradient, theta, rho0, params, pressure, grid, ops)
-
     try:
         h_int = newton_armijo(
             gradient,
-            partial(_WeightedHessian, theta, rho0, params, grid, ops),
+            partial(_hessian, theta, rho0, params, grid, ops),
             np.zeros(grid.num_interior),
-            opts,
-            linear_solve=lambda J, rhs: cg_solve(J.H, rhs / J.weight, opts, precond=J.H.precond),
-            floor=lambda h_int: floor_scale * np.max(np.abs(h_int)),
+            replace(opts, newton_grad_tol=opts.newton_grad_tol / grid.spacing**2),
+            linear_solve=lambda J, rhs: cg_solve(J, rhs, opts, precond=J.precond),
+            # the spring never exceeds rho0
+            floor=partial(ops.roundoff_floor, params, rho0),
         )
     except SolveError as exc:
         raise SolveError(str(exc), grid.embed(exc.iterate), exc.residual_norm) from exc
     minimizer = grid.embed(h_int)
     return EnergyReport(
         energy=eval_J_theta(minimizer, theta, rho0, params, pressure, grid, ops),
-        gradient_sup_norm=float(np.max(np.abs(gradient(h_int)))),
+        gradient_sup_norm=grid.spacing**2 * float(np.max(np.abs(gradient(h_int)))),
         minimizer=minimizer,
     )
 
@@ -189,13 +174,12 @@ def euler_lagrange_residual_J0(
     """Nodewise strong-form residual of the sharp-limit first-order system.
 
     ``kappa lap^2 h - gamma lap h + lam h + rho0 h H(1 - h/h_star) - p0``
-    on interior nodes (``p0`` the ``pressure``, Pa per node), zero on the boundary:
-    the ``theta = 0`` gradient over the node weight ``spacing^2``.
+    on interior nodes (``p0`` the ``pressure``, Pa per node), zero on the
+    boundary: the ``theta = 0`` :func:`_gradient`.
     """
     if ops is None:
         ops = Operators(grid)
-    grad = _gradient(0.0, rho0, params, pressure, grid, ops, grid.restrict(h))
-    return grid.embed(grad / grid.spacing**2)
+    return grid.embed(_gradient(0.0, rho0, params, pressure, grid, ops, grid.restrict(h)))
 
 
 def gamma_ladder(

@@ -42,8 +42,9 @@ class SolveOptions:
     ``max_iterations`` of ``None`` means ten times the system size.
     ``newton_grad_tol`` is the sup-norm tolerance of the Newton residual in
     :func:`newton_armijo`, or its caller's ``floor`` where that is larger:
-    ``energy.minimize_J`` passes its gradient's roundoff floor, which grows
-    as the grid is refined.
+    ``energy.minimize_J`` passes ``Operators.roundoff_floor``, which grows
+    as the grid is refined, and reads ``newton_grad_tol`` as a bound on
+    the weighted gradient ``dJ/dh``, ``spacing^2`` times its Newton residual.
     """
 
     rel_tolerance: float = 1e-10

@@ -71,17 +71,15 @@ def _residuals_and_floor(
 
     The height residual is relative to the larger side of its equation, and
     each density residual to ``k rho_a`` or the largest of its terms
-    (:func:`stationary_terms`).  The floor is ``16 eps sup|h|`` times
-    :meth:`Operators.membrane_norm` with the spring ``xi MICROGRAM max
-    rho_a``, relative to the same scale as the height residual: a bound on
-    the roundoff of the membrane product, below which no stop test may ask
-    a height solve to go.
+    (:func:`stationary_terms`).  The floor is :meth:`Operators.roundoff_floor`
+    with the spring bound ``xi MICROGRAM max rho_a``, relative to the same
+    scale as the height residual: a bound on the roundoff of the membrane
+    product, below which no stop test may ask a height solve to go.
     """
     h_int = ops.grid.restrict(h)
     membrane, load, diff_a, diff_i, recon, rip = stationary_terms(
         ops, params, pressure, h_int, rho_a, rho_i)
-    norm = ops.membrane_norm(params, params.xi * MICROGRAM * float(np.max(rho_a)))
-    floor = 16.0 * np.finfo(float).eps * norm * np.max(np.abs(h_int))
+    floor = ops.roundoff_floor(params, params.xi * MICROGRAM * float(np.max(rho_a)), h_int)
     residuals = (
         _relative_sup(membrane - load, membrane, load),
         _relative_sup(diff_a - recon + rip, diff_a, recon, rip, params.k * rho_a),

@@ -906,6 +906,23 @@ def test_linear_heights_with_a_negative_membrane_mode(scheme, center, radius):
                                    rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("scheme", [Scheme.EXPLICIT_RIPPING, Scheme.IMPLICIT_RIPPING])
+def test_an_indefinite_height_operator_raises_on_the_first_step(scheme):
+    # at gamma = -1e5 and tau = 2.5e-7 the step symbol c / tau + lam + xi + mu
+    # takes both signs at n = 8; CG, started at the preconditioner's answer,
+    # would pass its first stop test and never test p.Ap, so the height would
+    # grow unseen (at tau = 1e-6 every mode is negative and the run still
+    # marches: test_linear_heights_with_a_negative_membrane_mode)
+    ops = Operators(build_grid(8))
+    config = parse_config_dict({"scenario": "pressure_sweep", "n": 8, "scheme": scheme.value,
+                                "tau": 2.5e-7, "params": {"gamma": -1e5}})
+    states = march(initial_state(config, ops.grid), config, ops, pressure_pulse(ops.grid, 1.0))
+    with pytest.raises(StepError, match=r"indefinite: its symbol spans -2\.089e\+07 to "
+                                        r"2\.189e\+06") as err:
+        next(states)
+    assert err.value.step_index == 0
+
+
 def test_every_height_solve_is_preconditioned(monkeypatch):
     import blebsheet.dynamics as dyn
     import blebsheet.energy as energy

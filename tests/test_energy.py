@@ -93,7 +93,8 @@ def test_sharp_gradient_matches_finite_differences_below_minus_h_star():
     J_plus = eval_J_theta(grid.embed(h_int + e), 0.0, 1.0, PARAMS, p, grid, ops)
     J_minus = eval_J_theta(grid.embed(h_int - e), 0.0, 1.0, PARAMS, p, grid, ops)
     fd = (J_plus - J_minus) / (2.0 * eps)
-    assert fd == pytest.approx(grad[j], rel=1e-8)
+    # _gradient is the strong form, dJ/dh over the node weight
+    assert fd == pytest.approx(grid.spacing**2 * grad[j], rel=1e-8)
 
 
 def test_density_primitive_matches_quadrature():
@@ -263,7 +264,7 @@ def test_gradient_matches_finite_differences():
             J_plus = eval_J_theta(grid.embed(h_int + e), params.theta, rho0, params, p, grid, ops)
             J_minus = eval_J_theta(grid.embed(h_int - e), params.theta, rho0, params, p, grid, ops)
             fd = (J_plus - J_minus) / (2.0 * eps)
-            assert fd == pytest.approx(grad[j], rel=1e-5, abs=1e-12)
+            assert fd == pytest.approx(grid.spacing**2 * grad[j], rel=1e-5, abs=1e-12)
 
 
 def _random_heights(rng, grid, params):
@@ -317,7 +318,7 @@ def test_hessian_matches_finite_differences_of_gradient():
         g_plus = _gradient(theta, 1.0, PARAMS, p, grid, ops, h_int + eps * v)
         g_minus = _gradient(theta, 1.0, PARAMS, p, grid, ops, h_int - eps * v)
         fd = (g_plus - g_minus) / (2.0 * eps)
-        Hv = grid.spacing**2 * (H @ v)  # the gradient is weighted, _hessian is not
+        Hv = H @ v
         assert np.max(np.abs(fd - Hv)) <= 1e-6 * np.max(np.abs(Hv))
 
 
