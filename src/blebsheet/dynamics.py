@@ -30,7 +30,8 @@ dominates them: at n = 64 and tau = 1e-6, ``w / tau`` alone outweighs
 node-wise inverse of the diffusion-free reaction system
 (:func:`_reaction_start`) starts the coupled Gauss-Seidel loop and is the
 density block of the Newton preconditioner, with no inner solve; CG and
-GMRES resolve only the diffusion and the height coupling.
+GMRES resolve only the diffusion and the height coupling.  A step below
+``h_star`` from rest keeps both densities exactly and solves neither.
 """
 
 from __future__ import annotations
@@ -335,7 +336,14 @@ def _solve_densities(
     At ``tau`` >= 1e-3 it raises :class:`SolveError` after 80 sweeps,
     with the last iterate ``[rho_a | rho_i]`` and that residual; a coupled
     Krylov solve is to replace the loop.
+
+    A quiescent state (no ``rate``, ``rho_i`` zero, ``rho_a`` uniform and
+    finite) is the step's fixed point; it is returned unsolved, with the
+    bits both CG solves give, except where ``eta_a tau / w`` >~ 1e3 (``tau``
+    = 1 s, n >= 64): there CG iterates, moving it by up to 3e-12 of roundoff.
     """
+    if not (rate.any() or rho_i.any()) and rho_a.min() == rho_a.max() and np.isfinite(rho_a[0]):
+        return rho_a.copy(), np.zeros_like(rho_i)
     w = ops.grid.weights
     # mass conservation inherits the residual of these solves; run them tight
     dopts = opts.tight()

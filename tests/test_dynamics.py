@@ -1392,7 +1392,9 @@ def test_uniform_density_matrix_is_built_once(n):
 
 def test_non_ripping_step_reuses_its_density_matrices(monkeypatch):
     # below h_star the two density systems depend only on tau: the first
-    # step builds them, every later step of the same tau reuses them
+    # step builds them, every later step of the same tau reuses them.  The
+    # densities start off rest (rho_i uniform 0.1), so that each step solves
+    # them: from rest a step builds no density matrix at all
     import blebsheet.dynamics as dyn
 
     grid = build_grid(16)
@@ -1406,12 +1408,75 @@ def test_non_ripping_step_reuses_its_density_matrices(monkeypatch):
         return DiaMatrix(*args, **kwargs)
 
     monkeypatch.setattr(dyn, "DiaMatrix", counted)
-    state = fresh_state(grid)
+    state = fresh_state(grid, rho_i=0.1)
     for expected in (2, 0, 0):
         assert not np.any(ripping_rate(state.h, params) > 0.0)
         built.clear()
         state = step(state, 1e-6, params, pressure, grid, Scheme.IMPLICIT_RIPPING, ops=ops)
         assert len(built) == expected
+
+
+def _direct_density_step(ops, params, tau, state):
+    """The two density CG solves of a ripping-free step, as ``_solve_densities`` makes them."""
+    w, dopts = ops.grid.weights, SolveOptions().tight()
+    flux = ripping_rate(state.h, params) * state.rho_a
+    B_i = ops.density_matrix(params.eta_i, 1.0 / tau + params.k)
+    rho_i = cg_solve(B_i, w * (state.rho_i / tau + flux), dopts, x0=state.rho_i)
+    B_a = ops.density_matrix(params.eta_a, 1.0 / tau)
+    rhs_a = w * (state.rho_a / tau + params.k * rho_i - flux)
+    return cg_solve(B_a, rhs_a, dopts, x0=state.rho_a), rho_i
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+@pytest.mark.parametrize("n", [8, 12, 16, 64])
+@pytest.mark.parametrize("tau", [2.5e-7, 1e-6, 1e-4])
+@pytest.mark.parametrize("rho_a", [1.0, 10.0, 0.37])
+def test_quiescent_step_solves_no_density(monkeypatch, scheme, n, tau, rho_a):
+    # a sub-critical step from uniform rho_a and no rho_i keeps both exactly:
+    # it runs no density CG, and returns the bits the two CG solves return
+    import blebsheet.dynamics as dyn
+
+    iterations = _count_density_iterations(monkeypatch, dyn)
+    grid = build_grid(n)
+    ops = Operators(grid)
+    params = ModelParams()
+    state = fresh_state(grid, rho_a=rho_a)
+    new = step(state, tau, params, pressure_pulse(grid, peak=100.0), grid, scheme, ops=ops)
+    assert iterations == []
+    assert new.h.max() > 0.0
+    want_a, want_i = _direct_density_step(ops, params, tau, state)
+    assert new.rho_a.tobytes() == want_a.tobytes()
+    assert new.rho_i.tobytes() == want_i.tobytes()
+    assert new.rho_a is not state.rho_a
+
+
+@pytest.mark.parametrize("implicit_ripping", [False, True])
+@pytest.mark.parametrize("field, value", [("rate", 1.0), ("rho_i", 1e-12),
+                                          ("rho_a", np.nextafter(1.0, 2.0))])
+def test_state_off_rest_solves_its_densities(monkeypatch, field, value, implicit_ripping):
+    # one node off the quiescent state: a rate, a trace of rho_i, or rho_a
+    # one ulp off uniform, takes the CG path
+    import blebsheet.dynamics as dyn
+
+    iterations = _count_density_iterations(monkeypatch, dyn)
+    grid = build_grid(8)
+    fields = {"rate": np.zeros(grid.num_nodes), "rho_a": np.ones(grid.num_nodes),
+              "rho_i": np.zeros(grid.num_nodes)}
+    fields[field][5] = value
+    _solve_densities(Operators(grid), ModelParams(), 1e-6, fields["rate"], fields["rho_a"],
+                     fields["rho_i"], implicit_ripping, SolveOptions())
+    assert len(iterations) >= 2
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_uniform_density_raises(value):
+    # NaN is never uniform (NaN != NaN), and a uniform inf is not finite:
+    # both reach CG, which raises on the non-finite right-hand side
+    grid = build_grid(8)
+    with pytest.raises(SolveError), np.errstate(invalid="ignore"):
+        _solve_densities(Operators(grid), ModelParams(), 1e-6, np.zeros(grid.num_nodes),
+                         np.full(grid.num_nodes, value), np.zeros(grid.num_nodes), True,
+                         SolveOptions())
 
 
 @pytest.mark.parametrize("n", [8, 16])

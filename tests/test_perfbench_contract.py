@@ -97,6 +97,42 @@ def test_step_builds_one_height_operator(monkeypatch):
         assert len(heights) == k + 1
 
 
+def test_every_step_solves_its_densities_once(monkeypatch):
+    # the runner wraps _solve_densities by name and reads its implicit_ripping
+    # and rate arguments; a quiescent step (no rate, no rho_i, uniform rho_a)
+    # returns its densities unsolved, but inside that call, so it is counted
+    original = dynamics._solve_densities
+    signature = inspect.signature(original)
+    calls = []
+
+    def counted(*args, **kwargs):
+        a = signature.bind(*args, **kwargs).arguments
+        quiescent = not (a["rate"].any() or a["rho_i"].any()) and np.ptp(a["rho_a"]) == 0.0
+        calls.append((a["implicit_ripping"], bool(np.any(a["rate"] > 0.0)), quiescent))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_solve_densities", counted)
+    g = grid.build_grid(16)
+    params = ModelParams()
+    pressure = pressure_pulse(g, peak=410.0)
+    for scheme in (dynamics.Scheme.EXPLICIT_RIPPING, dynamics.Scheme.IMPLICIT_RIPPING):
+        state = dynamics.State(
+            h=np.zeros(g.num_nodes),
+            rho_a=np.ones(g.num_nodes), rho_i=np.zeros(g.num_nodes),
+        )
+        seen = []
+        for _ in range(7):  # ripping from step 6; ExplicitRipping fails at 8
+            calls.clear()
+            rips = bool(np.any(model.ripping_rate(state.h, params) > 0.0))
+            state = dynamics.step(state, 1e-6, params, pressure, g, scheme)
+            assert len(calls) == 1
+            implicit, coupled, quiescent = calls[0]
+            assert implicit is (scheme is dynamics.Scheme.IMPLICIT_RIPPING)
+            assert coupled is rips
+            seen.append(quiescent)
+        assert any(seen) and not all(seen)
+
+
 def test_every_time_loop_steps_through_dynamics_step(monkeypatch):
     # the runner rebinds dynamics.step to time each step; a loop that calls
     # its own imported step would run untimed and uncounted
