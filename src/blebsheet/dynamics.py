@@ -216,7 +216,6 @@ class Operators:
         self.A = assemble_dirichlet(grid)
         self.LN = assemble_laplacian(grid)
         self._main = int(np.flatnonzero(self.LN.offsets == 0)[0])
-        self._uniform_density: dict[tuple[float, float], DiaMatrix] = {}
         self._membrane_symbol: dict[tuple[float, float], np.ndarray] = {}
 
     def membrane_symbol(self, kappa: float, gamma: float) -> np.ndarray:
@@ -281,22 +280,12 @@ class Operators:
         it is exactly symmetric because ``LN`` is.
 
         A float ``diag_extra`` is a uniform reaction term, bitwise the same
-        as the array ``np.full(num_nodes, diag_extra)``.  Its matrix is
-        built once per ``(eta, diag_extra)`` and this instance returns that
-        same matrix, with read-only ``data``, on every later call; an array
-        ``diag_extra`` gets a new matrix each call.  A run keeps at most two
-        per sub-step length: 20 at ``tau`` 1e-6 under FullyImplicit halving.
+        as the array ``np.full(num_nodes, diag_extra)``.  Every call builds
+        a new matrix.
         """
-        uniform = isinstance(diag_extra, float)
-        if uniform and (eta, diag_extra) in self._uniform_density:
-            return self._uniform_density[eta, diag_extra]
         data = eta * self.LN.data
         data[self._main] += self.grid.weights * diag_extra
-        B = DiaMatrix(data, self.LN.offsets, self.LN.shape)
-        if uniform:
-            B.data.flags.writeable = False
-            self._uniform_density[eta, diag_extra] = B
-        return B
+        return DiaMatrix(data, self.LN.offsets, self.LN.shape)
 
 
 def _reaction_start(k_tau: float, rate_tau: np.ndarray, rho_a: np.ndarray,

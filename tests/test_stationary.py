@@ -28,11 +28,12 @@ def _relative_sup(residual, *terms):
     return np.max(np.abs(residual)) / max(np.max(np.abs(t)) for t in terms)
 
 
-def marched(n, pressure, tau, steps):
+def marched(n, pressure, tau, steps, scheme="ImplicitRipping"):
     """The state after ``steps`` steps of ``simulate`` from rest under ``pressure`` (a
     config pressure), with the fixed point's residuals and height floor at it."""
     cfg = parse_config_dict({"scenario": "stationary_state", "n": n, "tau": tau,
-                             "final_time": steps * tau, "pressure": pressure})
+                             "final_time": steps * tau, "pressure": pressure,
+                             "scheme": scheme})
     state, _, _ = simulate(cfg)
     assert state.step_index == steps
     ops = Operators(build_grid(n))
@@ -47,7 +48,7 @@ def meets_fixed_point_test(residuals, floor, tol=1e-10):
     return res_a <= tol and res_i <= tol and res_h <= max(tol, floor)
 
 
-def two_routes(n, peak, tau, steps):
+def two_routes(n, peak, tau, steps, scheme="ImplicitRipping"):
     """The fixed point under a default pulse of ``peak`` Pa against ``marched``.
 
     Returns whether they agree (sup-norm height gap at most 1e-9, the same
@@ -56,7 +57,7 @@ def two_routes(n, peak, tau, steps):
     """
     params, grid = ModelParams(), build_grid(n)
     fp = stationary_fixed_point(params, pressure_pulse(grid, peak=peak), m0=1.0, grid=grid)
-    march, residuals, floor = marched(n, {"kind": "pulse", "peak": peak}, tau, steps)
+    march, residuals, floor = marched(n, {"kind": "pulse", "peak": peak}, tau, steps, scheme)
     gap = float(np.max(np.abs(fp.h - march.h)))
     ripped = fp.h > params.h_star
     same_ripped = np.array_equal(ripped, march.h > params.h_star)
@@ -216,6 +217,14 @@ def test_fixed_point_matches_marching_subcritical():
     assert fp.residual_height <= 1e-9
     assert fp.total_mass == pytest.approx(integrate(grid, march.rho_a + march.rho_i),
                                           rel=1e-8)
+
+
+def test_fully_implicit_march_reaches_the_fixed_point():
+    # the second route through the Newton scheme: 40 FullyImplicit steps of
+    # 1e-4 from rest land on the ripping fixed point (height gap 3.4e-13;
+    # march residuals 4.4e-13 / 4.2e-12 / 3.3e-12 under a 1.0e-11 height floor)
+    ok, line = two_routes(16, 410.0, tau=1e-4, steps=40, scheme="FullyImplicit")
+    assert ok, line
 
 
 def test_fixed_point_mass_consistency():
