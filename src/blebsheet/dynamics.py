@@ -323,8 +323,12 @@ def _solve_densities(
     about ``k * tau`` per sweep, and stops once the active equation, like
     the inactive one, meets ``cg_solve``'s test on its own right-hand side.
     At ``tau`` >= 1e-3 it raises :class:`SolveError` after 80 sweeps,
-    with the last iterate ``[rho_a | rho_i]`` and that residual; a coupled
-    Krylov solve is to replace the loop.
+    with the last iterate ``[rho_a | rho_i]`` and that residual.
+
+    Every system here, coupled too, is an M-matrix (nonpositive off-diagonals,
+    diagonally dominant), so nonnegative data give nonnegative densities; only
+    the explicit flux ``-rate rho_a`` breaks that, once ``tau max(rate) > 1``,
+    and a density below ``-1e-12 max(max rho, 1)`` then raises :class:`SolveError`.
 
     A quiescent state (no ``rate``, ``rho_i`` zero, ``rho_a`` uniform and
     finite) is the step's fixed point; it is returned unsolved, with the
@@ -344,6 +348,10 @@ def _solve_densities(
         B_a = ops.density_matrix(params.eta_a, 1.0 / tau)
         rhs_a = w * (rho_a / tau + params.k * rho_i_new - flux)
         rho_a_new = cg_solve(B_a, rhs_a, dopts, x0=rho_a)
+        low = min(rho_a_new.min(), rho_i_new.min())
+        if low < -1e-12 * max(rho_a_new.max(), rho_i_new.max(), 1.0):
+            raise SolveError(f"negative linker density {low:.3e}, tau max(rate) = "
+                             f"{tau * rate.max():.3e}")
         return rho_a_new, rho_i_new
 
     B_a = ops.density_matrix(params.eta_a, 1.0 / tau + rate)
@@ -417,20 +425,11 @@ def _step_semi_implicit(
     starts, ``P b`` is still a closer start than the previous height.
     """
     grid = ops.grid
-    rate = ripping_rate(state.h, params)
-    rho_a_new, rho_i_new = _solve_densities(
-        ops, params, tau, rate, state.rho_a, state.rho_i, implicit_ripping, opts,
-    )
+    rho_a_new, rho_i_new = _solve_densities(ops, params, tau, ripping_rate(state.h, params),
+                                            state.rho_a, state.rho_i, implicit_ripping, opts)
     B_h = ops.height_matrix(params, tau, rho_a_new)
     rhs = (params.c / tau) * grid.restrict(state.h) + PASCAL * grid.restrict(pressure)
-    try:
-        h_new_int = cg_solve(B_h, rhs, opts, x0=B_h.precond(rhs), precond=B_h.precond)
-    except SolveError as exc:
-        if rho_a_new.min() >= 0.0:
-            raise  # else the spring xi rho_a makes the height operator indefinite
-        flux = integrate(grid, rate * state.rho_a)
-        raise SolveError(f"{exc}; min rho_a = {rho_a_new.min():.3e}, explicit ripping "
-                         f"flux {flux:.3e}", exc.iterate, exc.residual_norm) from exc
+    h_new_int = cg_solve(B_h, rhs, opts, x0=B_h.precond(rhs), precond=B_h.precond)
     return h_new_int, rho_a_new, rho_i_new
 
 

@@ -290,6 +290,24 @@ def test_criterion_6_contrast_converges():
     assert 1.9 <= (c32[1] - c32[0]) / (c32[2] - c32[1]) <= 2.2
 
 
+def test_bleb_final_height_is_first_order_in_tau():
+    # the bleb benchmark workload (ImplicitRipping, centred 410 Pa pulse of
+    # radius 0.4, 100 us) at n = 32: tau 1e-6, 5e-7 and 2.5e-7 give a final
+    # max_h of 2.8404219908, 2.8452760518 and 2.8476466676, a halving ratio
+    # of 2.048; extrapolated to tau -> 0 the default tau is 3.4e-3 off,
+    # relative, where n = 32 and 64 agree to 1.10e-4
+    def final_max_h(n, tau):
+        config = parse_config_dict({"scenario": "stationary_state", "n": n, "tau": tau,
+                                    "final_time": 1e-4,
+                                    "pressure": {"kind": "pulse", "peak": 410.0}})
+        return simulate(config)[1].max_h[-1]
+
+    h32 = [final_max_h(32, tau) for tau in (1e-6, 5e-7, 2.5e-7)]
+    assert 1.9 <= (h32[1] - h32[0]) / (h32[2] - h32[1]) <= 2.3
+    h64 = final_max_h(64, 1e-6)
+    assert abs(h32[0] - h64) <= 2e-4 * h64
+
+
 def test_criterion_7_gamma_convergence_probe():
     params = ModelParams()
     rho0 = 1.0

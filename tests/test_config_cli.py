@@ -688,15 +688,15 @@ def test_cli_solver_failure_exit_1(tmp_path, capsys):
 
 
 def test_cli_explicit_ripping_failure_names_negative_density(tmp_path, capsys):
-    # the explicit flux drives rho_a, and with it the height spring, negative
+    # the explicit flux drives rho_a negative at the first ripping step; that
+    # step fails, before its height solve, and names tau max(rate)
     path = write_config(tmp_path, {
         "scenario": "stationary_state", "n": 32, "scheme": "ExplicitRipping",
         "pressure": {"kind": "pulse", "peak": 350.0}, "output_dir": str(tmp_path / "out"),
     })
     assert main(["run", "--config", str(path)]) == 1
     err = capsys.readouterr().err
-    assert "step 10: cg_solve: operator not positive definite" in err
-    assert "min rho_a = -" in err and "explicit ripping flux" in err
+    assert "step 7: negative linker density -2.702e+00, tau max(rate) = 3.740e+00" in err
 
 
 def test_cli_failed_run_keeps_partial_output(tmp_path, capsys):

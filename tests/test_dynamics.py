@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blebsheet.config import parse_config_dict
@@ -478,15 +478,20 @@ def test_disruption_bleb_forms_above_hole():
 
 
 def test_explicit_ripping_supercritical_loses_positivity():
-    # the unstabilized variant survives but its densities go negative; this
-    # is monitored, never asserted as a guarantee
+    # the unstabilized variant's explicit flux turns rho_a negative once tau
+    # max(rate) > 1: the step that does so raises, and every state recorded
+    # before it keeps both densities nonnegative and the mass
     cfg = parse_config_dict({
         "scenario": "stationary_state", "n": 8, "final_time": 3e-5,
         "scheme": "ExplicitRipping",
         "pressure": {"kind": "pulse", "peak": 400.0, "center": [0.5, 0.5], "radius": 0.4},
     })
-    _, diag, _ = simulate(cfg)
-    assert min(diag.min_rho_a) < -0.1
+    with pytest.raises(StepError, match="step 5: negative linker density -") as err:
+        simulate(cfg)
+    assert float(str(err.value).rsplit("= ", 1)[1]) > 1.0  # tau max(rate), 7.6 here
+    diag = err.value.diagnostics
+    assert len(diag.step) == 5
+    assert min(diag.min_rho_a) >= 0.0 and min(diag.min_rho_i) >= 0.0
     assert diag.total_mass[-1] == pytest.approx(diag.total_mass[0], rel=1e-10)
 
 
@@ -494,9 +499,9 @@ def test_explicit_ripping_supercritical_loses_positivity():
 # None completes, a string is part of the StepError raised at step 1.  Faster
 # or tighter density and Newton solves are expected to flip rows of this table.
 TAU_SCHEME_OUTCOMES = {
-    ("ExplicitRipping", 1e-5): "min rho_a",
-    ("ExplicitRipping", 1e-4): "min rho_a",
-    ("ExplicitRipping", 1e-3): "min rho_a",
+    ("ExplicitRipping", 1e-5): "negative linker density",
+    ("ExplicitRipping", 1e-4): "negative linker density",
+    ("ExplicitRipping", 1e-3): "negative linker density",
     ("ImplicitRipping", 1e-5): None,
     ("ImplicitRipping", 1e-4): None,
     ("ImplicitRipping", 1e-3): "80 sweeps",
@@ -834,8 +839,15 @@ def test_height_solves_before_ripping_take_no_iteration(monkeypatch, n, scheme):
         assert histories and all(len(history) == 1 for history in histories)
         calm_steps += 1
     assert 3 <= calm_steps < 20
-    # the first ripping step's spring varies: its height solve iterates
+    # the first ripping step's spring varies: its height solve iterates.
+    # ExplicitRipping's flux turns rho_a negative there (tau max(rate) = 3.6
+    # at n = 16), so that step raises before its height solve
     histories.clear()
+    if scheme is Scheme.EXPLICIT_RIPPING:
+        with pytest.raises(StepError, match="negative linker density"):
+            step(state, 1e-6, params, pressure, grid, scheme, ops=ops)
+        assert not histories
+        return
     step(state, 1e-6, params, pressure, grid, scheme, ops=ops)
     assert max(len(history) for history in histories) > 1
 
@@ -1001,6 +1013,50 @@ def test_reaction_start_nonnegative_and_conserving(k_tau, rate_tau, rho_a, rho_i
     assert a[0] >= 0.0 and i[0] >= 0.0
     total = rho_a + rho_i
     assert abs((a[0] + i[0]) - total) <= 4.0 * np.finfo(float).eps * total
+
+
+@pytest.mark.parametrize(("implicit_ripping", "max_budget"), [(True, 1e3), (False, 1.0)])
+def test_density_step_from_nonnegative_data_stays_nonnegative(implicit_ripping, max_budget):
+    # every system of the step is an M-matrix, so nonnegative right-hand sides
+    # give nonnegative densities. Under implicit ripping that holds at any
+    # rate, coupled (some rate > 0) or not (budget 0), and the coupled branch
+    # has no sign check of its own; under explicit ripping the flux leaves
+    # W rho_a (1 / tau - rate) + k W rho_i_new on the active right-hand side,
+    # nonnegative while tau max(rate) <= 1
+    params = ModelParams()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n=st.integers(min_value=8, max_value=16), seed=st.integers(0, 2**32 - 1),
+           tau=st.sampled_from([1e-6, 1e-5]),
+           budget=st.sampled_from([0.0, 1.0]) | st.floats(min_value=0.0, max_value=max_budget))
+    def nonnegative(n, seed, tau, budget):
+        # each density is zero on about a third of the nodes; the heights are
+        # random about h_star, scaled so that tau max(rate) is budget
+        grid = build_grid(n)
+        rng = np.random.default_rng(seed)
+        shape = (2, grid.num_nodes)
+        rho_a, rho_i = rng.uniform(0.0, 2.0, shape) * (rng.random(shape) < 0.7)
+        u = rng.uniform(-1.0, 1.0, grid.num_nodes)
+        u[rng.integers(grid.num_nodes)] = 1.0
+        rate = ripping_rate(params.h_star + budget * params.theta / tau * u, params)
+        got = np.concatenate(_solve_densities(Operators(grid), params, tau, rate, rho_a, rho_i,
+                                              implicit_ripping, SolveOptions()))
+        assert got.min() >= -1e-12 * max(got.max(), 1.0)
+
+    nonnegative()
+
+
+def test_explicit_ripping_density_step_beyond_its_bound_raises():
+    # tau rate = 2 at one node of uniform rho_a: its active right-hand side
+    # is W (1 - 2) / tau plus a reconnection 50 times smaller
+    params = ModelParams()
+    grid = build_grid(8)
+    h = np.zeros(grid.num_nodes)
+    h[grid.num_nodes // 2] = params.h_star + 2.0 * params.theta / 1e-6
+    message = r"negative linker density -.*, tau max\(rate\) = 2.000e\+00"
+    with pytest.raises(SolveError, match=message):
+        _solve_densities(Operators(grid), params, 1e-6, ripping_rate(h, params),
+                         np.ones(grid.num_nodes), np.zeros(grid.num_nodes), False, SolveOptions())
 
 
 def test_ripping_steps_density_iterations_capped(monkeypatch):

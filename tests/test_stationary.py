@@ -5,6 +5,7 @@ from scipy.sparse.linalg import spsolve
 
 from blebsheet.config import parse_config_dict
 from blebsheet.dynamics import Operators, build_pressure, simulate, stationary_terms
+from blebsheet.energy import _gradient, minimize_J
 from blebsheet.grid import assemble_laplacian, build_grid, integrate
 from blebsheet.model import (
     MICROGRAM,
@@ -250,6 +251,33 @@ def test_fixed_point_unequal_diffusivities():
     assert result.residual_rho_i <= 1e-8
     assert np.min(result.rho_a) >= -1e-10
     assert np.min(result.rho_i) >= -1e-10
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_no_diffusion_limit_is_a_critical_point_of_J_theta(n):
+    # with eta_a = eta_i = eta -> 0 the fixed point's rho_a tends to g_theta(h,
+    # m0), so its height to a critical point of J_theta at the dynamics'
+    # spring, xi MICROGRAM m0: the gradient over the peak load falls tenfold
+    # per decade of eta (9.99-10.00 at n = 16, 9.97-10.00 at n = 32)
+    grid = build_grid(n)
+    ops = Operators(grid)
+    pressure = pressure_pulse(grid, peak=410.0)
+    rho0 = ModelParams().xi * MICROGRAM
+    peak = PASCAL * np.max(pressure)
+
+    def limit_gap(params):
+        h = stationary_fixed_point(params, pressure, 1.0, grid).h
+        return np.max(np.abs(_gradient(params.theta, rho0, params, pressure, grid, ops,
+                                       grid.restrict(h)))) / peak
+
+    gaps = [limit_gap(ModelParams(eta_a=eta, eta_i=eta)) for eta in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)]
+    assert all(9.0 <= a / b <= 11.0 for a, b in zip(gaps, gaps[1:]))
+    # and minimize_J, which shares no solver with the fixed point, finds that
+    # critical point at theta 1e-4 (6.0e-10 apart at eta 1e-6)
+    params = ModelParams(theta=1e-4, eta_a=1e-6, eta_i=1e-6)
+    h = stationary_fixed_point(params, pressure, 1.0, grid).h
+    minimizer = minimize_J(1e-4, rho0, params, pressure, grid, ops=ops).minimizer
+    assert np.max(np.abs(h - minimizer)) <= 1e-8 * np.max(np.abs(minimizer))
 
 
 def test_above_critical_reaches_ripping_height():
