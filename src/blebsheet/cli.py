@@ -205,7 +205,8 @@ def run_sweep(config: ScenarioConfig):
             rows.append((p, p * u10 if p * u_max <= h_star else sweep_point(p, config, ops)))
         except StepError as exc:  # a full run failed: name its peak
             cause = str(exc).removeprefix(f"step {exc.step_index}: ")
-            raise StepError(f"peak {p!r} Pa: {cause}", exc.step_index, exc.residual_norm) from exc
+            raise StepError(f"peak {p!r} Pa: {cause}", exc.step_index, exc.residual_norm,
+                            exc.iterate) from exc
     critical = h_star / u_max if u_max > 0.0 else math.inf
     return rows, critical if config.sweep_min <= critical < config.sweep_max else None
 

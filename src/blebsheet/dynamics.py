@@ -125,10 +125,11 @@ class Diagnostics:
 
 
 class StepError(SolveError):
-    """A time step's solve failed; carries the failing step index."""
+    """A time step's solve failed; carries the failing step index and the solve's iterate."""
 
-    def __init__(self, message: str, step_index: int, residual_norm: Optional[float] = None):
-        super().__init__(f"step {step_index}: {message}", residual_norm=residual_norm)
+    def __init__(self, message: str, step_index: int, residual_norm: Optional[float] = None,
+                 iterate: Optional[np.ndarray] = None):
+        super().__init__(f"step {step_index}: {message}", iterate, residual_norm)
         self.step_index = step_index
 
 
@@ -253,7 +254,7 @@ class Operators:
         bounds the sup norm of the membrane operator ``M = kappa A^2 + gamma
         A + lam + diag(spring)`` for a spring of at most ``spring_max``.  The
         Picard height residual stops there, and ``energy.minimize_J`` hands it
-        to ``linalg.newton_armijo`` as the ``floor`` of its gradient.  It
+        to ``linalg.newton_armijo`` as the floor of its gradient's ``tol``.  It
         grows about sixteenfold per halving of the spacing.
         """
         eig_max = float(self.eig.max())
@@ -401,7 +402,7 @@ def step(
             h_int, rho_a, rho_i = _step_semi_implicit(state, tau, params, pressure, opts, ops,
                                                       scheme is Scheme.IMPLICIT_RIPPING)
     except SolveError as exc:
-        raise StepError(str(exc), state.step_index, exc.residual_norm) from exc
+        raise StepError(str(exc), state.step_index, exc.residual_norm, exc.iterate) from exc
     return State(h=grid.embed(h_int), rho_a=rho_a, rho_i=rho_i, t=state.t + tau,
                  step_index=state.step_index + 1)
 
@@ -568,7 +569,7 @@ def _step_fully_implicit(
         # semi-implicit predictor: O(tau)-accurate start keeps Newton on the right
         # side of the ripping switch even at sharpness 1e-8, and selects the root
         z0 = np.concatenate(_step_semi_implicit(state, tau, params, pressure, opts, ops, True))
-        z = newton_armijo(residual, jacobian, z0, opts,
+        z = newton_armijo(residual, jacobian, z0,
                           linear_solve=lambda J, rhs: _newton_solve(J, rhs, opts))
     except SolveError:
         # near the ripping switch the system can lose its solution at this tau,

@@ -29,7 +29,7 @@ import numpy as np
 
 from .dynamics import HeightOperator, Operators
 from .grid import Grid
-from .linalg import SolveError, SolveOptions, cg_solve, newton_armijo
+from .linalg import NEWTON_TOL, SolveError, SolveOptions, cg_solve, newton_armijo
 from .model import PASCAL, ModelParams, g_theta, g_theta_prime
 
 
@@ -91,7 +91,7 @@ def _spring(theta, rho0, params, grid, h_int, hessian=False):
     """
     if theta == 0.0:
         return rho0 * (h_int < params.h_star)
-    p_theta = params.with_(theta=theta)
+    p_theta = replace(params, theta=theta)
     h_full = grid.embed(h_int)
     spring = g_theta(h_full, rho0, p_theta)
     if hessian:
@@ -130,15 +130,14 @@ def minimize_J(
     operator's preconditioner.  The line search lowers ``0.5
     ||gradient||^2``, and no step is checked to lower ``J``: where the
     Hessian spring ``g + h g'`` is negative, Newton could stop at a critical
-    point that is no minimizer.  ``newton_grad_tol`` bounds the weighted
-    gradient ``dJ/dh``, ``spacing^2`` times the strong form, and so does the
-    reported ``gradient_sup_norm``.  Convergence is declared once the
-    strong-form gradient's sup norm is at most ``max(newton_grad_tol /
-    spacing^2, floor)``, with :meth:`Operators.roundoff_floor` for the
-    spring bound ``rho0`` as the floor where that is larger; the floor grows
-    about sixteenfold per halving of the spacing.  A failed Newton iteration
-    or Hessian solve raises :class:`SolveError` with the last Newton iterate
-    (on the full grid) and its strong-form gradient sup norm.
+    point that is no minimizer.  Newton stops once the strong-form
+    gradient's sup norm is at most ``max(NEWTON_TOL / spacing^2, floor)``,
+    ``floor`` the :meth:`Operators.roundoff_floor` for the spring bound
+    ``rho0``, which grows about sixteenfold per halving of the spacing; the
+    reported ``gradient_sup_norm`` is the weighted ``dJ/dh``, ``spacing^2``
+    times the strong form.  ``opts`` is the Hessian CGs'.  A failed Newton
+    iteration or Hessian solve raises :class:`SolveError` with the last
+    Newton iterate (on the full grid) and its strong-form gradient sup norm.
     """
     if ops is None:
         ops = Operators(grid)
@@ -148,10 +147,10 @@ def minimize_J(
             gradient,
             partial(_hessian, theta, rho0, params, grid, ops),
             np.zeros(grid.num_interior),
-            replace(opts, newton_grad_tol=opts.newton_grad_tol / grid.spacing**2),
             linear_solve=lambda J, rhs: cg_solve(J, rhs, opts, precond=J.precond),
             # the spring never exceeds rho0
-            floor=partial(ops.roundoff_floor, params, rho0),
+            tol=lambda h: max(NEWTON_TOL / grid.spacing**2,
+                              ops.roundoff_floor(params, rho0, h)),
         )
     except SolveError as exc:
         raise SolveError(str(exc), grid.embed(exc.iterate), exc.residual_norm) from exc

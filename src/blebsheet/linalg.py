@@ -26,6 +26,9 @@ GMRES_RESTART = 30
 #: the norm of the new Krylov vector: the rest is roundoff, the Krylov space
 #: is exhausted, and the cycle's answer is as exact as the arithmetic allows.
 GMRES_BREAKDOWN = 1e-10
+#: ``newton_armijo``'s default stop on ``|F|_inf`` and its iteration cap.
+NEWTON_TOL = 1e-10
+NEWTON_MAX_ITER = 50
 #: ``newton_armijo`` gives up as stalled once ``|F|_inf`` has fallen by less
 #: than ``STALL_FACTOR`` over the last ``STALL_WINDOW`` iterations.
 STALL_WINDOW = 5
@@ -37,27 +40,18 @@ TIGHT_TOLERANCE = 1e-12
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Tolerances and iteration limits shared by the linear and Newton solvers.
+    """Stop rule of the linear solves: a config's ``rel_tolerance`` and ``max_iterations``.
 
     ``max_iterations`` of ``None`` means ten times the system size.
-    ``newton_grad_tol`` is the sup-norm tolerance of the Newton residual in
-    :func:`newton_armijo`, or its caller's ``floor`` where that is larger:
-    ``energy.minimize_J`` passes ``Operators.roundoff_floor``, which grows
-    as the grid is refined, and reads ``newton_grad_tol`` as a bound on
-    the weighted gradient ``dJ/dh``, ``spacing^2`` times its Newton residual.
     """
 
     rel_tolerance: float = 1e-10
     max_iterations: Optional[int] = None
-    newton_grad_tol: float = 1e-10
-    newton_max_iter: int = 50
 
     def __post_init__(self):
-        # written so that NaN fails both checks
+        # written so that NaN fails the check
         if not 0.0 < self.rel_tolerance < 1.0:
             raise ValueError(f"rel_tolerance must lie in (0, 1), got {self.rel_tolerance!r}")
-        if not self.newton_grad_tol > 0.0:
-            raise ValueError("newton_grad_tol must be positive")
 
     def tight(self) -> "SolveOptions":
         """These options with ``rel_tolerance`` at most ``TIGHT_TOLERANCE``.
@@ -236,18 +230,17 @@ def newton_armijo(
     residual: Callable[[np.ndarray], np.ndarray],
     jacobian: Callable[[np.ndarray], object],
     x0: np.ndarray,
-    opts: SolveOptions = SolveOptions(),
     *,
     linear_solve: Callable[[object, np.ndarray], np.ndarray],
-    floor: Callable[[np.ndarray], float] = lambda x: 0.0,
+    tol: Callable[[np.ndarray], float] = lambda x: NEWTON_TOL,
 ) -> np.ndarray:
     """Damped Newton iteration on ``residual(x) = 0``.
 
     The merit function is ``0.5 * ||residual||**2``; a step is accepted once
     it decreases the merit strictly and by at least ``ARMIJO_C1 * alpha * m'``
     where ``m'`` is the directional derivative along the Newton direction.
-    Convergence is declared at ``||residual||_inf <= max(newton_grad_tol,
-    floor(x))``, ``floor`` a caller's roundoff floor of the residual at ``x``.
+    Convergence is declared at ``||residual||_inf <= tol(x)``, within
+    ``NEWTON_MAX_ITER`` iterations.
 
     ``jacobian(x)`` must return an object supporting ``J @ v``; the Newton
     systems are handed to ``linear_solve(J, rhs)``.  Raises
@@ -264,12 +257,12 @@ def newton_armijo(
         raise SolveError("newton_armijo: non-finite residual at the start point", x,
                          float(np.max(np.abs(F))))
     sups = []
-    for it in range(opts.newton_max_iter + 1):
+    for it in range(NEWTON_MAX_ITER + 1):
         sups.append(float(np.max(np.abs(F))))
-        if sups[-1] <= max(opts.newton_grad_tol, floor(x)):
+        if sups[-1] <= tol(x):
             return x
-        if it == opts.newton_max_iter:
-            raise SolveError(f"newton_armijo: no convergence in {opts.newton_max_iter} "
+        if it == NEWTON_MAX_ITER:
+            raise SolveError(f"newton_armijo: no convergence in {NEWTON_MAX_ITER} "
                              f"iterations (|residual|_inf = {sups[-1]:.3e})", x, sups[-1])
         if it >= STALL_WINDOW and sups[-1] * STALL_FACTOR > sups[-1 - STALL_WINDOW]:
             raise SolveError(f"newton_armijo: stalled at |residual|_inf = {sups[-1]:.3e} "

@@ -10,7 +10,7 @@ assembled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -61,9 +61,6 @@ class ModelParams:
             raise ValueError("critical height h_star must be positive")
         if self.h_bar == 0.0 and self.lam != 0.0:
             raise ValueError("lam must vanish with zero spontaneous curvature")
-
-    def with_(self, **kwargs) -> "ModelParams":
-        return replace(self, **kwargs)
 
 
 def ripping_rate(h_value, params: ModelParams):

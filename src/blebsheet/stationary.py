@@ -29,8 +29,10 @@ from .model import MICROGRAM, PASCAL, ModelParams, ripping_rate
 #: output, or the faster runs read as more memory.
 DAMPING = 0.5
 
-#: Picard iterations before :func:`stationary_fixed_point` gives up.
+#: Picard iterations before :func:`stationary_fixed_point` gives up, and
+#: the sup norm of the relative residuals it stops at.
 MAX_PICARD = 500
+PICARD_TOL = 1e-10
 
 
 class StationaryError(SolveError):
@@ -107,7 +109,6 @@ def stationary_fixed_point(
     m0: float,
     grid: Grid,
     opts: SolveOptions = SolveOptions(),
-    tol: float = 1e-10,
 ) -> StationaryResult:
     """Picard iteration of the reduced problem under ``pressure`` (Pa per node).
 
@@ -118,15 +119,13 @@ def stationary_fixed_point(
     ripping rate of that new height, and only its update is damped, by
     ``DAMPING``.  Where nothing rips, the first iteration is the answer.
     Converges once the iterate, with ``rho_i`` rebuilt from the weighted
-    sum, meets ``tol`` in the residuals the result reports: both density
-    residuals at most ``tol``, and the height residual at most ``max(tol,
-    floor)``, with the roundoff floor of :func:`_residuals_and_floor`.  The
-    floor is a bound: at 410 Pa it reads 2.7e-9 at n = 64 and 4.4e-8 at
-    n = 128, where the solve reaches 4.5e-11 and 8.6e-10; without it
-    n = 128 would never meet ``tol`` 1e-10 in height.  Non-convergence
-    raises with the last iterate and its residuals after ``MAX_PICARD``
-    iterations; a non-finite new height or density raises at once, with the
-    last finite iterate.
+    sum, has the residuals the result reports at most ``PICARD_TOL``, or
+    the height residual at most its roundoff floor
+    (:func:`_residuals_and_floor`) where that is larger: at 410 Pa the floor
+    reads 2.7e-9 at n = 64 and 4.4e-8 at n = 128, where the solve reaches
+    4.5e-11 and 8.6e-10.  Non-convergence raises with the last iterate and
+    its residuals after ``MAX_PICARD`` iterations; a non-finite new height
+    or density raises at once, with the last finite iterate.
 
     The inner solves are inexact (Eisenstat & Walker, SIAM J. Sci. Comput.
     17, 1996): each iteration's height and density CG runs at
@@ -202,7 +201,7 @@ def stationary_fixed_point(
         residuals, floor = _residuals_and_floor(
             ops, params, pressure, h_bar, rho_bar, inactive(rho_bar))
         res_h, res_a, res_i = residuals
-        if res_a <= tol and res_i <= tol and res_h <= max(tol, floor):
+        if res_a <= PICARD_TOL and res_i <= PICARD_TOL and res_h <= max(PICARD_TOL, floor):
             return result_at(iterations)
 
     raise StationaryError(

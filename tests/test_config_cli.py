@@ -19,6 +19,7 @@ from blebsheet.config import (
     parse_config,
     parse_config_dict,
 )
+from blebsheet.linalg import SolveOptions
 from blebsheet.model import ModelParams
 
 
@@ -112,6 +113,16 @@ def test_manifest_roundtrip():
                 assert getattr(obj, f.name) != getattr(default, f.name), f.name
     echoed = parse_config_dict(cfg.to_dict())
     assert echoed == cfg
+
+
+def test_every_solve_option_is_set_by_the_config_key_of_its_name():
+    # SolveOptions holds what a config sets and nothing else: a stop rule
+    # that no config reaches is a constant of the solver that reads it
+    for f in fields(SolveOptions):
+        default = getattr(SolveOptions(), f.name)
+        value = 500 if default is None else 2 * default
+        cfg = parse_config_dict({"scenario": "stationary_state", f.name: value})
+        assert getattr(cfg.solve_options(), f.name) == value, f.name
 
 
 def test_cli_config_error_exit_2(tmp_path, capsys):
@@ -931,11 +942,12 @@ def test_failed_sweep_point_names_its_peak(monkeypatch, where):
     samples = [float(p) for p in np.linspace(cfg.sweep_min, cfg.sweep_max, cfg.sweep_samples)]
     point = cli.sweep_point
     failed = []
+    iterate = np.arange(3.0)
 
     def failing(peak, config, ops=None):
         if peak in samples:
             failed.append(peak)
-            raise dynamics.StepError("cg_solve: did not converge", 4, 0.5)
+            raise dynamics.StepError("cg_solve: did not converge", 4, 0.5, iterate)
         return point(peak, config, ops)
 
     monkeypatch.setattr(cli, "sweep_point", failing)
@@ -945,6 +957,7 @@ def test_failed_sweep_point_names_its_peak(monkeypatch, where):
     assert str(err.value) == f"step 4: peak {failed[0]!r} Pa: cg_solve: did not converge"
     assert err.value.step_index == 4
     assert err.value.residual_norm == 0.5
+    assert err.value.iterate is iterate
     assert str(err.value.__cause__) == "step 4: cg_solve: did not converge"
 
 

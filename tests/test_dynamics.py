@@ -448,6 +448,20 @@ def test_step_failure_carries_step_index():
     assert err.value.residual_norm == err.value.__cause__.residual_norm > 0.0
 
 
+def test_step_failure_carries_the_solves_iterate():
+    # at tau 1e-3 the second step's coupled density loop ends at its
+    # 80-sweep cap; the StepError keeps the loop's last [rho_a | rho_i]
+    grid = build_grid(8)
+    params = ModelParams()
+    pressure = pressure_pulse(grid, peak=410.0)
+    state = step(fresh_state(grid), 1e-3, params, pressure, grid, Scheme.IMPLICIT_RIPPING)
+    with pytest.raises(StepError, match="did not converge in 80 sweeps") as err:
+        step(state, 1e-3, params, pressure, grid, Scheme.IMPLICIT_RIPPING)
+    assert err.value.step_index == 1
+    assert err.value.iterate.shape == (2 * grid.num_nodes,)
+    assert err.value.iterate is err.value.__cause__.iterate
+
+
 def test_invalid_tau_rejected():
     grid = build_grid(4)
     with pytest.raises(ValueError):

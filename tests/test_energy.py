@@ -1,10 +1,13 @@
 import itertools
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import blebsheet.energy as energy
+import blebsheet.linalg as linalg
 from blebsheet.dynamics import Operators
 from blebsheet.energy import (
     density_primitive,
@@ -14,7 +17,7 @@ from blebsheet.energy import (
     minimize_J,
 )
 from blebsheet.grid import build_grid
-from blebsheet.linalg import SolveError, SolveOptions
+from blebsheet.linalg import NEWTON_TOL, SolveError, SolveOptions
 from blebsheet.model import (
     PASCAL,
     ModelParams,
@@ -103,7 +106,7 @@ def test_density_primitive_matches_quadrature():
     for theta in (1e-2, 1e-4):
         closed = density_primitive(H, theta, rho0, PARAMS)
         quad = adaptive_simpson(
-            lambda s: s * g_theta(s, rho0, PARAMS.with_(theta=theta)), 0.0, H
+            lambda s: s * g_theta(s, rho0, replace(PARAMS, theta=theta)), 0.0, H
         )
         assert closed == pytest.approx(quad, rel=1e-10)
 
@@ -121,7 +124,7 @@ def test_density_primitive_negative_height_branch():
 
 
 def test_density_primitive_needs_positive_k_above_the_sharp_limit():
-    params = PARAMS.with_(k=0.0)
+    params = replace(PARAMS, k=0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for H in (0.3, 0.8):
@@ -187,7 +190,7 @@ def test_minimizer_solves_reduced_equation():
     residual = (
         PARAMS.kappa * (ops.A @ lap)
         + PARAMS.gamma * lap
-        + grid.restrict(g_theta(report.minimizer, rho0, PARAMS.with_(theta=theta)))
+        + grid.restrict(g_theta(report.minimizer, rho0, replace(PARAMS, theta=theta)))
         * h_int
         - PASCAL * grid.restrict(p)
     )
@@ -250,7 +253,7 @@ def test_gradient_matches_finite_differences():
     grid = build_grid(8)
     ops = Operators(grid)
     p = pressure_pulse(grid, peak=50.0)
-    params = PARAMS.with_(theta=1e-2)
+    params = replace(PARAMS, theta=1e-2)
     rho0 = 1.0
     eps = 1e-6
     for _ in range(10):
@@ -283,7 +286,7 @@ def test_hessian_matches_assembled_matrix(theta):
     ops = Operators(grid)
     h_int = _random_heights(rng, grid, PARAMS)
     if theta > 0.0:
-        p_theta = PARAMS.with_(theta=theta)
+        p_theta = replace(PARAMS, theta=theta)
         h = grid.embed(h_int)
         spring = grid.restrict(g_theta(h, 1.0, p_theta) + h * g_theta_prime(h, 1.0, p_theta))
     else:
@@ -328,8 +331,6 @@ def _record_hessian_iterates(monkeypatch):
     ``newton_armijo`` builds one Hessian per Newton step, at the accepted
     iterate it steps from, so the list holds every iterate but the last.
     """
-    import blebsheet.energy as energy
-
     hessian = energy._hessian
     iterates = []
 
@@ -361,7 +362,7 @@ def test_monotone_pointwise_convergence_of_g():
     rho0 = 1.4
     prev = None
     for theta in thetas:
-        vals = g_theta(xs, rho0, PARAMS.with_(theta=theta))
+        vals = g_theta(xs, rho0, replace(PARAMS, theta=theta))
         if prev is not None:
             assert np.all(vals <= prev + 1e-15)
         prev = vals
@@ -381,25 +382,28 @@ def test_eval_rejects_bad_theta():
         minimize_J(-1.0, 1.0, PARAMS, p, grid)
 
 
-def test_minimize_J_cap_raises_newton_error():
+def test_minimize_J_cap_raises_newton_error(monkeypatch):
+    monkeypatch.setattr(linalg, "NEWTON_MAX_ITER", 1)
+    monkeypatch.setattr(energy, "NEWTON_TOL", 1e-30)
     grid = build_grid(8)
     # supercritical, so one Newton step does not reach the minimizer
     p = pressure_pulse(grid, peak=400.0)
-    opts = SolveOptions(newton_max_iter=1, newton_grad_tol=1e-30)
     with pytest.raises(SolveError, match="no convergence in 1 iterations") as err:
-        minimize_J(1e-3, 1.0, PARAMS, p, grid, opts=opts)
+        minimize_J(1e-3, 1.0, PARAMS, p, grid)
     assert err.value.iterate.shape == (grid.num_nodes,)
     assert err.value.residual_norm > 1e-30
 
 
-def test_minimize_J_hessian_solve_failure_carries_the_newton_iterate():
+def test_minimize_J_hessian_solve_failure_carries_the_newton_iterate(monkeypatch):
     # one CG iteration solves the first Newton system, where the spring is
     # uniform and the preconditioner exact, but not the second; the error
     # names the Newton iterate and its gradient, not CG's partial direction
     grid = build_grid(8)
     p = pressure_pulse(grid, peak=400.0)
-    with pytest.raises(SolveError, match="newton_armijo: no convergence in 1 ") as capped:
-        minimize_J(0.0, 1.0, PARAMS, p, grid, opts=SolveOptions(newton_max_iter=1))
+    with monkeypatch.context() as capped_newton:
+        capped_newton.setattr(linalg, "NEWTON_MAX_ITER", 1)
+        with pytest.raises(SolveError, match="newton_armijo: no convergence in 1 ") as capped:
+            minimize_J(0.0, 1.0, PARAMS, p, grid)
     assert np.max(capped.value.iterate) > PARAMS.h_star
     with pytest.raises(SolveError, match="cg_solve: no convergence in 1 ") as err:
         minimize_J(0.0, 1.0, PARAMS, p, grid, opts=SolveOptions(max_iterations=1))
@@ -409,7 +413,6 @@ def test_minimize_J_hessian_solve_failure_carries_the_newton_iterate():
 
 def test_hessian_solves_take_few_iterations(monkeypatch):
     # plain CG took 625-2,089 iterations per Newton step here
-    import blebsheet.energy as energy
     from blebsheet.linalg import cg_solve
 
     iterations = []
@@ -443,7 +446,7 @@ def test_minimize_J_stops_at_the_grid_roundoff_floor(n, theta, monkeypatch):
     newton_steps = _record_hessian_iterates(monkeypatch)
     report = minimize_J(theta, 1.0, PARAMS, p, grid)
     assert len(newton_steps) <= 5
-    assert report.gradient_sup_norm > SolveOptions().newton_grad_tol
+    assert report.gradient_sup_norm > NEWTON_TOL
     # it is still small against the load's share of the gradient
     load = grid.spacing**2 * PASCAL * np.max(np.abs(p))
     assert report.gradient_sup_norm <= 1e-10 * load
@@ -452,18 +455,17 @@ def test_minimize_J_stops_at_the_grid_roundoff_floor(n, theta, monkeypatch):
 def test_minimize_J_tolerance_below_the_floor_converges(monkeypatch):
     # a quadratic problem (below h_star) is solved by one Newton step; a
     # tolerance far below roundoff then stops at the floor, not at the cap
+    monkeypatch.setattr(linalg, "NEWTON_MAX_ITER", 5)
+    monkeypatch.setattr(energy, "NEWTON_TOL", 1e-30)
     grid = build_grid(8)
     p = pressure_pulse(grid, peak=50.0)
-    opts = SolveOptions(newton_max_iter=5, newton_grad_tol=1e-30)
     newton_steps = _record_hessian_iterates(monkeypatch)
-    report = minimize_J(1e-3, 1.0, PARAMS, p, grid, opts=opts)
+    report = minimize_J(1e-3, 1.0, PARAMS, p, grid)
     assert report.minimizer.max() < PARAMS.h_star
     assert len(newton_steps) == 1
 
 
 def test_minimize_J_rejects_an_ascent_direction(monkeypatch):
-    import blebsheet.energy as energy
-
     monkeypatch.setattr(energy, "cg_solve", lambda A, b, *args, **kwargs: -b)
     grid = build_grid(8)
     p = pressure_pulse(grid, peak=50.0)
@@ -476,8 +478,6 @@ def test_minimize_J_line_search_failure(monkeypatch):
     # a gradient that doubles at every trial point: the merit rises along
     # every direction from the start, and the line search halves the Newton
     # step below 1e-14 and gives up
-    import blebsheet.energy as energy
-
     grid = build_grid(8)
     p = pressure_pulse(grid, peak=400.0)
     start = energy._gradient(1e-3, 1.0, PARAMS, p, grid, Operators(grid),
@@ -496,8 +496,6 @@ def test_minimize_J_backtracks_an_overlong_direction(monkeypatch):
     # The gradient is evaluated at the start, at every trial point of the two
     # Newton steps, and once more for the report.  The line search runs on
     # the gradient, so the energy's descent along the iterates is checked
-    import blebsheet.energy as energy
-
     hessian, gradient = energy._hessian, energy._gradient
 
     class Quarter:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import blebsheet.linalg as linalg
 from blebsheet.dynamics import Operators
 from blebsheet.grid import build_grid
 from blebsheet.linalg import (
@@ -395,24 +396,22 @@ def test_solve_options_validation():
     for tol in (-1.0, 0.0, 1.0, 2.0, np.inf, np.nan):
         with pytest.raises(ValueError):
             SolveOptions(rel_tolerance=tol)
-    with pytest.raises(ValueError):
-        SolveOptions(newton_grad_tol=0.0)
 
 
 def test_tight_options_lower_only_the_tolerance():
-    opts = SolveOptions(max_iterations=7, newton_grad_tol=1e-8, newton_max_iter=3)
+    opts = SolveOptions(max_iterations=7)
     assert opts.tight() == replace(opts, rel_tolerance=1e-12)
     tighter = SolveOptions(rel_tolerance=1e-14)
     assert tighter.tight() == tighter
 
 
-def test_newton_linear_one_step():
+def test_newton_linear_one_step(monkeypatch):
+    monkeypatch.setattr(linalg, "NEWTON_MAX_ITER", 1)
     b = np.array([3.0, -1.0, 2.0])
     x = newton_armijo(
         residual=lambda x: x - b,
         jacobian=lambda x: spm(np.eye(3)),
         x0=np.zeros(3),
-        opts=SolveOptions(newton_max_iter=1),
         linear_solve=cg,
     )
     assert np.allclose(x, b, atol=1e-12)
@@ -466,8 +465,8 @@ def test_newton_superlinear_on_cubic():
         residual,
         lambda x: np.array([[3.0 * x[0] ** 2]]),
         np.array([3.0]),
-        SolveOptions(newton_grad_tol=1e-13),
         linear_solve=cg,
+        tol=lambda x: 1e-13,
     )
     errs = np.abs(np.unique(iterates) - 2.0)
     errs = np.sort(errs[errs > 1e-14])[::-1]
@@ -499,22 +498,22 @@ def test_newton_line_search_failure():
 
 def test_newton_stops_at_the_callers_floor():
     # a residual that no step takes below 1e-6 once the iterate is within
-    # 2e-6 of the root: without a floor the line search fails there, with a
-    # floor of 1e-6 sup|x|, zero at the start, Newton stops after its one step
+    # 2e-6 of the root: at the default tol the line search fails there, at a
+    # tol of 1e-6 sup|x|, zero at the start, Newton stops after its one step
     q = 1e-6
 
     def residual(x):
         return np.where(np.abs(x - 1.0) >= 2.0 * q, x - 1.0, q)
 
-    def run(**floor):
+    def run(**tol):
         return newton_armijo(residual, lambda x: np.eye(2), np.zeros(2),
-                             linear_solve=lambda J, rhs: np.linalg.solve(J, rhs), **floor)
+                             linear_solve=lambda J, rhs: np.linalg.solve(J, rhs), **tol)
 
     with pytest.raises(SolveError, match="line search failed") as err:
         run()
     assert np.array_equal(err.value.iterate, np.ones(2))
     assert err.value.residual_norm == q
-    assert np.array_equal(run(floor=lambda x: q * np.max(np.abs(x))), np.ones(2))
+    assert np.array_equal(run(tol=lambda x: q * np.max(np.abs(x))), np.ones(2))
 
 
 def test_newton_linear_solve_failure_carries_the_newton_iterate():
@@ -531,13 +530,13 @@ def test_newton_linear_solve_failure_carries_the_newton_iterate():
     assert err.value.__cause__.residual_norm == 3.0
 
 
-def test_newton_iteration_cap():
+def test_newton_iteration_cap(monkeypatch):
+    monkeypatch.setattr(linalg, "NEWTON_MAX_ITER", 2)
     with pytest.raises(SolveError, match="no convergence in 2") as err:
         newton_armijo(
             residual=lambda x: x**3 - 8.0,
             jacobian=lambda x: np.array([[3.0 * x[0] ** 2]]),
             x0=np.array([50.0]),
-            opts=SolveOptions(newton_max_iter=2),
             linear_solve=cg,
         )
     assert err.value.residual_norm > 0.0

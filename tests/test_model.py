@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -65,7 +67,7 @@ def test_g_theta_monotone_tail():
 def test_g_theta_rejects_zero_reconnection():
     for g in (g_theta, g_theta_prime):
         with pytest.raises(ValueError, match="positive reconnection rate k"):
-            g(0.7, 1.0, PARAMS.with_(k=0.0))
+            g(0.7, 1.0, replace(PARAMS, k=0.0))
 
 
 @given(x=finite_heights, rho0=st.floats(min_value=1e-3, max_value=1e3))

@@ -15,6 +15,7 @@ from blebsheet.model import (
     ripping_rate,
 )
 from blebsheet.stationary import (
+    PICARD_TOL,
     StationaryError,
     _residuals,
     _residuals_and_floor,
@@ -43,10 +44,10 @@ def marched(n, pressure, tau, steps, scheme="ImplicitRipping"):
     return state, residuals, floor
 
 
-def meets_fixed_point_test(residuals, floor, tol=1e-10):
-    """The test :func:`stationary_fixed_point` stops on, at its default ``tol``."""
+def meets_fixed_point_test(residuals, floor):
+    """The test :func:`stationary_fixed_point` stops on, at ``PICARD_TOL``."""
     res_h, res_a, res_i = residuals
-    return res_a <= tol and res_i <= tol and res_h <= max(tol, floor)
+    return res_a <= PICARD_TOL and res_i <= PICARD_TOL and res_h <= max(PICARD_TOL, floor)
 
 
 def two_routes(n, peak, tau, steps, scheme="ImplicitRipping"):
@@ -104,12 +105,15 @@ def test_stationary_terms_match_assembled_reference():
 
 
 @pytest.mark.parametrize("peak", [100.0, 400.0])
-def test_residuals_small_at_converged_fixed_point(peak):
+def test_residuals_small_at_converged_fixed_point(peak, monkeypatch):
     # the residuals Picard stops on are the ones it reports
+    import blebsheet.stationary as st
+
+    monkeypatch.setattr(st, "PICARD_TOL", 1e-11)
     grid = build_grid(8)
     params = ModelParams()
     pressure = pressure_pulse(grid, peak=peak)
-    result = stationary_fixed_point(params, pressure, m0=1.0, grid=grid, tol=1e-11)
+    result = stationary_fixed_point(params, pressure, m0=1.0, grid=grid)
     residuals = _residuals(Operators(grid), params, pressure,
                            result.h, result.rho_a, result.rho_i)
     assert residuals == (result.residual_height, result.residual_rho_a,
@@ -145,12 +149,12 @@ PICARD_ITERATIONS = {
 def test_fixed_point_residuals_meet_tol(n, peak):
     # Picard stops on the residuals it reports; when it stopped on its
     # increment, ripping states returned density residuals up to 1.1e-8 here
-    # (n = 32, 1000 Pa) against the default tol of 1e-10
+    # (n = 32, 1000 Pa) against the tol of 1e-10
     grid = build_grid(n)
     params = ModelParams()
     pressure = pressure_pulse(grid, peak=peak)
     tol = 1e-10
-    result = stationary_fixed_point(params, pressure, m0=1.0, grid=grid, tol=tol)
+    result = stationary_fixed_point(params, pressure, m0=1.0, grid=grid)
     assert result.iterations <= PICARD_ITERATIONS[n, peak]
     assert result.residual_rho_a <= tol
     assert result.residual_rho_i <= tol

@@ -196,8 +196,8 @@ def test_disruption_commutes_with_the_symmetries_of_the_square(n, cx, cy, radius
         assert relative_difference(height, expected) <= 1e-12
 
 
-@pytest.mark.xfail(strict=True, reason="the density solves stop at a relative residual of "
-                   "1e-12, and the mass drifts by up to 7e-12 in 20 steps")
+@pytest.mark.xfail(reason="the density solves stop at a relative residual of 1e-12, "
+                   "and the mass drifts by up to 7e-12 in 20 steps")
 # no shrinking: a failing FullyImplicit run can take a second
 @settings(max_examples=12, deadline=None, derandomize=True,
           phases=[Phase.explicit, Phase.generate])
